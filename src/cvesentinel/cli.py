@@ -46,7 +46,6 @@ class RunConfig:
 
     store_root: str
     stop_words: StopWordList | None
-    max_phrase_len: int
     min_name_len: int
     output: str | None
 
@@ -56,7 +55,6 @@ class RunConfig:
         return cls(
             store_root=args.store,
             stop_words=stop_words,
-            max_phrase_len=args.max_phrase_len,
             min_name_len=args.min_name_len,
             output=args.output,
         )
@@ -100,12 +98,16 @@ def _emit_csv(config: RunConfig, header: Sequence[str], rows: Sequence[Sequence[
 
 
 def _read_feeds(paths: Sequence[str]) -> tuple[dict[str, ingest.FeedParseResult], dict[str, int]]:
+    """Parse each feed; reject counts are keyed by file name, or by the
+    path as given where two feeds share a file name."""
+    names = Counter(Path(path).name for path in paths)
     results: dict[str, ingest.FeedParseResult] = {}
     reject_counts: dict[str, int] = {}
     for path in paths:
         result = ingest.parse_feed(ingest.read_feed_bytes(path))
         results[path] = result
-        reject_counts[Path(path).name] = len(result.rejects)
+        name = Path(path).name
+        reject_counts[name if names[name] == 1 else path] = len(result.rejects)
     return results, reject_counts
 
 
@@ -171,11 +173,16 @@ def cmd_tickets(args: argparse.Namespace) -> int:
         _note(f"inventory row {reject.row} rejected: {reject.reason}")
 
     index = matcher.AssetIndex(inventory.assets)
+    if index.unreachable_names:
+        examples = ", ".join(repr(name) for name in index.unreachable_names[:3])
+        _note(
+            f"{len(index.unreachable_names)} asset name(s) hold a function word and can never "
+            f"match a summary, only a CPE: {examples}"
+        )
     matches = matcher.match_corpus(
         cves,
         index,
         _load_filter(args),
-        max_phrase_len=config.max_phrase_len,
         min_name_len=config.min_name_len,
         stop_words=config.stop_words,
     )
@@ -411,12 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"snapshot store root (default: ${STORE_ENV_VAR} or ./{DEFAULT_STORE})",
     )
     common.add_argument("--stopwords", help="stop-word list file, one lowercase token per line")
-    common.add_argument(
-        "--max-phrase-len",
-        type=_positive_int,
-        default=matcher.DEFAULT_MAX_PHRASE_LEN,
-        help="longest phrase (in tokens) considered when matching summaries",
-    )
     common.add_argument(
         "--min-name-len",
         type=_positive_int,

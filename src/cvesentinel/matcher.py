@@ -136,7 +136,13 @@ class EvalReport:
 
 
 class AssetIndex:
-    """Read-only asset lookup by id and by (vendor, name) key."""
+    """Read-only asset lookup by id, by (vendor, name) key and by name.
+
+    ``phrase_len`` is the longest name or vendor in tokens, so summary
+    phrases enumerated up to it reach every name and every vendor.
+    ``unreachable_names`` lists the names holding a function word: summary
+    terms never contain one, so these names can never match a summary.
+    """
 
     def __init__(self, assets: Iterable[AssetRecord]):
         self.by_id: dict[str, AssetRecord] = {}
@@ -146,12 +152,19 @@ class AssetIndex:
                 raise ValidationError(f"duplicate asset id {asset.asset_id!r}")
             self.by_id[asset.asset_id] = asset
             self.by_key.setdefault(asset.wfn.key, []).append(asset)
-
-    def keys(self) -> list[tuple[str, str]]:
-        return sorted(self.by_key)
+        self._ids = {
+            key: tuple(sorted(a.asset_id for a in group)) for key, group in self.by_key.items()
+        }
+        self.by_name: dict[str, list[tuple[str, str]]] = {}
+        for key in sorted(self.by_key):
+            self.by_name.setdefault(key[1], []).append(key)
+        self.phrase_len = _needed_phrase_len(part for key in self.by_key for part in key)
+        self.unreachable_names = tuple(
+            sorted(name for name in self.by_name if not FUNCTION_WORDS.isdisjoint(name.split()))
+        )
 
     def ids_for(self, key: tuple[str, str]) -> tuple[str, ...]:
-        return tuple(sorted(a.asset_id for a in self.by_key.get(key, ())))
+        return self._ids.get(key, ())
 
     def __len__(self) -> int:
         return len(self.by_id)
@@ -239,70 +252,68 @@ def match_cve(
     cve: CveRecord,
     assets: AssetIndex,
     fp_filter: FpFilter | None = None,
-    max_phrase_len: int = DEFAULT_MAX_PHRASE_LEN,
     min_name_len: int = DEFAULT_MIN_NAME_LEN,
     stop_words: StopWordList | None = None,
 ) -> list[MatchResult]:
     """Match one CVE against the asset index.
 
     A non-empty CPE list takes precedence and suppresses summary matching
-    entirely. Results are ordered by (vendor, name) key and deduplicated
-    per asset group.
+    entirely. Otherwise the summary's phrases, up to the longest name in
+    the index, are looked up by name. Results are ordered by (vendor,
+    name) key and deduplicated per asset group.
     """
-    fp_filter = fp_filter or FpFilter.empty()
-    results: list[MatchResult] = []
-
-    if cve.cpe_list:
-        matched_keys: set[tuple[str, str]] = set()
-        for uri in cve.cpe_list:
-            try:
-                wfn = well_formed_from_cpe(uri, stop_words)
-            except ValidationError:
-                continue  # undescribable product name, nothing to match on
-            if wfn.key in assets.by_key:
-                matched_keys.add(wfn.key)
-        for key in sorted(matched_keys):
-            results.append(
-                MatchResult(cve_id=cve.id, asset_ids=assets.ids_for(key), via=MatchVia.CPE)
-            )
-        return results
-
-    terms = extract_summary_terms(cve.summary, max_phrase_len, cve.id)
-    for key in assets.keys():
-        vendor, name = key
-        if len(name) < min_name_len:
-            continue
-        if name not in terms.phrases:
-            continue
-        if name in fp_filter.product_names:
-            vendor_present = len(vendor) >= min_name_len and vendor in terms.phrases
-            if not vendor_present:
-                continue
-        results.append(
-            MatchResult(
-                cve_id=cve.id,
-                asset_ids=assets.ids_for(key),
-                via=MatchVia.SUMMARY,
-                matched_phrase=name,
-            )
-        )
-    return results
+    return match_corpus([cve], assets, fp_filter, min_name_len, stop_words)
 
 
 def match_corpus(
     cves: Iterable[CveRecord],
     assets: AssetIndex,
     fp_filter: FpFilter | None = None,
-    max_phrase_len: int = DEFAULT_MAX_PHRASE_LEN,
     min_name_len: int = DEFAULT_MIN_NAME_LEN,
     stop_words: StopWordList | None = None,
 ) -> list[MatchResult]:
     """Match many CVEs; output ordered by cve id, then asset group."""
+    fp_filter = fp_filter or FpFilter.empty()
+    # (vendor, product) of a CPE -> its key, None when the product is
+    # undescribable; scoped to the call so it cannot grow across calls
+    cpe_keys: dict[tuple[str, str], tuple[str, str] | None] = {}
     results: list[MatchResult] = []
     for cve in sorted(cves, key=lambda c: c.id):
-        results.extend(
-            match_cve(cve, assets, fp_filter, max_phrase_len, min_name_len, stop_words)
-        )
+        if cve.cpe_list:
+            matched_keys: set[tuple[str, str]] = set()
+            for uri in cve.cpe_list:
+                pair = (uri.vendor, uri.product)
+                if pair not in cpe_keys:
+                    try:
+                        cpe_keys[pair] = well_formed_from_cpe(uri, stop_words).key
+                    except ValidationError:
+                        cpe_keys[pair] = None  # undescribable product name
+                key = cpe_keys[pair]
+                if key in assets.by_key:
+                    matched_keys.add(key)
+            for key in sorted(matched_keys):
+                results.append(
+                    MatchResult(cve_id=cve.id, asset_ids=assets.ids_for(key), via=MatchVia.CPE)
+                )
+            continue
+
+        phrases = extract_summary_terms(cve.summary, assets.phrase_len, cve.id).phrases
+        hits = sorted(key for phrase in phrases for key in assets.by_name.get(phrase, ()))
+        for vendor, name in hits:
+            if len(name) < min_name_len:
+                continue
+            if name in fp_filter.product_names:
+                vendor_present = len(vendor) >= min_name_len and vendor in phrases
+                if not vendor_present:
+                    continue
+            results.append(
+                MatchResult(
+                    cve_id=cve.id,
+                    asset_ids=assets.ids_for((vendor, name)),
+                    via=MatchVia.SUMMARY,
+                    matched_phrase=name,
+                )
+            )
     return results
 
 

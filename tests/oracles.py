@@ -2,7 +2,8 @@
 
 These deliberately take different routes from the library: containment is
 substring search over a space-joined token string instead of n-gram set
-membership, and the exact rank-test distribution comes from Gaussian
+membership, summary matching tests every asset key against every CVE
+instead of looking summary phrases up in an index, and the exact rank-test distribution comes from Gaussian
 binomial polynomial arithmetic instead of the library's recursive count.
 """
 
@@ -12,8 +13,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from cvesentinel.ingest import CpeDictionary
-from cvesentinel.matcher import FUNCTION_WORDS
-from cvesentinel.model import CveRecord
+from cvesentinel.matcher import FUNCTION_WORDS, FpFilter, MatchResult
+from cvesentinel.model import AssetRecord, CveRecord, MatchVia
 from cvesentinel.normalize import standardize, tokenize
 
 
@@ -108,6 +109,48 @@ def oracle_build_filter(
                 if contains_name(tokens, product):
                     filter_products.add(product)
     return filter_vendors, filter_products
+
+
+def oracle_match_corpus(
+    cves: Iterable[CveRecord],
+    assets: Iterable[AssetRecord],
+    fp_filter: FpFilter,
+    min_name_len: int = 3,
+) -> list[MatchResult]:
+    """Test every (vendor, name) asset key against every CVE, one by one.
+
+    A CVE with CPEs matches the keys its CPEs name exactly (products that
+    standardize to nothing name no key) and is never matched by summary.
+    Otherwise every key whose name is long enough and occurs in the summary
+    matches, unless the name is on the filter and its vendor does not also
+    occur there.
+    """
+    groups: dict[tuple[str, str], list[str]] = {}
+    for asset in assets:
+        groups.setdefault(asset.wfn.key, []).append(asset.asset_id)
+    results = []
+    for cve in sorted(cves, key=lambda c: c.id):
+        if cve.cpe_list:
+            named = {
+                (standardize(uri.vendor), standardize(uri.product))
+                for uri in cve.cpe_list
+                if standardize(uri.product)
+            }
+            for key in sorted(groups):
+                if key in named:
+                    results.append(MatchResult(cve.id, tuple(sorted(groups[key])), MatchVia.CPE))
+            continue
+        tokens = summary_tokens(cve.summary)
+        for vendor, name in sorted(groups):
+            if len(name) < min_name_len or not contains_name(tokens, name):
+                continue
+            if name in fp_filter.product_names and not (
+                len(vendor) >= min_name_len and contains_name(tokens, vendor)
+            ):
+                continue
+            ids = tuple(sorted(groups[(vendor, name)]))
+            results.append(MatchResult(cve.id, ids, MatchVia.SUMMARY, matched_phrase=name))
+    return results
 
 
 def oracle_exact_mwu_p(a: Sequence[float], b: Sequence[float]) -> float:

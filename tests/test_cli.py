@@ -78,6 +78,18 @@ class TestIngest:
         assert payload["stored"] == 1
         assert payload["rejected_total"] == 1
 
+    def test_same_file_name_in_two_directories_keeps_both_counts(self, tmp_path, store, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        fa = write(tmp_path, "a/feed.json", feed_bytes([feed_item(None)]))
+        fb = write(tmp_path, "b/feed.json", feed_bytes([feed_item("CVE-2021-0001")]))
+        fc = write(tmp_path, "c.json", feed_bytes([feed_item("CVE-2021-0002")]))
+        assert main(["ingest", fa, fb, fc, "--date", "2021-06-01", "--store", store]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rejected_total"] == 1
+        # colliding names are keyed by the path as given, distinct ones by file name
+        assert payload["rejects"] == {fa: 1, fb: 0, "c.json": 0}
+
     def test_malformed_feed_exits_2(self, tmp_path, store):
         feed = write(tmp_path, "bad.json", b"{broken")
         assert main(["ingest", feed, "--date", "2021-06-01", "--store", store]) == 2
@@ -183,6 +195,47 @@ class TestTickets:
         )
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
+
+    def _full_tickets_argv(self, tmp_path, store, inventory_rows, summary):
+        dictionary = write(tmp_path, "dict.json", json.dumps(DICTIONARY))
+        header = "asset_id,product_name,vendor_name,version,cpe23"
+        inventory = write(tmp_path, "inv.csv", "\n".join([header, *inventory_rows]) + "\n")
+        ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001", summary=summary)])
+        return ["tickets", "--date", "2021-06-01", "--store", store, "--full",
+                "--inventory", inventory, "--dictionary", dictionary]
+
+    def test_five_token_name_matches_summary(self, tmp_path, store, capsys):
+        argv = self._full_tickets_argv(
+            tmp_path, store, ["A1,Kilo Bravo Charlie Delta Echo,Zulu,1.0,"],
+            "Flaw in Kilo Bravo Charlie Delta Echo allows code execution.",
+        )
+        capsys.readouterr()
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        (line,) = out.out.splitlines()
+        assert json.loads(line)["key"] == {"vendor": "zulu", "name": "kilo bravo charlie delta echo"}
+        assert out.err.startswith("1 ticket(s)")
+
+    def test_max_phrase_len_flag_is_gone(self, tmp_path, store, capsys):
+        argv = self._full_tickets_argv(tmp_path, store, ["A1,Anvil,Acme,1.0,"], "anvil flaw")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--max-phrase-len", "5"])
+        assert exc.value.code == 2
+        assert "--max-phrase-len" in capsys.readouterr().err
+
+    def test_unreachable_names_noted_on_stderr(self, tmp_path, store, capsys):
+        argv = self._full_tickets_argv(
+            tmp_path, store, ["A1,Tools for Widgets,Acme,1.0,", "A2,Any,Acme,1.0,"],
+            "Any Tools for Widgets flaw.",
+        )
+        capsys.readouterr()
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert out.out == ""
+        (note,) = [line for line in out.err.splitlines() if "function word" in line]
+        assert note.startswith("2 asset name(s)")
+        assert "'any', 'tools for widgets'" in note
+        assert not any(line.startswith("inventory row ") for line in out.err.splitlines())
 
     def test_output_file_and_determinism(self, tmp_path, store):
         dictionary, inventory = self._setup(tmp_path, store)

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cpe23, make_dictionary, make_record
+from cvesentinel import matcher
 from cvesentinel.errors import ValidationError
 from cvesentinel.matcher import (
+    FUNCTION_WORDS,
     AssetIndex,
     FpFilter,
     build_fp_filter,
@@ -20,7 +22,8 @@ from cvesentinel.matcher import (
     match_cve,
 )
 from cvesentinel.model import AssetRecord, MatchVia, WellFormedName
-from oracles import oracle_build_filter, oracle_evaluate
+from cvesentinel.normalize import standardize
+from oracles import oracle_build_filter, oracle_evaluate, oracle_match_corpus
 
 
 def make_asset(asset_id: str, name: str, vendor: str, version: str = "") -> AssetRecord:
@@ -256,6 +259,26 @@ class TestMatchCve:
         (result,) = match_cve(cve, index)
         assert result.asset_ids == ("A1", "A2")
 
+    def test_cpe_keys_derived_once_per_product(self, monkeypatch):
+        derived = []
+        real = matcher.well_formed_from_cpe
+
+        def counting(uri, stop_words=None):
+            derived.append(uri.raw)
+            return real(uri, stop_words)
+
+        monkeypatch.setattr(matcher, "well_formed_from_cpe", counting)
+        shared = cpe23("microsoft", "windows")
+        undescribable = cpe23("acme", "2.0")  # product standardizes to nothing
+        cves = [make_record(f"CVE-2021-000{i}", cpes=[undescribable, shared]) for i in (1, 2, 3)]
+        index = AssetIndex([make_asset("A1", "windows", "microsoft")])
+        results = match_corpus(cves, index)
+        assert sorted(derived) == sorted([undescribable, shared])
+        assert [(r.cve_id, r.asset_ids, r.via) for r in results] == [
+            (cve.id, ("A1",), MatchVia.CPE) for cve in cves
+        ]
+        assert results == [r for cve in cves for r in match_cve(cve, index)]
+
     def test_match_corpus_ordering(self):
         cves = [
             make_record("CVE-2021-0002", summary="anvil crash"),
@@ -290,6 +313,81 @@ class TestMatchCve:
             )
         )
         assert grown <= base
+
+
+# Names drawn from a small vocabulary overlap and contain one another. "for"
+# is a function word, so a name holding it can never match a summary; "zk"
+# and "q" fall below the default name cutoff.
+NAME_WORDS = ["kilo", "bravo", "echo", "delta", "zulu", "for", "zk", "q"]
+SUMMARY_FILLERS = ["flaw", "the", "in", "allows", "Kilo", "ECHO", "Bravo-Delta", "zulu.", "--"]
+
+
+@st.composite
+def match_inputs(draw):
+    """Assets, a filter, CVEs with and without CPEs, and a name cutoff."""
+    words = st.sampled_from(NAME_WORDS)
+    keys = draw(
+        st.lists(
+            st.tuples(
+                st.lists(words, min_size=0, max_size=2).map(" ".join),
+                st.lists(words, min_size=1, max_size=6).map(" ".join),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    assets = [make_asset(f"A{i}", name, vendor) for i, (vendor, name) in enumerate(keys)]
+    names = sorted({name for _, name in keys})
+    fp_filter = FpFilter(
+        vendor_names=frozenset(), product_names=frozenset(draw(st.sets(st.sampled_from(names))))
+    )
+    # "*" standardizes to an empty vendor; "2.0" to an empty, undescribable product
+    cpes = st.sampled_from(
+        [cpe23(v.replace(" ", "_") or "*", n.replace(" ", "_")) for v, n in keys]
+        + [cpe23("zulu", "2.0"), cpe23("zulu", "kilo"), cpe23("kilo", "echo_delta")]
+    )
+    cves = []
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
+        # whole names and vendors as pieces, so long names occur in summaries too
+        pieces = st.sampled_from(NAME_WORDS + SUMMARY_FILLERS + names + [v for v, _ in keys])
+        summary = draw(st.lists(pieces, max_size=10))
+        cve_cpes = draw(st.one_of(st.just([]), st.lists(cpes, min_size=1, max_size=3)))
+        cves.append(make_record(f"CVE-2021-{9 - i:04d}", summary=" ".join(summary), cpes=cve_cpes))
+    return assets, fp_filter, cves, draw(st.sampled_from([1, 3]))
+
+
+class TestMatchCorpusOracle:
+    @given(match_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_match_corpus_equals_oracle(self, inputs):
+        assets, fp_filter, cves, min_len = inputs
+        got = match_corpus(cves, AssetIndex(assets), fp_filter, min_name_len=min_len)
+        assert got == oracle_match_corpus(cves, assets, fp_filter, min_name_len=min_len)
+
+    @given(match_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_unreachable_names_never_match(self, inputs):
+        assets, fp_filter, cves, min_len = inputs
+        index = AssetIndex(assets)
+        expected = sorted(
+            {a.wfn.name for a in assets if set(a.wfn.name.split()) & FUNCTION_WORDS}
+        )
+        assert list(index.unreachable_names) == expected
+        matched = oracle_match_corpus(cves, assets, fp_filter, min_name_len=min_len)
+        assert not {m.matched_phrase for m in matched} & set(index.unreachable_names)
+
+    def test_function_word_names_are_reported(self):
+        assets = [
+            make_asset("A1", standardize("Tools for Widgets"), "acme"),
+            make_asset("A2", standardize("Any"), "acme"),
+            make_asset("A3", standardize("Widgets"), "acme"),
+        ]
+        index = AssetIndex(assets)
+        assert index.unreachable_names == ("any", "tools for widgets")
+        cve = make_record("CVE-2021-0001", summary="Any Tools for Widgets flaw")
+        expected = oracle_match_corpus([cve], assets, FpFilter.empty())
+        assert [m.matched_phrase for m in expected] == ["widgets"]
+        assert match_corpus([cve], index) == expected
 
 
 def _random_eval_fixture(seed: int, n_records: int = 50, n_entries: int = 200):
