@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Sequence
@@ -89,14 +89,6 @@ def _emit_json(config: RunConfig, payload: object) -> None:
     _write_text(config, json.dumps(payload, indent=2) + "\n")
 
 
-def _emit_csv(config: RunConfig, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(config, buffer.getvalue())
-
-
 def _read_feeds(paths: Sequence[str]) -> tuple[dict[str, ingest.FeedParseResult], dict[str, int]]:
     """Parse each feed; reject counts are keyed by file name, or by the
     path as given where two feeds share a file name."""
@@ -163,12 +155,9 @@ def cmd_tickets(args: argparse.Namespace) -> int:
         previous = ingest.load_snapshot(config.store_root, previous_date)
         cves = list(ingest.diff_snapshots(previous, snapshot).new_cves)
 
-    dictionary = ingest.parse_cpe_dictionary(
-        Path(args.dictionary).read_bytes(), config.stop_words
-    )
-    inventory = ingest.parse_asset_inventory(
-        Path(args.inventory).read_bytes(), dictionary, config.stop_words
-    )
+    if args.dictionary:
+        _note("--dictionary is ignored by tickets and will be removed")
+    inventory = ingest.parse_asset_inventory(Path(args.inventory).read_bytes(), config.stop_words)
     for reject in inventory.rejects:
         _note(f"inventory row {reject.row} rejected: {reject.reason}")
 
@@ -203,13 +192,16 @@ def cmd_tickets(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_snapshot_range(store: str, date_from: date, date_to: date) -> list[Snapshot]:
-    if date_from > date_to:
-        raise FormatError(f"--from {date_from} is after --to {date_to}")
+def _snapshots(args: argparse.Namespace, config: RunConfig) -> list[Snapshot]:
+    """The stored snapshots of every day from --from to --to."""
+    if not (args.date_from and args.date_to):
+        raise FormatError(f"report {args.report!r} needs --from and --to")
+    if args.date_from > args.date_to:
+        raise FormatError(f"--from {args.date_from} is after --to {args.date_to}")
     snapshots = []
-    day = date_from
-    while day <= date_to:
-        snapshots.append(ingest.load_snapshot(store, day))
+    day = args.date_from
+    while day <= args.date_to:
+        snapshots.append(ingest.load_snapshot(config.store_root, day))
         day += timedelta(days=1)
     return snapshots
 
@@ -227,142 +219,102 @@ def _read_score_file(path: str) -> list[float]:
     return scores
 
 
+# Each stats report returns its JSON payload, its rows (the CSV body) and
+# the summary fields the rows do not carry (written to stderr with --csv).
+Report = tuple[dict, list[dict], dict]
+
+
+def _daily_report(args: argparse.Namespace, config: RunConfig) -> Report:
+    rows = [day.to_dict() for day in analytics.daily_completeness(_snapshots(args, config))]
+    summary = {
+        f"average_{name}": sum(row[name] for row in rows) / len(rows)
+        for name in ("missing_cvss", "missing_cpe", "missing_mitigation")
+    } if rows else {}
+    return {"report": "daily", "days": rows, **summary}, rows, summary
+
+
+def _delays_report(args: argparse.Namespace, config: RunConfig) -> Report:
+    snapshots = _snapshots(args, config)
+    if not args.field:
+        raise FormatError("report 'delays' needs --field cvss|cpe")
+    report = analytics.completion_delays(snapshots, analytics.CompletionField(args.field.upper()))
+    rows = [d.to_dict() for d in report.delays]
+    summary = {
+        "completed": report.completed_count,
+        "updated_no_field": len(report.updated_without_field),
+        "never": len(report.never_updated),
+        "average_days": report.average_days,
+    }
+    payload = {"report": "delays", "field": report.field.value, **summary, "delays": rows}
+    return payload, rows, summary
+
+
+def _vendors_report(args: argparse.Namespace, config: RunConfig) -> Report:
+    corpus = analytics.assemble_vendor_corpus(_snapshots(args, config))
+    usable = [r for r in corpus if r.cpe_list]
+    stats = analytics.vendor_completeness(usable, config.stop_words) if usable else []
+    rows = [s.to_dict() for s in stats]
+    summary = {"skipped_no_vendor": len(corpus) - len(usable)}
+    return {"report": "vendors", **summary, "vendors": rows}, rows, summary
+
+
+def _table_report(args: argparse.Namespace, config: RunConfig) -> Report:
+    initial, later = analytics.split_scores(_snapshots(args, config))
+    zeros = sum(1 for s in initial if s == 0) + sum(1 for s in later if s == 0)
+    table = analytics.score_table([s for s in initial if s != 0], [s for s in later if s != 0])
+    payload = {"report": "table", "dropped_zero_scores": zeros, **table.to_dict()}
+    summary = {key: payload[key] for key in ("dropped_zero_scores", "initial_total", "later_total")}
+    return payload, payload["rows"], summary
+
+
+def _ranktest_report(args: argparse.Namespace, config: RunConfig) -> Report:
+    if not (args.scores_a and args.scores_b):
+        raise FormatError("ranktest needs --scores-a and --scores-b")
+    result = analytics.mann_whitney_u(
+        _read_score_file(args.scores_a), _read_score_file(args.scores_b), method=args.method
+    )
+    return {"report": "ranktest", **result.to_dict()}, [result.to_dict()], {}
+
+
+# report name -> (row type, whose fields are the CSV header; the report)
+STATS_REPORTS = {
+    "daily": (analytics.DailyCompleteness, _daily_report),
+    "delays": (analytics.CompletionDelay, _delays_report),
+    "vendors": (analytics.VendorStats, _vendors_report),
+    "table": (analytics.ScoreTableRow, _table_report),
+    "ranktest": (analytics.RankTestResult, _ranktest_report),
+}
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
     config = RunConfig.from_args(args)
-
-    if args.report == "ranktest":
-        if not (args.scores_a and args.scores_b):
-            raise FormatError("ranktest needs --scores-a and --scores-b")
-        result = analytics.mann_whitney_u(
-            _read_score_file(args.scores_a), _read_score_file(args.scores_b), method=args.method
-        )
-        if args.csv:
-            _emit_csv(
-                config,
-                ["u_statistic", "p_value", "method", "n1", "n2"],
-                [[result.u_statistic, result.p_value, result.method.value, result.n1, result.n2]],
-            )
-        else:
-            _emit_json(config, {"report": "ranktest", **result.to_dict()})
-        return EXIT_OK
-
-    if not (args.date_from and args.date_to):
-        raise FormatError(f"report {args.report!r} needs --from and --to")
-    snapshots = _load_snapshot_range(config.store_root, args.date_from, args.date_to)
-
-    if args.report == "daily":
-        days = analytics.daily_completeness(snapshots)
-        if args.csv:
-            _emit_csv(
-                config,
-                ["date", "total_reports", "missing_cvss", "missing_cpe", "missing_mitigation"],
-                [
-                    [d.date.isoformat(), d.total_reports, d.missing_cvss, d.missing_cpe,
-                     d.missing_mitigation]
-                    for d in days
-                ],
-            )
-            return EXIT_OK
-        payload = {"report": "daily", "days": [day.to_dict() for day in days]}
-        if days:
-            payload["average_missing_cvss"] = sum(d.missing_cvss for d in days) / len(days)
-            payload["average_missing_cpe"] = sum(d.missing_cpe for d in days) / len(days)
-            payload["average_missing_mitigation"] = sum(
-                d.missing_mitigation for d in days
-            ) / len(days)
+    row_type, report = STATS_REPORTS[args.report]
+    payload, rows, summary = report(args, config)
+    if not args.csv:
         _emit_json(config, payload)
         return EXIT_OK
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, [f.name for f in fields(row_type)], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_text(config, buffer.getvalue())
+    if summary:
+        _note(" ".join(f"{key}={value}" for key, value in summary.items()))
+    return EXIT_OK
 
-    if args.report == "delays":
-        if not args.field:
-            raise FormatError("report 'delays' needs --field cvss|cpe")
-        report = analytics.completion_delays(
-            snapshots, analytics.CompletionField(args.field.upper())
-        )
-        if args.csv:
-            _emit_csv(
-                config,
-                ["cve_id", "published", "completed", "field", "days"],
-                [
-                    [d.cve_id, d.published.isoformat(), d.completed.isoformat(),
-                     d.field.value, d.days]
-                    for d in report.delays
-                ],
-            )
-            _note(
-                f"completed={report.completed_count} "
-                f"updated_no_field={len(report.updated_without_field)} "
-                f"never={len(report.never_updated)}"
-            )
-            return EXIT_OK
-        _emit_json(
-            config,
-            {
-                "report": "delays",
-                "field": report.field.value,
-                "completed": report.completed_count,
-                "updated_no_field": len(report.updated_without_field),
-                "never": len(report.never_updated),
-                "average_days": report.average_days,
-                "delays": [d.to_dict() for d in report.delays],
-            },
-        )
-        return EXIT_OK
 
-    if args.report == "vendors":
-        corpus = analytics.assemble_vendor_corpus(snapshots)
-        usable = [r for r in corpus if r.cpe_list]
-        skipped = len(corpus) - len(usable)
-        stats = analytics.vendor_completeness(usable, config.stop_words) if usable else []
-        if args.csv:
-            _emit_csv(
-                config,
-                ["vendor", "total", "initially_unscored", "pct_unscored"],
-                [[s.vendor, s.total, s.initially_unscored, s.pct_unscored] for s in stats],
-            )
-            return EXIT_OK
-        _emit_json(
-            config,
-            {
-                "report": "vendors",
-                "skipped_no_vendor": skipped,
-                "vendors": [s.to_dict() for s in stats],
-            },
-        )
-        return EXIT_OK
-
-    if args.report == "table":
-        initial, later = analytics.split_scores(snapshots)
-        zeros = sum(1 for s in initial if s == 0) + sum(1 for s in later if s == 0)
-        table = analytics.score_table(
-            [s for s in initial if s != 0], [s for s in later if s != 0]
-        )
-        if args.csv:
-            _emit_csv(
-                config,
-                ["level", "initial_count", "initial_pct", "later_count", "later_pct"],
-                [
-                    [row.level.value, row.initial_count, row.initial_pct,
-                     row.later_count, row.later_pct]
-                    for row in table.rows
-                ],
-            )
-            return EXIT_OK
-        _emit_json(config, {"report": "table", "dropped_zero_scores": zeros, **table.to_dict()})
-        return EXIT_OK
-
-    raise FormatError(f"unknown report {args.report!r}")
+def _read_dictionary(args: argparse.Namespace, config: RunConfig) -> ingest.CpeDictionary:
+    dictionary = ingest.parse_cpe_dictionary(Path(args.dictionary).read_bytes(), config.stop_words)
+    _note(f"dictionary: {dictionary.skipped} entr(ies) skipped")
+    return dictionary
 
 
 def cmd_build_filter(args: argparse.Namespace) -> int:
     config = RunConfig.from_args(args)
     corpus, excluded, reject_counts = _feed_corpus(args.feeds)
-    dictionary = ingest.parse_cpe_dictionary(
-        Path(args.dictionary).read_bytes(), config.stop_words
-    )
     fp_filter = matcher.build_fp_filter(
         corpus,
-        dictionary,
+        _read_dictionary(args, config),
         min_name_len=config.min_name_len,
         stop_words=config.stop_words,
         source_year=args.source_year,
@@ -387,25 +339,15 @@ def cmd_build_filter(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = RunConfig.from_args(args)
     corpus, excluded, reject_counts = _feed_corpus(args.feeds)
-    dictionary = ingest.parse_cpe_dictionary(
-        Path(args.dictionary).read_bytes(), config.stop_words
-    )
     report = matcher.evaluate_corpus(
-        corpus, dictionary, min_name_len=config.min_name_len, stop_words=config.stop_words
+        corpus,
+        _read_dictionary(args, config),
+        min_name_len=config.min_name_len,
+        stop_words=config.stop_words,
     )
     for name, count in reject_counts.items():
         _note(f"{name}: {count} rejected item(s)")
     _note(f"evaluated {report.total} CPE-bearing record(s), {excluded} excluded for missing CPE")
-    # Filter files are accepted for symmetry with the matching pipeline but
-    # do not alter the arithmetic: a false positive requires a vendor and
-    # product pair in the summary, which is exactly the co-occurrence
-    # evidence that outranks the filter during matching.
-    if args.filter_vendors and args.filter_products:
-        fp_filter = matcher.FpFilter.load(args.filter_vendors, args.filter_products)
-        _note(
-            f"filter loaded ({len(fp_filter.vendor_names)} vendors, "
-            f"{len(fp_filter.product_names)} products); evaluation measures unfiltered quality"
-        )
     _emit_json(config, report.to_dict())
     return EXIT_OK
 
@@ -443,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tickets.add_argument("--date", type=_date_arg, required=True)
     p_tickets.add_argument("--inventory", required=True, help="asset inventory CSV")
-    p_tickets.add_argument("--dictionary", required=True, help="CPE dictionary (XML or JSON)")
+    p_tickets.add_argument("--dictionary", help="ignored; will be removed")
     p_tickets.add_argument("--filter-vendors", help="false-positive vendor name list")
     p_tickets.add_argument("--filter-products", help="false-positive product name list")
     p_tickets.add_argument(
@@ -452,9 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tickets.set_defaults(func=cmd_tickets)
 
     p_stats = sub.add_parser("stats", parents=[common], help="completeness statistics reports")
-    p_stats.add_argument(
-        "--report", required=True, choices=["daily", "delays", "vendors", "table", "ranktest"]
-    )
+    p_stats.add_argument("--report", required=True, choices=list(STATS_REPORTS))
     p_stats.add_argument("--from", dest="date_from", type=_date_arg)
     p_stats.add_argument("--to", dest="date_to", type=_date_arg)
     p_stats.add_argument("--field", choices=["cvss", "cpe"], help="for --report delays")
@@ -482,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("feeds", nargs="+")
     p_eval.add_argument("--dictionary", required=True)
-    p_eval.add_argument("--filter-vendors")
-    p_eval.add_argument("--filter-products")
     p_eval.set_defaults(func=cmd_evaluate)
 
     return parser

@@ -14,6 +14,7 @@ import io
 import json
 import os
 import xml.etree.ElementTree as ET
+import zlib
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -28,7 +29,7 @@ from .errors import (
     SnapshotNotFoundError,
     ValidationError,
 )
-from .model import AssetRecord, CpeUri, CveRecord, SnapshotDiff, WellFormedName
+from .model import AssetRecord, CpeUri, CveRecord, SnapshotDiff
 from .normalize import StopWordList, well_formed_from_cpe, well_formed_from_raw
 
 INVENTORY_COLUMNS = ("asset_id", "product_name", "vendor_name", "version", "cpe23")
@@ -50,50 +51,26 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class CpeDictionary:
-    """Standardized product dictionary with name and vendor indexes."""
+    """The standardized (vendor, name) pairs of a CPE dictionary.
 
-    entries: tuple[WellFormedName, ...]
-    by_name: Mapping[str, tuple[WellFormedName, ...]]
-    by_vendor: Mapping[str, tuple[WellFormedName, ...]]
+    Versions are not kept: the dictionary's users compare names only, so
+    N versions of one product make one pair.
+    """
+
+    pairs: frozenset[tuple[str, str]]
     skipped: int = field(default=0, compare=False)
 
     @classmethod
-    def from_entries(cls, entries: Iterable[WellFormedName], skipped: int = 0) -> "CpeDictionary":
-        distinct = sorted(set(entries), key=lambda e: (e.name, e.vendor, e.version))
-        by_name: dict[str, list[WellFormedName]] = {}
-        by_vendor: dict[str, list[WellFormedName]] = {}
-        for entry in distinct:
-            by_name.setdefault(entry.name, []).append(entry)
-            by_vendor.setdefault(entry.vendor, []).append(entry)
-        return cls(
-            entries=tuple(distinct),
-            by_name={k: tuple(v) for k, v in by_name.items()},
-            by_vendor={k: tuple(v) for k, v in by_vendor.items()},
-            skipped=skipped,
-        )
-
-    @classmethod
     def empty(cls) -> "CpeDictionary":
-        return cls.from_entries(())
-
-    def lookup(self, name: str, vendor: str) -> WellFormedName | None:
-        """First entry whose (name, vendor) equals the given pair exactly."""
-        for entry in self.by_name.get(name, ()):
-            if entry.vendor == vendor:
-                return entry
-        return None
+        return cls(frozenset())
 
     @property
     def vendor_names(self) -> frozenset[str]:
-        return frozenset(v for v in self.by_vendor if v)
+        return frozenset(vendor for vendor, _ in self.pairs if vendor)
 
     @property
     def product_names(self) -> frozenset[str]:
-        return frozenset(self.by_name)
-
-    @property
-    def pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset((e.vendor, e.name) for e in self.entries)
+        return frozenset(name for _, name in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -123,7 +100,10 @@ class InventoryParseResult:
 
 def _as_text(data: bytes | str) -> str:
     if isinstance(data, bytes):
-        return data.decode("utf-8-sig")
+        try:
+            return data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"input is not UTF-8 text: {exc}")
     return data.lstrip("﻿")
 
 
@@ -224,9 +204,12 @@ def parse_feed(data: bytes | str) -> FeedParseResult:
 def read_feed_bytes(path: str | Path) -> bytes:
     """Read a feed file, decompressing transparently when it ends in .gz."""
     raw = Path(path).read_bytes()
-    if str(path).endswith(".gz"):
+    if not str(path).endswith(".gz"):
+        return raw
+    try:
         return gzip.decompress(raw)
-    return raw
+    except (EOFError, OSError, zlib.error) as exc:  # truncated, not gzip, corrupt deflate
+        raise FeedParseError(f"{path}: unreadable gzip stream: {exc}")
 
 
 def merge_records(batches: Iterable[Iterable[CveRecord]]) -> dict[str, CveRecord]:
@@ -282,27 +265,25 @@ def parse_cpe_dictionary(
     else:
         raise FormatError("CPE dictionary is neither XML nor a JSON array")
 
-    entries: list[WellFormedName] = []
+    pairs: set[tuple[str, str]] = set()
     skipped = 0
     for raw in names:
         try:
-            entries.append(well_formed_from_cpe(CpeUri.parse(raw), stop_words))
+            pairs.add(well_formed_from_cpe(CpeUri.parse(raw), stop_words).key)
         except ValidationError:
             skipped += 1
-    return CpeDictionary.from_entries(entries, skipped=skipped)
+    return CpeDictionary(frozenset(pairs), skipped=skipped)
 
 
 def parse_asset_inventory(
     data: bytes | str,
-    dictionary: CpeDictionary | None = None,
     stop_words: StopWordList | None = None,
 ) -> InventoryParseResult:
     """Parse the asset inventory CSV.
 
     Rows with a cpe23 column take their well-formed name from the CPE;
-    others standardize the raw columns (consulting the dictionary when
-    given). Rows whose product standardizes to empty are rejected with
-    their 1-based row number.
+    others standardize the raw columns. Rows whose product standardizes to
+    empty are rejected with their 1-based row number.
     """
     reader = csv.DictReader(io.StringIO(_as_text(data)))
     header = reader.fieldnames or []
@@ -324,7 +305,6 @@ def parse_asset_inventory(
                     row.get("product_name") or "",
                     row.get("vendor_name") or "",
                     row.get("version") or "",
-                    dictionary,
                     stop_words,
                 )
             assets.append(

@@ -196,6 +196,16 @@ def _needed_phrase_len(names: Iterable[str]) -> int:
     return longest
 
 
+def _dictionary_names(
+    dictionary: CpeDictionary, min_name_len: int
+) -> tuple[set[str], set[str], int]:
+    """Dictionary vendor and product names of at least ``min_name_len``,
+    and the phrase length that reaches the longest of them."""
+    vendors = {v for v in dictionary.vendor_names if len(v) >= min_name_len}
+    products = {p for p in dictionary.product_names if len(p) >= min_name_len}
+    return vendors, products, _needed_phrase_len(vendors | products)
+
+
 def _own_names(
     record: CveRecord, stop_words: StopWordList | None
 ) -> tuple[set[str], set[str], set[tuple[str, str]]]:
@@ -228,10 +238,7 @@ def build_fp_filter(
     shorter than ``min_name_len`` after standardization are never
     considered. Every corpus record must carry a CPE list.
     """
-    dict_vendors = {v for v in dictionary.vendor_names if len(v) >= min_name_len}
-    dict_products = {p for p in dictionary.product_names if len(p) >= min_name_len}
-    phrase_len = _needed_phrase_len(dict_vendors | dict_products)
-
+    dict_vendors, dict_products, phrase_len = _dictionary_names(dictionary, min_name_len)
     filter_vendors: set[str] = set()
     filter_products: set[str] = set()
     for record in corpus:
@@ -332,14 +339,11 @@ def evaluate_corpus(
     candidate name, so no name is missed for length.
     """
     corpus = list(corpus)
-    dict_vendors = {v for v in dictionary.vendor_names if len(v) >= min_name_len}
-    dict_products = {p for p in dictionary.product_names if len(p) >= min_name_len}
+    dict_vendors, dict_products, dict_needed = _dictionary_names(dictionary, min_name_len)
     pairs = dictionary.pairs
     elided = sum(1 for v in dictionary.vendor_names if 0 < len(v) < min_name_len) + sum(
         1 for p in dictionary.product_names if 0 < len(p) < min_name_len
     )
-
-    dict_needed = _needed_phrase_len(dict_vendors | dict_products)
     tp = fp = tp_strict = 0
     for record in corpus:
         if not record.cpe_list:

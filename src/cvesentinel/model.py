@@ -1,9 +1,10 @@
 """Core domain types: CVE records, CPE names, assets, tickets, diffs.
 
 All types are immutable after construction and validate their invariants
-in ``__post_init__``; invalid values are rejected, never repaired. Each
-type round-trips through ``to_dict`` / ``from_dict`` (the canonical JSON
-form used by the snapshot store and the ticket stream).
+in ``__post_init__``; invalid values are rejected, never repaired. The two
+forms that are stored or emitted round-trip through ``to_dict`` /
+``from_dict``: ``CveRecord`` (the snapshot store) and ``Ticket`` (the
+ticket stream).
 """
 
 from __future__ import annotations
@@ -34,16 +35,6 @@ class SeverityLevel(Enum):
     UNSCORED = "UNSCORED"
 
     @property
-    def rank(self) -> int:
-        """Position under NONE < LOW < MEDIUM < HIGH < CRITICAL.
-
-        UNSCORED has no position on the scored scale and raises.
-        """
-        if self is SeverityLevel.UNSCORED:
-            raise ValidationError("UNSCORED has no rank on the scored scale")
-        return _SEVERITY_RANK[self]
-
-    @property
     def ticket_priority(self) -> int:
         """Output ordering for tickets: CRITICAL first, UNSCORED right after.
 
@@ -52,14 +43,6 @@ class SeverityLevel(Enum):
         """
         return _TICKET_PRIORITY[self]
 
-
-_SEVERITY_RANK = {
-    SeverityLevel.NONE: 0,
-    SeverityLevel.LOW: 1,
-    SeverityLevel.MEDIUM: 2,
-    SeverityLevel.HIGH: 3,
-    SeverityLevel.CRITICAL: 4,
-}
 
 _TICKET_PRIORITY = {
     SeverityLevel.CRITICAL: 0,
@@ -135,13 +118,6 @@ class CpeUri:
             version=version,
             raw=raw,
         )
-
-    def to_dict(self) -> str:
-        return self.raw
-
-    @classmethod
-    def from_dict(cls, data: str) -> "CpeUri":
-        return cls.parse(data)
 
 
 def _coerce_score(value: Any) -> Decimal | None:
@@ -237,13 +213,6 @@ class WellFormedName:
     def key(self) -> tuple[str, str]:
         return (self.vendor, self.name)
 
-    def to_dict(self) -> dict[str, str]:
-        return {"name": self.name, "vendor": self.vendor, "version": self.version}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, str]) -> "WellFormedName":
-        return cls(name=data["name"], vendor=data["vendor"], version=data.get("version", ""))
-
 
 @dataclass(frozen=True)
 class AssetRecord:
@@ -259,28 +228,6 @@ class AssetRecord:
     def __post_init__(self) -> None:
         if not self.asset_id:
             raise ValidationError("asset_id must be non-empty")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "asset_id": self.asset_id,
-            "raw_product": self.raw_product,
-            "raw_vendor": self.raw_vendor,
-            "raw_version": self.raw_version,
-            "cpe": None if self.cpe is None else self.cpe.raw,
-            "wfn": self.wfn.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AssetRecord":
-        cpe = data.get("cpe")
-        return cls(
-            asset_id=data["asset_id"],
-            raw_product=data["raw_product"],
-            raw_vendor=data["raw_vendor"],
-            raw_version=data["raw_version"],
-            wfn=WellFormedName.from_dict(data["wfn"]),
-            cpe=None if cpe is None else CpeUri.parse(cpe),
-        )
 
 
 @dataclass(frozen=True, eq=True)
@@ -356,29 +303,6 @@ class SnapshotDiff:
                 raise ValidationError(f"updated pair mixes ids {before.id} and {after.id}")
             if before == after:
                 raise ValidationError(f"{before.id}: unchanged record listed as updated")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "date_from": self.date_from.isoformat(),
-            "date_to": self.date_to.isoformat(),
-            "new_cves": [rec.to_dict() for rec in self.new_cves],
-            "updated_cves": [
-                {"before": before.to_dict(), "after": after.to_dict()}
-                for before, after in self.updated_cves
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SnapshotDiff":
-        return cls(
-            date_from=date.fromisoformat(data["date_from"]),
-            date_to=date.fromisoformat(data["date_to"]),
-            new_cves=tuple(CveRecord.from_dict(d) for d in data["new_cves"]),
-            updated_cves=tuple(
-                (CveRecord.from_dict(d["before"]), CveRecord.from_dict(d["after"]))
-                for d in data["updated_cves"]
-            ),
-        )
 
 
 def max_severity_of(scores: Iterable[Decimal | None]) -> Decimal | None:

@@ -12,13 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .errors import FormatError, ValidationError
 from .model import CpeUri, WellFormedName
-
-if TYPE_CHECKING:
-    from .ingest import CpeDictionary
 
 # "system"/"software"/"library"/"version"/"app" are the classic inventory
 # filler words; the corporate suffixes are needed so that e.g. a vendor
@@ -166,21 +163,13 @@ def well_formed_from_raw(
     product: str,
     vendor: str,
     version: str,
-    dictionary: "CpeDictionary | None" = None,
     stop_words: StopWordList | None = None,
 ) -> WellFormedName:
     """Build a well-formed name from raw inventory columns.
 
-    When the standardized (name, vendor) pair exactly matches a dictionary
-    entry, the dictionary's spelling wins and the asset's version is kept.
     Raises ValidationError when the product standardizes to empty.
     """
     name = standardize(product, stop_words)
     if not name:
         raise ValidationError(f"product name standardizes to empty: {product!r}")
-    std_vendor = standardize(vendor, stop_words)
-    if dictionary is not None:
-        entry = dictionary.lookup(name, std_vendor)
-        if entry is not None:
-            return WellFormedName(name=entry.name, vendor=entry.vendor, version=version)
-    return WellFormedName(name=name, vendor=std_vendor, version=version)
+    return WellFormedName(name=name, vendor=standardize(vendor, stop_words), version=version)

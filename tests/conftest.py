@@ -38,9 +38,7 @@ def make_record(
 
 
 def make_dictionary(cpe_strings: Iterable[str]) -> CpeDictionary:
-    return CpeDictionary.from_entries(
-        well_formed_from_cpe(CpeUri.parse(raw)) for raw in cpe_strings
-    )
+    return CpeDictionary(frozenset(well_formed_from_cpe(CpeUri.parse(raw)).key for raw in cpe_strings))
 
 
 def feed_item(

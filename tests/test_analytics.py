@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import cpe23, make_record, snapshot_of
 from cvesentinel.analytics import (
+    EXACT_MAX_CELLS,
     CompletionField,
     RankMethod,
     assemble_vendor_corpus,
@@ -60,9 +61,10 @@ class TestSeverityBucket:
         st.integers(min_value=0, max_value=100),
     )
     def test_monotone(self, tenths_a, tenths_b):
+        order = [SeverityLevel.NONE, SeverityLevel.LOW, SeverityLevel.MEDIUM,
+                 SeverityLevel.HIGH, SeverityLevel.CRITICAL]
         a, b = sorted([Decimal(tenths_a) / 10, Decimal(tenths_b) / 10])
-        la, lb = severity_bucket(a), severity_bucket(b)
-        assert la.rank <= lb.rank
+        assert order.index(severity_bucket(a)) <= order.index(severity_bucket(b))
 
 
 def _history_10_days():
@@ -421,6 +423,24 @@ class TestMannWhitney:
             a, b = values[:n1], values[n1:]
             result = mann_whitney_u(a, b, method="exact")
             assert result.p_value == oracle_exact_mwu_p(a, b)
+
+    def test_exact_matches_polynomial_oracle_on_larger_samples(self):
+        import random
+
+        rng = random.Random(11)
+        for n1, n2 in [(1, 40), (7, 90), (30, 30), (45, 60), (100, 100), (1, EXACT_MAX_CELLS)]:
+            values = rng.sample(range(10**6), n1 + n2)
+            a, b = values[:n1], values[n1:]
+            result = mann_whitney_u(a, b, method="exact")
+            assert result.p_value == pytest.approx(oracle_exact_mwu_p_large(a, b), rel=1e-12)
+
+    def test_exact_beyond_bound_rejected(self):
+        a = list(range(0, 402, 2))
+        b = list(range(1, 401, 2))
+        assert len(a) * len(b) > EXACT_MAX_CELLS
+        with pytest.raises(DomainError, match="n1\\*n2"):
+            mann_whitney_u(a, b, method="exact")
+        assert mann_whitney_u(a, b).method is RankMethod.NORMAL_APPROX
 
     def test_normal_close_to_exact_for_20_20(self):
         import random

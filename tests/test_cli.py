@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import json
 
 import pytest
@@ -97,16 +98,32 @@ class TestIngest:
     def test_missing_file_exits_2(self, store):
         assert main(["ingest", "/nonexistent.json", "--date", "2021-06-01", "--store", store]) == 2
 
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("truncated.json.gz", gzip.compress(feed_bytes([feed_item("CVE-2021-0001")]))[:40]),
+            ("corrupt.json.gz", gzip.compress(b"{}")[:10] + b"\xff" * 20),
+            ("latin1.json",
+             feed_bytes([feed_item("CVE-2021-0001", summary="cafe")]).replace(b"cafe", b"caf\xe9")),
+        ],
+        ids=["truncated-gz", "corrupt-deflate", "not-utf8"],
+    )
+    def test_unreadable_feed_exits_2_without_traceback(self, tmp_path, store, capsys, name, data):
+        feed = write(tmp_path, name, data)
+        assert main(["ingest", feed, "--date", "2021-06-01", "--store", store]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestTickets:
     def _setup(self, tmp_path, store):
-        dictionary = write(tmp_path, "dict.json", json.dumps(DICTIONARY))
         inventory = write(tmp_path, "inv.csv", INVENTORY)
         ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001")])
-        return dictionary, inventory
+        return inventory
 
     def test_two_cves_one_group_one_ticket(self, tmp_path, store, capsys):
-        dictionary, inventory = self._setup(tmp_path, store)
+        inventory = self._setup(tmp_path, store)
         items = [
             feed_item("CVE-2021-0001"),
             feed_item("CVE-2021-0002", score=7.0, cpes=[cpe23("geotab", "r2d2", "3.0.1.16")]),
@@ -116,7 +133,7 @@ class TestTickets:
         capsys.readouterr()
         code = main(
             ["tickets", "--date", "2021-06-02", "--store", store,
-             "--inventory", inventory, "--dictionary", dictionary]
+             "--inventory", inventory]
         )
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
@@ -128,18 +145,18 @@ class TestTickets:
         assert ticket["max_severity"] == "HIGH"
 
     def test_day_without_matches(self, tmp_path, store, capsys):
-        dictionary, inventory = self._setup(tmp_path, store)
+        inventory = self._setup(tmp_path, store)
         ingest_day(tmp_path, store, "2021-06-02", [feed_item("CVE-2021-0009", summary="nothing relevant")])
         capsys.readouterr()
         code = main(
             ["tickets", "--date", "2021-06-02", "--store", store,
-             "--inventory", inventory, "--dictionary", dictionary]
+             "--inventory", inventory]
         )
         assert code == 0
         assert capsys.readouterr().out == ""
 
     def test_summary_match_with_vendor_cooccurrence(self, tmp_path, store, capsys):
-        dictionary, inventory = self._setup(tmp_path, store)
+        inventory = self._setup(tmp_path, store)
         filter_vendors = write(tmp_path, "fv.txt", "#source_year=2020\n")
         filter_products = write(tmp_path, "fp.txt", "#source_year=2020\nhyper\n")
         items = [
@@ -153,7 +170,7 @@ class TestTickets:
         capsys.readouterr()
         code = main(
             ["tickets", "--date", "2021-06-02", "--store", store,
-             "--inventory", inventory, "--dictionary", dictionary,
+             "--inventory", inventory,
              "--filter-vendors", filter_vendors, "--filter-products", filter_products]
         )
         assert code == 0
@@ -163,46 +180,43 @@ class TestTickets:
         assert ticket["via"]["CVE-2021-0010"] == "SUMMARY"
 
     def test_missing_snapshot_exits_2(self, tmp_path, store):
-        dictionary = write(tmp_path, "dict.json", json.dumps(DICTIONARY))
         inventory = write(tmp_path, "inv.csv", INVENTORY)
         assert (
             main(
                 ["tickets", "--date", "2021-07-01", "--store", store,
-                 "--inventory", inventory, "--dictionary", dictionary]
+                 "--inventory", inventory]
             )
             == 2
         )
 
     def test_first_day_without_full_exits_2(self, tmp_path, store):
-        dictionary, inventory = self._setup(tmp_path, store)
+        inventory = self._setup(tmp_path, store)
         assert (
             main(
                 ["tickets", "--date", "2021-06-01", "--store", store,
-                 "--inventory", inventory, "--dictionary", dictionary]
+                 "--inventory", inventory]
             )
             == 2
         )
 
     def test_full_flag_matches_whole_snapshot(self, tmp_path, store, capsys):
-        dictionary = write(tmp_path, "dict.json", json.dumps(DICTIONARY))
         inventory = write(tmp_path, "inv.csv", INVENTORY)
         items = [feed_item("CVE-2021-0002", score=7.0, cpes=[cpe23("geotab", "r2d2")])]
         ingest_day(tmp_path, store, "2021-06-01", items)
         capsys.readouterr()
         code = main(
             ["tickets", "--date", "2021-06-01", "--store", store, "--full",
-             "--inventory", inventory, "--dictionary", dictionary]
+             "--inventory", inventory]
         )
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
 
     def _full_tickets_argv(self, tmp_path, store, inventory_rows, summary):
-        dictionary = write(tmp_path, "dict.json", json.dumps(DICTIONARY))
         header = "asset_id,product_name,vendor_name,version,cpe23"
         inventory = write(tmp_path, "inv.csv", "\n".join([header, *inventory_rows]) + "\n")
         ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001", summary=summary)])
         return ["tickets", "--date", "2021-06-01", "--store", store, "--full",
-                "--inventory", inventory, "--dictionary", dictionary]
+                "--inventory", inventory]
 
     def test_five_token_name_matches_summary(self, tmp_path, store, capsys):
         argv = self._full_tickets_argv(
@@ -237,8 +251,28 @@ class TestTickets:
         assert "'any', 'tools for widgets'" in note
         assert not any(line.startswith("inventory row ") for line in out.err.splitlines())
 
+    def test_dictionary_flag_is_ignored(self, tmp_path, store, capsys):
+        inventory = self._setup(tmp_path, store)
+        items = [
+            feed_item("CVE-2021-0002", score=7.0, cpes=[cpe23("geotab", "r2d2")]),
+            feed_item("CVE-2021-0003", summary="Microsoft Hyper-V Virtual issue"),
+        ]
+        ingest_day(tmp_path, store, "2021-06-02", items)
+        dictionary = write(tmp_path, "dict.json", json.dumps(DICTIONARY))
+        argv = ["tickets", "--date", "2021-06-02", "--store", store, "--inventory", inventory]
+        runs = []
+        for extra in ([], ["--dictionary", dictionary], ["--dictionary", str(tmp_path / "absent")]):
+            capsys.readouterr()
+            assert main(argv + extra) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0].out.count("\n") == 2
+        assert runs[0].out == runs[1].out == runs[2].out
+        assert "--dictionary" not in runs[0].err
+        for run in runs[1:]:
+            assert run.err.startswith("--dictionary is ignored by tickets and will be removed\n")
+
     def test_output_file_and_determinism(self, tmp_path, store):
-        dictionary, inventory = self._setup(tmp_path, store)
+        inventory = self._setup(tmp_path, store)
         items = [
             feed_item("CVE-2021-0002", score=7.0, cpes=[cpe23("geotab", "r2d2")]),
             feed_item("CVE-2021-0003", summary="Microsoft Hyper-V Virtual issue"),
@@ -248,7 +282,7 @@ class TestTickets:
         for out in (out1, out2):
             code = main(
                 ["tickets", "--date", "2021-06-02", "--store", store,
-                 "--inventory", inventory, "--dictionary", dictionary, "--output", out]
+                 "--inventory", inventory, "--output", out]
             )
             assert code == 0
         assert (tmp_path / "run1.jsonl").read_bytes() == (tmp_path / "run2.jsonl").read_bytes()
@@ -386,6 +420,36 @@ class TestStats:
         assert lines[0] == "date,total_reports,missing_cvss,missing_cpe,missing_mitigation"
         assert lines[1] == "2021-06-02,2,2,1,2"
 
+    @pytest.mark.parametrize(
+        "report, summary",
+        [
+            (["delays", "--field", "cvss"], "completed=1 updated_no_field=1 never=1 average_days=2.0"),
+            (["vendors"], "skipped_no_vendor=2"),
+            (["table"], "dropped_zero_scores=0 initial_total=1 later_total=1"),
+            (["daily"], "average_missing_cvss=1.5 average_missing_cpe=1.0 average_missing_mitigation=1.5"),
+        ],
+    )
+    def test_csv_summary_on_stderr(self, tmp_path, store, capsys, report, summary):
+        _stats_history(tmp_path, store)
+        capsys.readouterr()
+        code = main(
+            ["stats", "--report", *report, "--from", "2021-06-01", "--to", "2021-06-03",
+             "--store", store, "--csv"]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == summary + "\n"
+
+    def test_exact_ranktest_beyond_bound_exits_2(self, tmp_path, capsys):
+        a = write(tmp_path, "a.txt", "".join(f"{2 * i}\n" for i in range(700)))
+        b = write(tmp_path, "b.txt", "".join(f"{2 * i + 1}\n" for i in range(700)))
+        code = main(
+            ["stats", "--report", "ranktest", "--scores-a", a, "--scores-b", b, "--method", "exact"]
+        )
+        assert code in (0, 2)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code == 0 or err.startswith("error: exact method is limited")
+
     def test_vendors_report_csv(self, tmp_path, store, capsys):
         _stats_history(tmp_path, store)
         capsys.readouterr()
@@ -397,6 +461,178 @@ class TestStats:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "vendor,total,initially_unscored,pct_unscored"
         assert lines[1].startswith("acme,1,1,")
+
+
+# stdout of every stats report on _stats_history, as JSON and as CSV
+GOLDEN_STATS = {
+    ("daily", False): """{
+  "report": "daily",
+  "days": [
+    {
+      "date": "2021-06-02",
+      "total_reports": 2,
+      "missing_cvss": 2,
+      "missing_cpe": 1,
+      "missing_mitigation": 2
+    },
+    {
+      "date": "2021-06-03",
+      "total_reports": 1,
+      "missing_cvss": 1,
+      "missing_cpe": 1,
+      "missing_mitigation": 1
+    }
+  ],
+  "average_missing_cvss": 1.5,
+  "average_missing_cpe": 1.0,
+  "average_missing_mitigation": 1.5
+}
+""",
+    ("daily", True): (
+        "date,total_reports,missing_cvss,missing_cpe,missing_mitigation\n"
+        "2021-06-02,2,2,1,2\n"
+        "2021-06-03,1,1,1,1\n"
+    ),
+    ("delays", False): """{
+  "report": "delays",
+  "field": "CVSS",
+  "completed": 1,
+  "updated_no_field": 1,
+  "never": 1,
+  "average_days": 2.0,
+  "delays": [
+    {
+      "cve_id": "CVE-2021-0002",
+      "published": "2021-06-01",
+      "completed": "2021-06-03",
+      "field": "CVSS",
+      "days": 2
+    }
+  ]
+}
+""",
+    ("delays", True): (
+        "cve_id,published,completed,field,days\n"
+        "CVE-2021-0002,2021-06-01,2021-06-03,CVSS,2\n"
+    ),
+    ("vendors", False): """{
+  "report": "vendors",
+  "skipped_no_vendor": 2,
+  "vendors": [
+    {
+      "vendor": "acme",
+      "total": 1,
+      "initially_unscored": 1,
+      "pct_unscored": 1.0
+    },
+    {
+      "vendor": "microsoft",
+      "total": 1,
+      "initially_unscored": 0,
+      "pct_unscored": 0.0
+    }
+  ]
+}
+""",
+    ("vendors", True): (
+        "vendor,total,initially_unscored,pct_unscored\n"
+        "acme,1,1,1.0\n"
+        "microsoft,1,0,0.0\n"
+    ),
+    ("table", False): """{
+  "report": "table",
+  "dropped_zero_scores": 0,
+  "initial_total": 1,
+  "later_total": 1,
+  "rows": [
+    {
+      "level": "CRITICAL",
+      "initial_count": 1,
+      "initial_pct": 100,
+      "later_count": 0,
+      "later_pct": 0
+    },
+    {
+      "level": "HIGH",
+      "initial_count": 0,
+      "initial_pct": 0,
+      "later_count": 0,
+      "later_pct": 0
+    },
+    {
+      "level": "MEDIUM",
+      "initial_count": 0,
+      "initial_pct": 0,
+      "later_count": 1,
+      "later_pct": 100
+    },
+    {
+      "level": "LOW",
+      "initial_count": 0,
+      "initial_pct": 0,
+      "later_count": 0,
+      "later_pct": 0
+    }
+  ]
+}
+""",
+    ("table", True): (
+        "level,initial_count,initial_pct,later_count,later_pct\n"
+        "CRITICAL,1,100,0,0\n"
+        "HIGH,0,0,0,0\n"
+        "MEDIUM,0,0,1,100\n"
+        "LOW,0,0,0,0\n"
+    ),
+    ("ranktest", False): """{
+  "report": "ranktest",
+  "u_statistic": 2.0,
+  "p_value": 0.4,
+  "method": "EXACT",
+  "n1": 3,
+  "n2": 3
+}
+""",
+    ("ranktest", True): "u_statistic,p_value,method,n1,n2\n2.0,0.4,EXACT,3,3\n",
+}
+
+
+class TestStatsGolden:
+    """Whole stdout of each report, so a change of format shows byte for byte."""
+
+    def _argv(self, tmp_path, store, report, last_day="2021-06-03"):
+        if report == "ranktest":
+            a = write(tmp_path, "a.txt", "1\n2\n5\n")
+            b = write(tmp_path, "b.txt", "3\n4\n9\n")
+            return ["stats", "--report", "ranktest", "--scores-a", a, "--scores-b", b]
+        field = ["--field", "cvss"] if report == "delays" else []
+        return ["stats", "--report", report, *field,
+                "--from", "2021-06-01", "--to", last_day, "--store", store]
+
+    @pytest.mark.parametrize("as_csv", [False, True], ids=["json", "csv"])
+    @pytest.mark.parametrize("report", ["daily", "delays", "vendors", "table", "ranktest"])
+    def test_stdout(self, tmp_path, store, capsys, report, as_csv):
+        _stats_history(tmp_path, store)
+        capsys.readouterr()
+        argv = self._argv(tmp_path, store, report) + (["--csv"] if as_csv else [])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == GOLDEN_STATS[(report, as_csv)]
+
+    def test_empty_reports_keep_their_header(self, tmp_path, store, capsys):
+        _stats_history(tmp_path, store)
+        capsys.readouterr()
+        daily = self._argv(tmp_path, store, "daily", last_day="2021-06-01")
+        delays = self._argv(tmp_path, store, "delays", last_day="2021-06-01")
+        outputs = []
+        for argv in (daily, daily + ["--csv"], delays, delays + ["--csv"]):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs == [
+            '{\n  "report": "daily",\n  "days": []\n}\n',
+            "date,total_reports,missing_cvss,missing_cpe,missing_mitigation\n",
+            '{\n  "report": "delays",\n  "field": "CVSS",\n  "completed": 0,\n'
+            '  "updated_no_field": 0,\n  "never": 0,\n  "average_days": null,\n  "delays": []\n}\n',
+            "cve_id,published,completed,field,days\n",
+        ]
 
 
 class TestBuildFilterAndEvaluate:
@@ -456,6 +692,36 @@ class TestBuildFilterAndEvaluate:
         records = [r for r in parse_feed(read_feed_bytes(feed)).records if r.cpe_list]
         expected = oracle_evaluate(records, parse_cpe_dictionary((tmp_path / "dict.json").read_bytes()))
         assert payload == expected
+
+    def test_dictionary_skips_reported(self, tmp_path, capsys):
+        feed = self._feeds(tmp_path)
+        entries = [*DICTIONARY, {"cpe23": "garbage"}, {"cpe23": cpe23("acme", "3.0")}, {}]
+        dictionary = write(tmp_path, "dict.json", json.dumps(entries))
+        out_v, out_p = str(tmp_path / "vendors.txt"), str(tmp_path / "products.txt")
+        for argv in (
+            ["build-filter", feed, "--dictionary", dictionary, "--out-vendors", out_v,
+             "--out-products", out_p],
+            ["evaluate", feed, "--dictionary", dictionary],
+        ):
+            assert main(argv) == 0
+            assert "dictionary: 3 entr(ies) skipped" in capsys.readouterr().err.splitlines()
+
+    def test_evaluate_filter_flags_are_gone(self, tmp_path, capsys):
+        feed = self._feeds(tmp_path)
+        dictionary = write(tmp_path, "dict.json", json.dumps(DICTIONARY))
+        names = write(tmp_path, "names.txt", "#source_year=2020\n")
+        for flag in ("--filter-vendors", "--filter-products"):
+            with pytest.raises(SystemExit) as exc:
+                main(["evaluate", feed, "--dictionary", dictionary, flag, names])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
+
+    def test_non_utf8_dictionary_exits_2(self, tmp_path, capsys):
+        feed = self._feeds(tmp_path)
+        dictionary = write(tmp_path, "dict.json", b"[\xff]")
+        assert main(["evaluate", feed, "--dictionary", dictionary]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_min_name_len_one_raises_fp_count(self, tmp_path, capsys):
         feed = self._feeds(tmp_path)

@@ -151,12 +151,12 @@ class TestParseCpeDictionary:
     def test_geotab_entry(self):
         data = json.dumps([{"cpe23": "cpe:2.3:a:geotab:r2d2:3.0.1.16:*:*:*:*:*:*:*"}])
         dictionary = parse_cpe_dictionary(data)
-        entry = dictionary.entries[0]
-        assert (entry.name, entry.vendor, entry.version) == ("r2d2", "geotab", "3.0.1.16")
+        assert dictionary.pairs == {("geotab", "r2d2")}
+        assert dictionary.skipped == 0
 
     def test_empty_input(self):
-        assert parse_cpe_dictionary(b"").entries == ()
-        assert parse_cpe_dictionary(b"[]").entries == ()
+        assert parse_cpe_dictionary(b"").pairs == frozenset()
+        assert parse_cpe_dictionary(b"[]").pairs == frozenset()
 
     def test_duplicates_collapsed(self):
         raws = [
@@ -167,7 +167,14 @@ class TestParseCpeDictionary:
             cpe23("acme", "rocket"),
         ]
         dictionary = parse_cpe_dictionary(json.dumps([{"cpe23": r} for r in raws]))
-        assert len(dictionary.entries) == 3
+        assert dictionary.pairs == {("acme", "anvil"), ("acme", "rocket")}
+
+    @pytest.mark.parametrize("versions", [1, 2, 50])
+    def test_versions_of_one_product_make_one_pair(self, versions):
+        raws = [cpe23("acme", "anvil", f"1.{i}") for i in range(versions)]
+        dictionary = parse_cpe_dictionary(json.dumps([{"cpe23": r} for r in raws]))
+        assert dictionary.pairs == {("acme", "anvil")}
+        assert dictionary.skipped == 0
 
     def test_unparseable_entries_counted(self):
         data = json.dumps(
@@ -178,7 +185,7 @@ class TestParseCpeDictionary:
             ]
         )
         dictionary = parse_cpe_dictionary(data)
-        assert len(dictionary.entries) == 1
+        assert dictionary.pairs == {("acme", "anvil")}
         assert dictionary.skipped == 2
 
     def test_official_xml_layout(self):
@@ -194,15 +201,19 @@ class TestParseCpeDictionary:
           </cpe-item>
         </cpe-list>"""
         dictionary = parse_cpe_dictionary(xml)
-        assert {e.name for e in dictionary.entries} == {"r2d2", "hyper v"}
+        assert dictionary.pairs == {("geotab", "r2d2"), ("microsoft", "hyper v")}
 
     def test_indexes_consistent(self):
-        dictionary = parse_cpe_dictionary(
-            json.dumps([{"cpe23": cpe23("acme", "anvil")}, {"cpe23": cpe23("geotab", "r2d2")}])
-        )
-        for entry in dictionary.entries:
-            assert entry in dictionary.by_name[entry.name]
-            assert entry in dictionary.by_vendor[entry.vendor]
+        raws = [cpe23("acme", "anvil"), cpe23("geotab", "r2d2"), cpe23("inc", "rocket")]
+        dictionary = parse_cpe_dictionary(json.dumps([{"cpe23": r} for r in raws]))
+        # the vendor "inc" is a stop-word: its pair stays, its empty vendor name does not
+        assert ("", "rocket") in dictionary.pairs
+        assert dictionary.vendor_names == {"acme", "geotab"}
+        assert dictionary.product_names == {"anvil", "r2d2", "rocket"}
+
+    def test_non_utf8_is_a_format_error(self):
+        with pytest.raises(FormatError):
+            parse_cpe_dictionary(b"[\xff]")
 
     def test_unrecognized_format(self):
         with pytest.raises(FormatError):
@@ -235,12 +246,9 @@ class TestParseAssetInventory:
         result = parse_asset_inventory(b"\xef\xbb\xbf" + inventory_csv)
         assert result.assets[0].wfn.name == "r2d2"
 
-    def test_dictionary_consulted_for_raw_rows(self, inventory_csv):
-        from conftest import make_dictionary
-
-        dictionary = make_dictionary([cpe23("microsoft", "windows server")])
-        result = parse_asset_inventory(inventory_csv, dictionary)
-        assert result.assets[1].wfn.name == "windows server"
+    def test_non_utf8_is_a_format_error(self, inventory_csv):
+        with pytest.raises(FormatError):
+            parse_asset_inventory(inventory_csv.replace(b"Geotab", b"G\xe9otab"))
 
 
 class TestSnapshotStore:

@@ -1,4 +1,5 @@
-"""Domain type construction, invariants, and round-trip serialization."""
+"""Domain type construction, invariants, and the round trips of the stored
+and emitted forms (CveRecord, Ticket)."""
 
 from __future__ import annotations
 
@@ -60,10 +61,6 @@ class TestCpeUri:
         with pytest.raises(ValidationError):
             CpeUri.parse("cpe:2.3:a:vendor:product")
 
-    def test_round_trip(self):
-        raw = cpe23("microsoft", "windows", "10")
-        assert CpeUri.from_dict(CpeUri.parse(raw).to_dict()) == CpeUri.parse(raw)
-
 
 class TestCveRecord:
     def test_round_trip(self):
@@ -99,10 +96,6 @@ class TestCveRecord:
 
 
 class TestWellFormedName:
-    def test_round_trip(self):
-        wfn = WellFormedName(name="r2d2", vendor="geotab", version="3.0.1.16")
-        assert WellFormedName.from_dict(wfn.to_dict()) == wfn
-
     def test_empty_name_rejected(self):
         with pytest.raises(ValidationError):
             WellFormedName(name="", vendor="geotab")
@@ -120,16 +113,6 @@ class TestWellFormedName:
 
 
 class TestAssetRecord:
-    def test_round_trip(self):
-        asset = AssetRecord(
-            asset_id="A1",
-            raw_product="R2D2 Beta version 3.0.1.16",
-            raw_vendor="Geotab Inc.",
-            raw_version="3.0.1.16",
-            wfn=WellFormedName(name="r2d2", vendor="geotab", version="3.0.1.16"),
-        )
-        assert AssetRecord.from_dict(asset.to_dict()) == asset
-
     def test_empty_asset_id_rejected(self):
         with pytest.raises(ValidationError):
             AssetRecord(
@@ -176,28 +159,10 @@ class TestTicket:
 
 
 class TestSeverityLevel:
-    def test_scored_rank_order(self):
-        ranked = [
-            SeverityLevel.NONE,
-            SeverityLevel.LOW,
-            SeverityLevel.MEDIUM,
-            SeverityLevel.HIGH,
-            SeverityLevel.CRITICAL,
-        ]
-        assert [level.rank for level in ranked] == [0, 1, 2, 3, 4]
-
-    def test_unscored_has_no_rank(self):
-        with pytest.raises(ValidationError):
-            SeverityLevel.UNSCORED.rank
-
     def test_unscored_sorts_right_after_critical(self):
         order = sorted(SeverityLevel, key=lambda s: s.ticket_priority)
         assert order[:2] == [SeverityLevel.CRITICAL, SeverityLevel.UNSCORED]
         assert order[-1] == SeverityLevel.NONE
-
-
-_WORDS = st.sampled_from(["anvil", "rocket", "hyper v", "sql server", "r2d2", "probe"])
-_VENDORS = st.sampled_from(["acme", "geotab", "microsoft", ""])
 
 
 @st.composite
@@ -229,15 +194,6 @@ class TestRoundTripProperties:
         assert CveRecord.from_dict(record.to_dict()) == record
 
     @given(
-        _WORDS,
-        _VENDORS,
-        st.sampled_from(["", "1.0", "3.0.1.16"]),
-    )
-    def test_well_formed_name(self, name, vendor, version):
-        wfn = WellFormedName(name=name, vendor=vendor, version=version)
-        assert WellFormedName.from_dict(wfn.to_dict()) == wfn
-
-    @given(
         st.lists(st.integers(1, 9999), min_size=1, max_size=5, unique=True),
         st.sampled_from(list(SeverityLevel)),
     )
@@ -257,17 +213,6 @@ class TestRoundTripProperties:
 
 
 class TestSnapshotDiff:
-    def test_round_trip(self):
-        before = make_record("CVE-2021-0002")
-        after = make_record("CVE-2021-0002", score=5.0)
-        diff = SnapshotDiff(
-            date_from=date(2021, 6, 1),
-            date_to=date(2021, 6, 2),
-            new_cves=(make_record("CVE-2021-0003"),),
-            updated_cves=((before, after),),
-        )
-        assert SnapshotDiff.from_dict(diff.to_dict()) == diff
-
     def test_equal_dates_rejected(self):
         with pytest.raises(ValidationError):
             SnapshotDiff(date_from=date(2021, 6, 1), date_to=date(2021, 6, 1))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import cpe23, make_dictionary
+from conftest import cpe23
 from cvesentinel.errors import FormatError, ValidationError
 from cvesentinel.model import CpeUri
 from cvesentinel.normalize import (
@@ -115,17 +115,6 @@ class TestWellFormedFromRaw:
     def test_sql_server_example(self):
         wfn = well_formed_from_raw("SQL Server 2019", "Microsoft Corp", "15.0")
         assert (wfn.name, wfn.vendor, wfn.version) == ("sql server", "microsoft", "15.0")
-
-    def test_dictionary_hit_keeps_asset_version(self):
-        dictionary = make_dictionary([cpe23("geotab", "r2d2", "9.9")])
-        wfn = well_formed_from_raw("R2D2 beta", "Geotab Inc.", "3.0.1.16", dictionary)
-        assert wfn == well_formed_from_raw("r2d2", "geotab", "3.0.1.16")
-        assert wfn.version == "3.0.1.16"
-
-    def test_dictionary_miss_falls_back_to_raw(self):
-        dictionary = make_dictionary([cpe23("geotab", "r2d2")])
-        wfn = well_formed_from_raw("Anvil", "Acme", "1.0", dictionary)
-        assert (wfn.name, wfn.vendor) == ("anvil", "acme")
 
     def test_empty_product_rejected(self):
         with pytest.raises(ValidationError):
