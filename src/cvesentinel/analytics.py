@@ -18,7 +18,7 @@ from math import comb
 from typing import Any, Iterable, Sequence
 
 from .errors import DomainError, OrderingError, ValidationError
-from .ingest import Snapshot, diff_snapshots
+from .ingest import Snapshot
 from .model import CveRecord, SeverityLevel
 from .normalize import StopWordList, standardize
 
@@ -244,7 +244,8 @@ def daily_completeness(snapshots: Sequence[Snapshot]) -> list[DailyCompleteness]
     _check_order(snapshots)
     results = []
     for previous, current in zip(snapshots, snapshots[1:]):
-        new = diff_snapshots(previous, current).new_cves
+        new_ids = current.records.keys() - previous.records.keys()
+        new = [current.records[cve_id] for cve_id in new_ids]
         results.append(
             DailyCompleteness(
                 date=current.date,

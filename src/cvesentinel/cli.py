@@ -29,7 +29,7 @@ from .errors import (
     SnapshotNotFoundError,
 )
 from .ingest import Snapshot
-from .normalize import StopWordList
+from .normalize import StopWordList, read_text_file
 
 STORE_ENV_VAR = "SENTINEL_STORE"
 DEFAULT_STORE = "sentinel-store"
@@ -143,16 +143,20 @@ def _load_filter(args: argparse.Namespace) -> matcher.FpFilter:
 
 def cmd_tickets(args: argparse.Namespace) -> int:
     config = RunConfig.from_args(args)
-    snapshot = ingest.load_snapshot(config.store_root, args.date)
+    previous_date = None if args.full else ingest.find_previous_date(config.store_root, args.date)
+    previous = None
+    # The day before is loaded first, to lend its records to today's load,
+    # but a missing today is still the error reported.
+    if previous_date is not None and ingest.snapshot_path(config.store_root, args.date).exists():
+        previous = ingest.load_snapshot(config.store_root, previous_date)
+    snapshot = ingest.load_snapshot(config.store_root, args.date, previous=previous)
     if args.full:
         cves = [snapshot.records[cve_id] for cve_id in sorted(snapshot.records)]
+    elif previous is None:
+        raise SnapshotNotFoundError(
+            f"no snapshot stored before {args.date.isoformat()}; rerun with --full"
+        )
     else:
-        previous_date = ingest.find_previous_date(config.store_root, args.date)
-        if previous_date is None:
-            raise SnapshotNotFoundError(
-                f"no snapshot stored before {args.date.isoformat()}; rerun with --full"
-            )
-        previous = ingest.load_snapshot(config.store_root, previous_date)
         cves = list(ingest.diff_snapshots(previous, snapshot).new_cves)
 
     if args.dictionary:
@@ -198,17 +202,18 @@ def _snapshots(args: argparse.Namespace, config: RunConfig) -> list[Snapshot]:
         raise FormatError(f"report {args.report!r} needs --from and --to")
     if args.date_from > args.date_to:
         raise FormatError(f"--from {args.date_from} is after --to {args.date_to}")
-    snapshots = []
+    snapshots: list[Snapshot] = []
     day = args.date_from
     while day <= args.date_to:
-        snapshots.append(ingest.load_snapshot(config.store_root, day))
+        previous = snapshots[-1] if snapshots else None
+        snapshots.append(ingest.load_snapshot(config.store_root, day, previous=previous))
         day += timedelta(days=1)
     return snapshots
 
 
 def _read_score_file(path: str) -> list[float]:
     scores = []
-    for line_number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_number, line in enumerate(read_text_file(path).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

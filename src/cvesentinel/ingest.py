@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .model import AssetRecord, CpeUri, CveRecord, SnapshotDiff
-from .normalize import StopWordList, well_formed_from_cpe, well_formed_from_raw
+from .normalize import StopWordList, as_text, well_formed_from_cpe, well_formed_from_raw
 
 INVENTORY_COLUMNS = ("asset_id", "product_name", "vendor_name", "version", "cpe23")
 
@@ -96,15 +96,6 @@ class RowReject:
 class InventoryParseResult:
     assets: tuple["AssetRecord", ...]
     rejects: tuple[RowReject, ...]
-
-
-def _as_text(data: bytes | str) -> str:
-    if isinstance(data, bytes):
-        try:
-            return data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"input is not UTF-8 text: {exc}")
-    return data.lstrip("﻿")
 
 
 def _item_date(item: Mapping[str, Any], key: str) -> date | None:
@@ -181,7 +172,7 @@ def _parse_feed_item(item: Mapping[str, Any]) -> CveRecord:
 def parse_feed(data: bytes | str) -> FeedParseResult:
     """Parse an NVD JSON 1.1 feed into records plus item-level rejects."""
     try:
-        document = json.loads(_as_text(data))
+        document = json.loads(as_text(data))
     except json.JSONDecodeError as exc:
         raise FeedParseError(f"malformed feed JSON at byte {exc.pos}: {exc.msg}", offset=exc.pos)
     if not isinstance(document, dict) or not isinstance(document.get("CVE_Items"), list):
@@ -255,7 +246,7 @@ def parse_cpe_dictionary(
     Entries that fail to parse or whose product standardizes to empty are
     skipped; the skip count is carried on the returned dictionary.
     """
-    text = _as_text(data).strip()
+    text = as_text(data).strip()
     if not text:
         return CpeDictionary.empty()
     if text.startswith("<"):
@@ -285,7 +276,7 @@ def parse_asset_inventory(
     others standardize the raw columns. Rows whose product standardizes to
     empty are rejected with their 1-based row number.
     """
-    reader = csv.DictReader(io.StringIO(_as_text(data)))
+    reader = csv.DictReader(io.StringIO(as_text(data)))
     header = reader.fieldnames or []
     missing = [col for col in INVENTORY_COLUMNS if col not in header]
     if missing:
@@ -352,15 +343,40 @@ def store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool =
     return path
 
 
-def load_snapshot(store_root: str | Path, day: date) -> Snapshot:
-    """Load the snapshot stored for a date; verifies count and date stamps."""
+def _stored_record(
+    data: Mapping[str, Any], known: Mapping[str, CveRecord], cpes: dict[str, CpeUri]
+) -> CveRecord:
+    """The record a stored dict holds: ``known``'s record of that id when
+    it stores as exactly this dict, else one built by ``from_dict``."""
+    record = known.get(data["id"])
+    if record is not None and record.to_dict() == data:
+        # Dict equality takes 1 and true for 1.0, and Decimal("1") stores as
+        # 1.0 too; equal strings mean from_dict would build this very score.
+        if str(record.cvss3_base) == str(data["cvss3_base"]):
+            return record
+    return CveRecord.from_dict(data, cpes)
+
+
+def load_snapshot(
+    store_root: str | Path, day: date, previous: Snapshot | None = None
+) -> Snapshot:
+    """Load the snapshot stored for a date; verifies count and date stamps.
+
+    ``previous``, the loaded snapshot of an earlier day, lends its records:
+    a stored record that one of them stores as exactly is taken as that
+    same object instead of being built again. Consecutive days share most
+    records, so a date range is loaded one day at a time, each day with
+    the day before. Every CPE string is parsed once per load.
+    """
     path = snapshot_path(store_root, day)
     if not path.exists():
         raise SnapshotNotFoundError(f"no snapshot stored for {day.isoformat()}")
+    known = previous.records if previous is not None else {}
+    cpes: dict[str, CpeUri] = {}
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         stored_date = date.fromisoformat(payload["date"])
-        records = [CveRecord.from_dict(d) for d in payload["records"]]
+        records = [_stored_record(data, known, cpes) for data in payload["records"]]
         count = payload["record_count"]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, ValidationError) as exc:
         raise SnapshotIntegrityError(f"corrupt snapshot file {path}: {exc}")

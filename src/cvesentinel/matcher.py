@@ -22,7 +22,7 @@ from typing import Any, Iterable
 from .errors import ValidationError
 from .ingest import CpeDictionary
 from .model import AssetRecord, CveRecord, MatchVia
-from .normalize import StopWordList, standardize, tokenize, well_formed_from_cpe
+from .normalize import StopWordList, read_text_file, standardize, tokenize, well_formed_from_cpe
 
 DEFAULT_MAX_PHRASE_LEN = 4
 DEFAULT_MIN_NAME_LEN = 3
@@ -79,7 +79,7 @@ class FpFilter:
         def read(path: str | Path) -> tuple[frozenset[str], str]:
             names = set()
             year = ""
-            for line in Path(path).read_text(encoding="utf-8").splitlines():
+            for line in read_text_file(path).splitlines():
                 line = line.strip()
                 if line.startswith("#source_year="):
                     year = line.split("=", 1)[1]

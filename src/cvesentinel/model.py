@@ -105,6 +105,8 @@ class CpeUri:
         Tolerates truncated attribute tails (anything past the version
         component is ignored) but requires at least part through version.
         """
+        if not isinstance(raw, str):
+            raise ValidationError(f"CPE name must be a string, got {raw!r}")
         if not raw.startswith(_CPE_PREFIX):
             raise ValidationError(f"not a cpe:2.3 name: {raw!r}")
         components = _split_cpe_components(raw)
@@ -123,12 +125,13 @@ class CpeUri:
 def _coerce_score(value: Any) -> Decimal | None:
     if value is None:
         return None
-    if isinstance(value, Decimal):
-        return value
     try:
-        return Decimal(str(value))
+        score = value if isinstance(value, Decimal) else Decimal(str(value))
     except InvalidOperation as exc:
         raise ValidationError(f"not a decimal score: {value!r}") from exc
+    if not score.is_finite():  # NaN would raise on the range check below
+        raise ValidationError(f"not a finite score: {value!r}")
+    return score
 
 
 @dataclass(frozen=True)
@@ -173,14 +176,28 @@ class CveRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CveRecord":
+    def from_dict(
+        cls, data: Mapping[str, Any], cpes: dict[str, CpeUri] | None = None
+    ) -> "CveRecord":
+        """Build a record from its ``to_dict`` form.
+
+        ``cpes`` maps raw CPE strings to their parsed names; a string found
+        there is not parsed again, and every string parsed here is added.
+        """
+        cpes = {} if cpes is None else cpes
+        cpe_list = []
+        for raw in data.get("cpe_list", []):
+            uri = cpes.get(raw)
+            if uri is None:
+                uri = cpes[raw] = CpeUri.parse(raw)
+            cpe_list.append(uri)
         return cls(
             id=data["id"],
             published=date.fromisoformat(data["published"]),
             last_modified=date.fromisoformat(data["last_modified"]),
             summary=data["summary"],
             cvss3_base=data.get("cvss3_base"),
-            cpe_list=tuple(CpeUri.parse(raw) for raw in data.get("cpe_list", [])),
+            cpe_list=tuple(cpe_list),
             references=tuple(data.get("references", [])),
         )
 

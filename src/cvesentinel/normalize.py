@@ -83,7 +83,23 @@ class StopWordList:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StopWordList":
-        return cls.from_lines(Path(path).read_text(encoding="utf-8").splitlines())
+        return cls.from_lines(read_text_file(path).splitlines())
+
+
+def as_text(data: bytes | str, source: str = "input") -> str:
+    """Text of UTF-8 input without a leading byte-order mark; bytes that
+    are not UTF-8 raise FormatError."""
+    if isinstance(data, bytes):
+        try:
+            return data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{source} is not UTF-8 text: {exc}")
+    return data.lstrip("\ufeff")
+
+
+def read_text_file(path: str | Path) -> str:
+    """The text of a UTF-8 file, through ``as_text``."""
+    return as_text(Path(path).read_bytes(), str(path))
 
 
 def _drop_bracketed(text: str) -> str:

@@ -3,16 +3,23 @@
 These deliberately take different routes from the library: containment is
 substring search over a space-joined token string instead of n-gram set
 membership, summary matching tests every asset key against every CVE
-instead of looking summary phrases up in an index, and the exact rank-test distribution comes from Gaussian
-binomial polynomial arithmetic instead of the library's recursive count.
+instead of looking summary phrases up in an index, the exact rank-test
+distribution comes from Gaussian binomial polynomial arithmetic instead of
+the library's iterative count, and a stored day is loaded on its own,
+building every record from its dict, instead of reusing the records of the
+day before.
 """
 
 from __future__ import annotations
 
+import json
+from datetime import date
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Sequence
 
-from cvesentinel.ingest import CpeDictionary
+from cvesentinel.errors import SnapshotIntegrityError, SnapshotNotFoundError, ValidationError
+from cvesentinel.ingest import CpeDictionary, Snapshot, snapshot_path
 from cvesentinel.matcher import FUNCTION_WORDS, FpFilter, MatchResult
 from cvesentinel.model import AssetRecord, CveRecord, MatchVia
 from cvesentinel.normalize import standardize, tokenize
@@ -216,3 +223,27 @@ def oracle_exact_mwu_p_large(a: Sequence[float], b: Sequence[float]) -> float:
     total = sum(dist)
     below = sum(dist[: u_min + 1])
     return min(1.0, 2 * below / total)
+
+
+def oracle_load_snapshot(store_root: str | Path, day: date) -> Snapshot:
+    """Load one stored day on its own, building every record from its dict."""
+    path = snapshot_path(store_root, day)
+    if not path.exists():
+        raise SnapshotNotFoundError(f"no snapshot stored for {day.isoformat()}")
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        stored_date = date.fromisoformat(payload["date"])
+        records = [CveRecord.from_dict(d) for d in payload["records"]]
+        count = payload["record_count"]
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise SnapshotIntegrityError(f"corrupt snapshot file {path}: {exc}")
+    if stored_date != day:
+        raise SnapshotIntegrityError(f"snapshot file {path} is stamped {stored_date.isoformat()}")
+    if count != len(records):
+        raise SnapshotIntegrityError(
+            f"snapshot file {path} declares {count} records but holds {len(records)}"
+        )
+    record_map = {rec.id: rec for rec in records}
+    if len(record_map) != len(records):
+        raise SnapshotIntegrityError(f"snapshot file {path} repeats a CVE id")
+    return Snapshot(date=day, records=record_map)

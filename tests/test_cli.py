@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import json
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +79,18 @@ class TestIngest:
         payload = json.loads(capsys.readouterr().out)
         assert payload["stored"] == 1
         assert payload["rejected_total"] == 1
+
+    def test_non_string_cpe_and_nan_score_are_item_rejects(self, tmp_path, store, capsys):
+        items = [
+            feed_item("CVE-2021-0001"),
+            feed_item("CVE-2021-0002", cpes=[5]),
+            feed_item("CVE-2021-0003", score=float("nan")),
+            feed_item("CVE-2021-0004", score=7.5),
+        ]
+        assert ingest_day(tmp_path, store, "2021-06-01", items) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stored"] == 2
+        assert payload["rejected_total"] == 2
 
     def test_same_file_name_in_two_directories_keeps_both_counts(self, tmp_path, store, capsys):
         (tmp_path / "a").mkdir()
@@ -199,6 +212,30 @@ class TestTickets:
             == 2
         )
 
+    @pytest.mark.parametrize("earlier_stored", [False, True], ids=["alone", "after-a-stored-day"])
+    def test_missing_day_is_the_error_named(self, tmp_path, store, capsys, earlier_stored):
+        inventory = self._setup(tmp_path, store) if earlier_stored else write(tmp_path, "inv.csv", INVENTORY)
+        capsys.readouterr()
+        argv = ["tickets", "--date", "2021-06-05", "--store", store, "--inventory", inventory]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: no snapshot stored for 2021-06-05\n"
+
+    def test_first_day_error_says_rerun_with_full(self, tmp_path, store, capsys):
+        inventory = self._setup(tmp_path, store)
+        capsys.readouterr()
+        argv = ["tickets", "--date", "2021-06-01", "--store", store, "--inventory", inventory]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith("; rerun with --full\n")
+
+    def test_corrupt_previous_day_exits_4(self, tmp_path, store, capsys):
+        inventory = self._setup(tmp_path, store)
+        ingest_day(tmp_path, store, "2021-06-02", [feed_item("CVE-2021-0002")])
+        (Path(store) / "snapshots" / "2021-06-01").write_text("{not json", encoding="utf-8")
+        capsys.readouterr()
+        argv = ["tickets", "--date", "2021-06-02", "--store", store, "--inventory", inventory]
+        assert main(argv) == 4
+        assert "2021-06-01" in capsys.readouterr().err
+
     def test_full_flag_matches_whole_snapshot(self, tmp_path, store, capsys):
         inventory = write(tmp_path, "inv.csv", INVENTORY)
         items = [feed_item("CVE-2021-0002", score=7.0, cpes=[cpe23("geotab", "r2d2")])]
@@ -286,6 +323,31 @@ class TestTickets:
             )
             assert code == 0
         assert (tmp_path / "run1.jsonl").read_bytes() == (tmp_path / "run2.jsonl").read_bytes()
+
+
+def edit_day(store, day: str, edit) -> None:
+    """Apply edit to the stored JSON payload of one day, in place."""
+    path = Path(store) / "snapshots" / day
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _set_first(**fields):
+    return lambda payload: payload["records"][0].update(fields)
+
+
+# Edits, (day, edit of its payload), that leave a five-day store corrupt.
+# A stored true equals the 1.0 of the day before as a dict entry.
+CORRUPTIONS = {
+    "int-score-then-true": [("2021-06-01", _set_first(cvss3_base=1)),
+                            ("2021-06-02", _set_first(cvss3_base=True))],
+    "float-score-then-true": [("2021-06-02", _set_first(cvss3_base=True))],
+    "record-count-day-3": [("2021-06-03", lambda p: p.update(record_count=p["record_count"] + 1))],
+    "repeated-id-day-5": [("2021-06-05", lambda p: p["records"].append(dict(p["records"][-1])))],
+    "int-cpe": [("2021-06-02", _set_first(cpe_list=[1]))],
+    "nan-score": [("2021-06-02", _set_first(cvss3_base="NaN"))],
+}
 
 
 def _stats_history(tmp_path, store):
@@ -384,6 +446,23 @@ class TestStats:
         )
         assert code == 2
         assert "2021-06-02" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edits", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+    def test_corrupt_later_day_exits_4(self, tmp_path, store, capsys, edits):
+        for n in range(1, 6):
+            ingest_day(tmp_path, store, f"2021-06-0{n}", [
+                feed_item("CVE-2021-0001", score=1.0, cpes=[cpe23("acme", "anvil")]),
+                feed_item("CVE-2021-0002", summary="two"),
+            ])
+        for day, edit in edits:
+            edit_day(store, day, edit)
+        capsys.readouterr()
+        code = main(["stats", "--report", "daily", "--from", "2021-06-01", "--to", "2021-06-05",
+                     "--store", store])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(("error: corrupt snapshot file", "error: snapshot file"))
+        assert err.count("\n") == 1
 
     def test_ranktest_report(self, tmp_path, capsys):
         a = write(tmp_path, "a.txt", "1\n2\n")
@@ -733,6 +812,36 @@ class TestBuildFilterAndEvaluate:
         assert loose_report["elided_names"] == 0
         assert default_report["elided_names"] > 0
         assert loose_report["fp"] > default_report["fp"]
+
+
+class TestTextFiles:
+    @pytest.mark.parametrize("kind", ["score-file", "stop-words", "filter-list"])
+    def test_non_utf8_exits_2_without_traceback(self, tmp_path, store, capsys, kind):
+        bad = write(tmp_path, "bad.txt", b"1\ncaf\xe9\n")
+        good = write(tmp_path, "good.txt", "1\n2\n")
+        ranktest = ["stats", "--report", "ranktest", "--scores-b", good]
+        if kind == "score-file":
+            argv = [*ranktest, "--scores-a", bad]
+        elif kind == "stop-words":
+            argv = [*ranktest, "--scores-a", good, "--stopwords", bad]
+        else:
+            for day in ("2021-06-01", "2021-06-02"):
+                ingest_day(tmp_path, store, day, [feed_item("CVE-2021-0001")])
+            argv = ["tickets", "--date", "2021-06-02", "--store", store,
+                    "--inventory", write(tmp_path, "inv.csv", INVENTORY),
+                    "--filter-vendors", bad, "--filter-products", good]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not UTF-8 text") and err.count("\n") == 1
+
+    def test_byte_order_mark_ignored(self, tmp_path, capsys):
+        a = write(tmp_path, "a.txt", "\ufeff1\n2\n".encode("utf-8"))
+        b = write(tmp_path, "b.txt", "3\n4\n")
+        stop_words = write(tmp_path, "stop.txt", "\ufeffinc\n".encode("utf-8"))
+        argv = ["stats", "--report", "ranktest", "--scores-a", a, "--scores-b", b]
+        assert main([*argv, "--stopwords", stop_words]) == 0
+        assert json.loads(capsys.readouterr().out)["u_statistic"] == 0.0
 
 
 class TestEnvironment:

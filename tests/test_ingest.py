@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import gzip
 import json
-from datetime import date
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cpe23, feed_bytes, feed_item, make_record, snapshot_of
@@ -32,6 +34,7 @@ from cvesentinel.ingest import (
     read_feed_bytes,
     store_snapshot,
 )
+from oracles import oracle_load_snapshot
 
 
 class TestParseFeed:
@@ -297,6 +300,85 @@ class TestSnapshotStore:
         path.write_text(json.dumps(payload))
         with pytest.raises(SnapshotIntegrityError):
             load_snapshot(tmp_path, date(2021, 6, 1))
+
+
+def write_day(store_root, day: date, records: list[dict]) -> None:
+    """Store record dicts as they are given, scores of any JSON type included."""
+    path = store_root / "snapshots" / day.isoformat()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    payload = {"date": day.isoformat(), "record_count": len(records), "records": records}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+HISTORY_IDS = [f"CVE-2021-{n:04d}" for n in range(1, 6)]
+# The values each stored field takes; 1 and 1.0, 10 and 10.0 store differently.
+STORED_VALUES = {
+    "cvss3_base": [None, 1, 1.0, 7.5, 10, 10.0],
+    "cpe_list": [[], [cpe23("acme", "anvil")], [cpe23("acme", "anvil"), cpe23("px", "x", "2.0")]],
+    "references": [[], ["https://a"], ["https://a", "https://b"]],
+    "summary": ["", "anvil flaw", "anvil flaw, revised"],
+}
+
+
+@st.composite
+def stored_histories(draw) -> list[list[dict]]:
+    """Days of stored records: each CVE is kept, has one field changed, is
+    removed, or is added (again)."""
+    current: dict[str, dict] = {}
+    days = []
+    for _ in range(draw(st.integers(1, 5))):
+        for cve_id in HISTORY_IDS:
+            action = draw(st.sampled_from(["keep", "keep", "change", "remove"]))
+            if cve_id not in current:
+                if action != "keep":
+                    current[cve_id] = {
+                        "id": cve_id,
+                        "published": "2021-05-01",
+                        "last_modified": "2021-05-01",
+                        **{key: draw(st.sampled_from(values)) for key, values in STORED_VALUES.items()},
+                    }
+            elif action == "change":
+                key = draw(st.sampled_from(sorted(STORED_VALUES)))
+                current[cve_id] = {**current[cve_id], key: draw(st.sampled_from(STORED_VALUES[key]))}
+            elif action == "remove":
+                del current[cve_id]
+        days.append([current[cve_id] for cve_id in sorted(current)])
+    return days
+
+
+class TestLoadWithPrevious:
+    def test_unchanged_record_is_the_previous_object(self, tmp_path):
+        kept = make_record("CVE-2021-0001", cpes=[cpe23("acme", "anvil")])
+        rescored = make_record("CVE-2021-0002", cpes=[cpe23("acme", "anvil")])
+        store_snapshot(tmp_path, snapshot_of("2021-06-01", [kept, rescored]))
+        store_snapshot(tmp_path, snapshot_of(
+            "2021-06-02", [kept, make_record("CVE-2021-0002", score=5.0, cpes=[cpe23("acme", "anvil")])]
+        ))
+        first = load_snapshot(tmp_path, date(2021, 6, 1))
+        second = load_snapshot(tmp_path, date(2021, 6, 2), previous=first)
+        assert second.records["CVE-2021-0001"] is first.records["CVE-2021-0001"]
+        assert second.records["CVE-2021-0002"] is not first.records["CVE-2021-0002"]
+        assert second == oracle_load_snapshot(tmp_path, date(2021, 6, 2))
+        # one CPE string, parsed once per load
+        (uri_kept,), (uri_rescored,) = (r.cpe_list for r in first.records.values())
+        assert uri_kept is uri_rescored
+
+    @given(stored_histories())
+    @settings(max_examples=150, deadline=None)
+    def test_chained_loads_equal_oracle_loads(self, history):
+        with tempfile.TemporaryDirectory() as root:
+            days = [date(2021, 6, 1) + timedelta(days=n) for n in range(len(history))]
+            for day, records in zip(days, history):
+                write_day(Path(root), day, records)
+            previous = None
+            for day in days:
+                loaded = load_snapshot(root, day, previous=previous)
+                oracle = oracle_load_snapshot(root, day)
+                assert loaded == oracle
+                for cve_id, record in loaded.records.items():
+                    # repr tells Decimal("1") from Decimal("1.0"); == does not
+                    assert repr(record) == repr(oracle.records[cve_id])
+                previous = loaded
 
 
 class TestDiffSnapshots:

@@ -61,6 +61,11 @@ class TestCpeUri:
         with pytest.raises(ValidationError):
             CpeUri.parse("cpe:2.3:a:vendor:product")
 
+    @pytest.mark.parametrize("raw", [5, None, [cpe23("acme", "anvil")]])
+    def test_non_string_rejected(self, raw):
+        with pytest.raises(ValidationError):
+            CpeUri.parse(raw)
+
 
 class TestCveRecord:
     def test_round_trip(self):
@@ -88,6 +93,14 @@ class TestCveRecord:
 
     @pytest.mark.parametrize("score", [-0.1, 10.1])
     def test_score_out_of_range_rejected(self, score):
+        with pytest.raises(ValidationError):
+            make_record("CVE-2021-1234", score=score)
+
+    @pytest.mark.parametrize(
+        "score",
+        [True, False, float("nan"), float("inf"), float("-inf"), "NaN", "-Infinity", Decimal("sNaN")],
+    )
+    def test_non_finite_or_bool_score_rejected(self, score):
         with pytest.raises(ValidationError):
             make_record("CVE-2021-1234", score=score)
 
