@@ -122,6 +122,12 @@ def _strip_edge_punct(token: str) -> str:
     return token[start:end]
 
 
+def _fold(text: str) -> str:
+    """Casefold, then lowercase: casefolding maps lowercase Cherokee to
+    its uppercase letters, which ``lower`` maps back."""
+    return text.casefold().lower()
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase and split into tokens, trimming edge punctuation.
 
@@ -131,7 +137,7 @@ def tokenize(text: str) -> list[str]:
     micro sign from defeating caseless comparison.
     """
     tokens = []
-    for piece in _SPLIT_RE.split(text.casefold()):
+    for piece in _SPLIT_RE.split(_fold(text)):
         token = _strip_edge_punct(piece)
         if token:
             tokens.append(token)
@@ -154,7 +160,7 @@ def standardize(raw: str, stop_words: StopWordList | None = None) -> str:
     Total: any input is accepted and the result may be empty.
     """
     stop = stop_words.words if stop_words is not None else DEFAULT_STOP_WORDS
-    text = _drop_bracketed(raw.casefold())
+    text = _drop_bracketed(_fold(raw))
     kept = [tok for tok in tokenize(text) if not _is_droppable(tok, stop)]
     return " ".join(kept)
 

@@ -66,6 +66,10 @@ class TestStandardize:
         assert standardize("hyper_v") == "hyper v"
         assert standardize("client/server suite") == "client server suite"
 
+    def test_cherokee_letters_lowercased(self):
+        # casefold maps Cherokee letters to uppercase; the output stays lowercase.
+        assert standardize("\u13a0 \uab70") == "\uab70 \uab70"
+
 
 class TestStopWordList:
     def test_default_contains_spec_words(self):
@@ -105,6 +109,9 @@ class TestWellFormedFromCpe:
     def test_empty_product_rejected(self):
         with pytest.raises(ValidationError):
             well_formed_from_cpe(CpeUri.parse(cpe23("acme", "2.0")))
+
+    def test_cherokee_product_accepted(self):
+        assert well_formed_from_cpe(CpeUri.parse(cpe23("acme", "\u13a0"))).name == "\uab70"
 
 
 class TestWellFormedFromRaw:
