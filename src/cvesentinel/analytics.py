@@ -14,12 +14,13 @@ from dataclasses import dataclass, replace
 from datetime import date
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from itertools import pairwise
 from math import comb
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import DomainError, OrderingError, ValidationError
 from .ingest import Snapshot
-from .model import CveRecord, SeverityLevel
+from .model import CpeUri, CveRecord, Row, SeverityLevel
 from .normalize import StopWordList, standardize
 
 
@@ -34,7 +35,7 @@ class RankMethod(Enum):
 
 
 @dataclass(frozen=True)
-class DailyCompleteness:
+class DailyCompleteness(Row):
     """Field coverage of the CVEs first published on one day."""
 
     date: date
@@ -48,18 +49,9 @@ class DailyCompleteness:
             if getattr(self, label) > self.total_reports:
                 raise ValidationError(f"{label} exceeds total_reports on {self.date}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "date": self.date.isoformat(),
-            "total_reports": self.total_reports,
-            "missing_cvss": self.missing_cvss,
-            "missing_cpe": self.missing_cpe,
-            "missing_mitigation": self.missing_mitigation,
-        }
-
 
 @dataclass(frozen=True)
-class CompletionDelay:
+class CompletionDelay(Row):
     """Days from initial publication to the field's first appearance."""
 
     cve_id: str
@@ -76,29 +68,22 @@ class CompletionDelay:
                 f"{self.published}..{self.completed}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "cve_id": self.cve_id,
-            "published": self.published.isoformat(),
-            "completed": self.completed.isoformat(),
-            "field": self.field.value,
-            "days": self.days,
-        }
-
 
 @dataclass(frozen=True)
 class DelayReport:
-    """Three-way split of the initially-incomplete CVEs.
+    """Four-way split of the initially-incomplete CVEs.
 
     Every CVE first seen without the field lands in exactly one bucket:
-    completed (with a delay record), updated without gaining the field, or
-    never updated at all within the history.
+    completed (with a delay record), updated without gaining the field,
+    never updated at all within the history, or rejected because the field
+    arrived on a day before the record's published date (a negative delay).
     """
 
     field: CompletionField
     delays: tuple[CompletionDelay, ...]
     updated_without_field: tuple[str, ...]
     never_updated: tuple[str, ...]
+    rejected: tuple[str, ...] = ()
 
     @property
     def completed_count(self) -> int:
@@ -112,7 +97,7 @@ class DelayReport:
 
 
 @dataclass(frozen=True)
-class VendorStats:
+class VendorStats(Row):
     """Per-vendor share of CVEs published without an initial score."""
 
     vendor: str
@@ -126,31 +111,14 @@ class VendorStats:
         if self.initially_unscored / self.total != self.pct_unscored:
             raise ValidationError(f"vendor {self.vendor!r}: inconsistent pct_unscored")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "vendor": self.vendor,
-            "total": self.total,
-            "initially_unscored": self.initially_unscored,
-            "pct_unscored": self.pct_unscored,
-        }
-
 
 @dataclass(frozen=True)
-class ScoreTableRow:
+class ScoreTableRow(Row):
     level: SeverityLevel
     initial_count: int
     initial_pct: int
     later_count: int
     later_pct: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "level": self.level.value,
-            "initial_count": self.initial_count,
-            "initial_pct": self.initial_pct,
-            "later_count": self.later_count,
-            "later_pct": self.later_pct,
-        }
 
 
 @dataclass(frozen=True)
@@ -170,7 +138,7 @@ class ScoreTable:
 
 
 @dataclass(frozen=True)
-class RankTestResult:
+class RankTestResult(Row):
     """Wilcoxon-Mann-Whitney outcome; u_statistic belongs to sample a."""
 
     u_statistic: float
@@ -184,15 +152,6 @@ class RankTestResult:
             raise ValidationError(f"U={self.u_statistic} outside [0, {self.n1 * self.n2}]")
         if not 0.0 <= self.p_value <= 1.0:
             raise ValidationError(f"p-value {self.p_value} outside [0, 1]")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "u_statistic": self.u_statistic,
-            "p_value": self.p_value,
-            "method": self.method.value,
-            "n1": self.n1,
-            "n2": self.n2,
-        }
 
 
 def severity_bucket(score: Decimal | float | int | None) -> SeverityLevel:
@@ -216,34 +175,69 @@ def severity_bucket(score: Decimal | float | int | None) -> SeverityLevel:
     return SeverityLevel.CRITICAL
 
 
-def _check_order(snapshots: Sequence[Snapshot]) -> None:
-    for earlier, later in zip(snapshots, snapshots[1:]):
-        if earlier.date >= later.date:
-            raise OrderingError(
-                f"snapshots must be strictly ascending, got {earlier.date} before {later.date}"
-            )
-
-
-def _histories(snapshots: Sequence[Snapshot]) -> dict[str, list[tuple[date, CveRecord]]]:
-    """Per-CVE appearance sequence, in snapshot order (first seen first)."""
-    _check_order(snapshots)
-    histories: dict[str, list[tuple[date, CveRecord]]] = {}
+def _ascending(snapshots: Iterable[Snapshot]) -> Iterator[Snapshot]:
+    """The snapshots as given, checked to be strictly ascending by date."""
+    last = None
     for snapshot in snapshots:
-        for cve_id in sorted(snapshot.records):
-            histories.setdefault(cve_id, []).append((snapshot.date, snapshot.records[cve_id]))
+        if last is not None and last >= snapshot.date:
+            raise OrderingError(
+                f"snapshots must be strictly ascending, got {last} before {snapshot.date}"
+            )
+        last = snapshot.date
+        yield snapshot
+
+
+@dataclass(slots=True)
+class _History:
+    """What the reports need of one CVE's appearances after its first."""
+
+    first: CveRecord
+    last: CveRecord  # the record of its latest appearance
+    changed: bool = False  # some later record differs from the first
+    scored_on: date | None = None  # first later day with a score
+    score: Decimal | None = None  # the score of that day
+    cpe_on: date | None = None  # first later day with a CPE list
+    added: dict[str, CpeUri] | None = None  # later CPEs the first lacks, by raw string
+
+
+def _fold(snapshots: Iterable[Snapshot]) -> dict[str, _History]:
+    """Per-CVE history, folded one snapshot at a time in date order."""
+    histories: dict[str, _History] = {}
+    for snapshot in _ascending(snapshots):
+        day = snapshot.date
+        for cve_id, record in snapshot.records.items():
+            history = histories.get(cve_id)
+            if history is None:
+                histories[cve_id] = _History(record, record)
+                continue
+            if record is history.last:  # shared by the load, so nothing new since
+                continue
+            history.last = record
+            first = history.first
+            if not history.changed and record != first:
+                history.changed = True
+            if history.scored_on is None and record.cvss3_base is not None:
+                history.scored_on, history.score = day, record.cvss3_base
+            if record.cpe_list and history.cpe_on is None:
+                history.cpe_on = day
+            if record.cpe_list != first.cpe_list:
+                first_raws = {uri.raw for uri in first.cpe_list}
+                for uri in record.cpe_list:
+                    if uri.raw not in first_raws:
+                        if history.added is None:
+                            history.added = {}
+                        history.added.setdefault(uri.raw, uri)
     return histories
 
 
-def daily_completeness(snapshots: Sequence[Snapshot]) -> list[DailyCompleteness]:
+def daily_completeness(snapshots: Iterable[Snapshot]) -> list[DailyCompleteness]:
     """Missing-field counts over each day's newly appearing CVEs.
 
     The first snapshot only serves as the baseline; output starts with the
     second day.
     """
-    snapshots = list(snapshots)
-    _check_order(snapshots)
     results = []
-    for previous, current in zip(snapshots, snapshots[1:]):
+    for previous, current in pairwise(_ascending(snapshots)):
         new_ids = current.records.keys() - previous.records.keys()
         new = [current.records[cve_id] for cve_id in new_ids]
         results.append(
@@ -258,53 +252,51 @@ def daily_completeness(snapshots: Sequence[Snapshot]) -> list[DailyCompleteness]
     return results
 
 
-def _has_field(record: CveRecord, field: CompletionField) -> bool:
-    if field is CompletionField.CVSS:
-        return record.cvss3_base is not None
-    return bool(record.cpe_list)
-
-
-def completion_delays(snapshots: Sequence[Snapshot], field: CompletionField) -> DelayReport:
+def completion_delays(snapshots: Iterable[Snapshot], field: CompletionField) -> DelayReport:
     """Track how long initially-incomplete CVEs wait for the given field.
 
     For each CVE first seen without the field: the first later snapshot
-    carrying it yields a delay measured from the record's published date;
+    carrying it yields a delay measured from the record's published date,
+    or a reject when that snapshot is dated before the published date;
     CVEs that change without gaining the field, or never change at all,
     are tallied separately.
     """
     delays: list[CompletionDelay] = []
     updated_no_field: list[str] = []
     never: list[str] = []
-    for cve_id, states in sorted(_histories(list(snapshots)).items()):
-        first_date, first_record = states[0]
-        if _has_field(first_record, field):
+    rejected: list[str] = []
+    for cve_id, history in sorted(_fold(snapshots).items()):
+        first = history.first
+        if field is CompletionField.CVSS:
+            had_field, completed_at = first.cvss3_base is not None, history.scored_on
+        else:
+            had_field, completed_at = bool(first.cpe_list), history.cpe_on
+        if had_field:
             continue
-        completed_at = next(
-            (day for day, rec in states[1:] if _has_field(rec, field)), None
-        )
-        if completed_at is not None:
+        if completed_at is None:
+            (updated_no_field if history.changed else never).append(cve_id)
+        elif completed_at < first.published:
+            rejected.append(cve_id)
+        else:
             delays.append(
                 CompletionDelay(
                     cve_id=cve_id,
-                    published=first_record.published,
+                    published=first.published,
                     completed=completed_at,
                     field=field,
-                    days=(completed_at - first_record.published).days,
+                    days=(completed_at - first.published).days,
                 )
             )
-        elif any(rec != first_record for _, rec in states[1:]):
-            updated_no_field.append(cve_id)
-        else:
-            never.append(cve_id)
     return DelayReport(
         field=field,
         delays=tuple(delays),
         updated_without_field=tuple(updated_no_field),
         never_updated=tuple(never),
+        rejected=tuple(rejected),
     )
 
 
-def assemble_vendor_corpus(snapshots: Sequence[Snapshot]) -> list[CveRecord]:
+def assemble_vendor_corpus(snapshots: Iterable[Snapshot]) -> list[CveRecord]:
     """Each CVE as first captured, with its CPE list widened by later updates.
 
     The score reflects the initial report while the CPE list is the union
@@ -312,18 +304,10 @@ def assemble_vendor_corpus(snapshots: Sequence[Snapshot]) -> list[CveRecord]:
     wants. CVEs that never carry a CPE come back with an empty list.
     """
     corpus = []
-    for cve_id, states in sorted(_histories(list(snapshots)).items()):
-        _, first_record = states[0]
-        seen_raw = {uri.raw for uri in first_record.cpe_list}
-        union = list(first_record.cpe_list)
-        for _, record in states[1:]:
-            for uri in record.cpe_list:
-                if uri.raw not in seen_raw:
-                    seen_raw.add(uri.raw)
-                    union.append(uri)
-        record = first_record
-        if len(union) != len(first_record.cpe_list):
-            record = replace(first_record, cpe_list=tuple(union))
+    for _, history in sorted(_fold(snapshots).items()):
+        record = history.first
+        if history.added:
+            record = replace(record, cpe_list=record.cpe_list + tuple(history.added.values()))
         corpus.append(record)
     return corpus
 
@@ -362,20 +346,15 @@ def vendor_completeness(
     return stats
 
 
-def split_scores(snapshots: Sequence[Snapshot]) -> tuple[list[Decimal], list[Decimal]]:
+def split_scores(snapshots: Iterable[Snapshot]) -> tuple[list[Decimal], list[Decimal]]:
     """Scores of initially scored CVEs vs the first score of late-scored ones."""
     initial: list[Decimal] = []
     later: list[Decimal] = []
-    for _, states in sorted(_histories(list(snapshots)).items()):
-        _, first_record = states[0]
-        if first_record.cvss3_base is not None:
-            initial.append(first_record.cvss3_base)
-            continue
-        first_score = next(
-            (rec.cvss3_base for _, rec in states[1:] if rec.cvss3_base is not None), None
-        )
-        if first_score is not None:
-            later.append(first_score)
+    for _, history in sorted(_fold(snapshots).items()):
+        if history.first.cvss3_base is not None:
+            initial.append(history.first.cvss3_base)
+        elif history.score is not None:
+            later.append(history.score)
     return initial, later
 
 

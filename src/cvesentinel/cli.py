@@ -14,10 +14,10 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import analytics, ingest, matcher, ticketer
 from .errors import (
@@ -29,7 +29,7 @@ from .errors import (
     SnapshotNotFoundError,
 )
 from .ingest import Snapshot
-from .normalize import StopWordList, read_text_file
+from .normalize import StopWordList, read_text_file, standardize
 
 STORE_ENV_VAR = "SENTINEL_STORE"
 DEFAULT_STORE = "sentinel-store"
@@ -38,26 +38,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFLICT = 3
 EXIT_INTEGRITY = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared run settings distilled from the global flags."""
-
-    store_root: str
-    stop_words: StopWordList | None
-    min_name_len: int
-    output: str | None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        stop_words = StopWordList.from_file(args.stopwords) if args.stopwords else None
-        return cls(
-            store_root=args.store,
-            stop_words=stop_words,
-            min_name_len=args.min_name_len,
-            output=args.output,
-        )
 
 
 def _date_arg(value: str) -> date:
@@ -78,15 +58,19 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _write_text(config: RunConfig, text: str) -> None:
-    if config.output:
-        Path(config.output).write_text(text, encoding="utf-8")
+def _stop_words(args: argparse.Namespace) -> StopWordList | None:
+    return StopWordList.from_file(args.stopwords) if args.stopwords else None
+
+
+def _write_text(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(config: RunConfig, payload: object) -> None:
-    _write_text(config, json.dumps(payload, indent=2) + "\n")
+def _emit_json(args: argparse.Namespace, payload: object) -> None:
+    _write_text(args, json.dumps(payload, indent=2) + "\n")
 
 
 def _read_feeds(paths: Sequence[str]) -> tuple[dict[str, ingest.FeedParseResult], dict[str, int]]:
@@ -113,16 +97,16 @@ def _feed_corpus(paths: Sequence[str]) -> tuple[list, int, dict[str, int]]:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
+    _stop_words(args)  # unused here, but an unreadable list is an input error in every command
     results, reject_counts = _read_feeds(args.feeds)
     records = ingest.merge_records(r.records for r in results.values())
     snapshot = Snapshot(date=args.date, records=records)
-    ingest.store_snapshot(config.store_root, snapshot, overwrite=args.overwrite)
+    ingest.store_snapshot(args.store, snapshot, overwrite=args.overwrite)
     for name, count in reject_counts.items():
         _note(f"{name}: {count} rejected item(s)")
     _note(f"stored snapshot {args.date.isoformat()} with {len(records)} records")
     _emit_json(
-        config,
+        args,
         {
             "date": args.date.isoformat(),
             "stored": len(records),
@@ -142,14 +126,14 @@ def _load_filter(args: argparse.Namespace) -> matcher.FpFilter:
 
 
 def cmd_tickets(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    previous_date = None if args.full else ingest.find_previous_date(config.store_root, args.date)
+    stop_words = _stop_words(args)
+    previous_date = None if args.full else ingest.find_previous_date(args.store, args.date)
     previous = None
     # The day before is loaded first, to lend its records to today's load,
     # but a missing today is still the error reported.
-    if previous_date is not None and ingest.snapshot_path(config.store_root, args.date).exists():
-        previous = ingest.load_snapshot(config.store_root, previous_date)
-    snapshot = ingest.load_snapshot(config.store_root, args.date, previous=previous)
+    if previous_date is not None and ingest.snapshot_path(args.store, args.date).exists():
+        previous = ingest.load_snapshot(args.store, previous_date)
+    snapshot = ingest.load_snapshot(args.store, args.date, previous=previous)
     if args.full:
         cves = [snapshot.records[cve_id] for cve_id in sorted(snapshot.records)]
     elif previous is None:
@@ -161,7 +145,7 @@ def cmd_tickets(args: argparse.Namespace) -> int:
 
     if args.dictionary:
         _note("--dictionary is ignored by tickets and will be removed")
-    inventory = ingest.parse_asset_inventory(Path(args.inventory).read_bytes(), config.stop_words)
+    inventory = ingest.parse_asset_inventory(Path(args.inventory).read_bytes(), stop_words)
     for reject in inventory.rejects:
         _note(f"inventory row {reject.row} rejected: {reject.reason}")
 
@@ -176,13 +160,13 @@ def cmd_tickets(args: argparse.Namespace) -> int:
         cves,
         index,
         _load_filter(args),
-        min_name_len=config.min_name_len,
-        stop_words=config.stop_words,
+        min_name_len=args.min_name_len,
+        stop_words=stop_words,
     )
     tickets = ticketer.group_matches(matches, index, snapshot.records, created=args.date)
 
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as sink:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as sink:
             count = ticketer.emit_tickets(tickets, sink)
     else:
         count = ticketer.emit_tickets(tickets, sys.stdout)
@@ -196,19 +180,24 @@ def cmd_tickets(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _snapshots(args: argparse.Namespace, config: RunConfig) -> list[Snapshot]:
-    """The stored snapshots of every day from --from to --to."""
+def _snapshots(args: argparse.Namespace) -> Iterator[Snapshot]:
+    """The stored snapshots of every day from --from to --to, loaded as
+    they are consumed. The range is checked at once."""
     if not (args.date_from and args.date_to):
         raise FormatError(f"report {args.report!r} needs --from and --to")
     if args.date_from > args.date_to:
         raise FormatError(f"--from {args.date_from} is after --to {args.date_to}")
-    snapshots: list[Snapshot] = []
-    day = args.date_from
-    while day <= args.date_to:
-        previous = snapshots[-1] if snapshots else None
-        snapshots.append(ingest.load_snapshot(config.store_root, day, previous=previous))
+    return _load_range(args.store, args.date_from, args.date_to)
+
+
+def _load_range(store: str, first: date, last: date) -> Iterator[Snapshot]:
+    """Each day loaded with the day before, which is then let go."""
+    snapshot = None
+    day = first
+    while day <= last:
+        snapshot = ingest.load_snapshot(store, day, previous=snapshot)
+        yield snapshot
         day += timedelta(days=1)
-    return snapshots
 
 
 def _read_score_file(path: str) -> list[float]:
@@ -229,8 +218,8 @@ def _read_score_file(path: str) -> list[float]:
 Report = tuple[dict, list[dict], dict]
 
 
-def _daily_report(args: argparse.Namespace, config: RunConfig) -> Report:
-    rows = [day.to_dict() for day in analytics.daily_completeness(_snapshots(args, config))]
+def _daily_report(args: argparse.Namespace, stop_words: StopWordList | None) -> Report:
+    rows = [day.to_dict() for day in analytics.daily_completeness(_snapshots(args))]
     summary = {
         f"average_{name}": sum(row[name] for row in rows) / len(rows)
         for name in ("missing_cvss", "missing_cpe", "missing_mitigation")
@@ -238,11 +227,16 @@ def _daily_report(args: argparse.Namespace, config: RunConfig) -> Report:
     return {"report": "daily", "days": rows, **summary}, rows, summary
 
 
-def _delays_report(args: argparse.Namespace, config: RunConfig) -> Report:
-    snapshots = _snapshots(args, config)
+def _delays_report(args: argparse.Namespace, stop_words: StopWordList | None) -> Report:
+    snapshots = _snapshots(args)
     if not args.field:
         raise FormatError("report 'delays' needs --field cvss|cpe")
     report = analytics.completion_delays(snapshots, analytics.CompletionField(args.field.upper()))
+    if report.rejected:
+        _note(
+            f"{len(report.rejected)} CVE(s) rejected, {report.field.value} arrived before "
+            f"publishedDate: {', '.join(report.rejected[:3])}"
+        )
     rows = [d.to_dict() for d in report.delays]
     summary = {
         "completed": report.completed_count,
@@ -254,17 +248,18 @@ def _delays_report(args: argparse.Namespace, config: RunConfig) -> Report:
     return payload, rows, summary
 
 
-def _vendors_report(args: argparse.Namespace, config: RunConfig) -> Report:
-    corpus = analytics.assemble_vendor_corpus(_snapshots(args, config))
-    usable = [r for r in corpus if r.cpe_list]
-    stats = analytics.vendor_completeness(usable, config.stop_words) if usable else []
+def _vendors_report(args: argparse.Namespace, stop_words: StopWordList | None) -> Report:
+    corpus = analytics.assemble_vendor_corpus(_snapshots(args))
+    # A CVE without a CPE vendor that standardizes to a name is skipped, not an error.
+    usable = [r for r in corpus if any(standardize(uri.vendor, stop_words) for uri in r.cpe_list)]
+    stats = analytics.vendor_completeness(usable, stop_words) if usable else []
     rows = [s.to_dict() for s in stats]
     summary = {"skipped_no_vendor": len(corpus) - len(usable)}
     return {"report": "vendors", **summary, "vendors": rows}, rows, summary
 
 
-def _table_report(args: argparse.Namespace, config: RunConfig) -> Report:
-    initial, later = analytics.split_scores(_snapshots(args, config))
+def _table_report(args: argparse.Namespace, stop_words: StopWordList | None) -> Report:
+    initial, later = analytics.split_scores(_snapshots(args))
     zeros = sum(1 for s in initial if s == 0) + sum(1 for s in later if s == 0)
     table = analytics.score_table([s for s in initial if s != 0], [s for s in later if s != 0])
     payload = {"report": "table", "dropped_zero_scores": zeros, **table.to_dict()}
@@ -272,7 +267,7 @@ def _table_report(args: argparse.Namespace, config: RunConfig) -> Report:
     return payload, payload["rows"], summary
 
 
-def _ranktest_report(args: argparse.Namespace, config: RunConfig) -> Report:
+def _ranktest_report(args: argparse.Namespace, stop_words: StopWordList | None) -> Report:
     if not (args.scores_a and args.scores_b):
         raise FormatError("ranktest needs --scores-a and --scores-b")
     result = analytics.mann_whitney_u(
@@ -292,36 +287,38 @@ STATS_REPORTS = {
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
+    stop_words = _stop_words(args)
     row_type, report = STATS_REPORTS[args.report]
-    payload, rows, summary = report(args, config)
+    payload, rows, summary = report(args, stop_words)
     if not args.csv:
-        _emit_json(config, payload)
+        _emit_json(args, payload)
         return EXIT_OK
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, [f.name for f in fields(row_type)], lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    _write_text(config, buffer.getvalue())
+    _write_text(args, buffer.getvalue())
     if summary:
         _note(" ".join(f"{key}={value}" for key, value in summary.items()))
     return EXIT_OK
 
 
-def _read_dictionary(args: argparse.Namespace, config: RunConfig) -> ingest.CpeDictionary:
-    dictionary = ingest.parse_cpe_dictionary(Path(args.dictionary).read_bytes(), config.stop_words)
+def _read_dictionary(
+    args: argparse.Namespace, stop_words: StopWordList | None
+) -> ingest.CpeDictionary:
+    dictionary = ingest.parse_cpe_dictionary(Path(args.dictionary).read_bytes(), stop_words)
     _note(f"dictionary: {dictionary.skipped} entr(ies) skipped")
     return dictionary
 
 
 def cmd_build_filter(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
+    stop_words = _stop_words(args)
     corpus, excluded, reject_counts = _feed_corpus(args.feeds)
     fp_filter = matcher.build_fp_filter(
         corpus,
-        _read_dictionary(args, config),
-        min_name_len=config.min_name_len,
-        stop_words=config.stop_words,
+        _read_dictionary(args, stop_words),
+        min_name_len=args.min_name_len,
+        stop_words=stop_words,
         source_year=args.source_year,
     )
     fp_filter.save(args.out_vendors, args.out_products)
@@ -329,7 +326,7 @@ def cmd_build_filter(args: argparse.Namespace) -> int:
         _note(f"{name}: {count} rejected item(s)")
     _note(f"filter built from {len(corpus)} CPE-bearing record(s), {excluded} excluded")
     _emit_json(
-        config,
+        args,
         {
             "vendors": len(fp_filter.vendor_names),
             "products": len(fp_filter.product_names),
@@ -342,18 +339,18 @@ def cmd_build_filter(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
+    stop_words = _stop_words(args)
     corpus, excluded, reject_counts = _feed_corpus(args.feeds)
     report = matcher.evaluate_corpus(
         corpus,
-        _read_dictionary(args, config),
-        min_name_len=config.min_name_len,
-        stop_words=config.stop_words,
+        _read_dictionary(args, stop_words),
+        min_name_len=args.min_name_len,
+        stop_words=stop_words,
     )
     for name, count in reject_counts.items():
         _note(f"{name}: {count} rejected item(s)")
     _note(f"evaluated {report.total} CPE-bearing record(s), {excluded} excluded for missing CPE")
-    _emit_json(config, report.to_dict())
+    _emit_json(args, report.to_dict())
     return EXIT_OK
 
 

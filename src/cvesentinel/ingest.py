@@ -108,30 +108,59 @@ def _item_date(item: Mapping[str, Any], key: str) -> date | None:
         return None
 
 
+def _object(parent: Mapping[str, Any], key: str) -> Mapping[str, Any]:
+    """``parent[key]``, which must be an object when present; an absent or
+    empty value reads as an empty object."""
+    value = parent.get(key) or {}
+    if not isinstance(value, dict):
+        raise ValidationError(f"{key} is not an object")
+    return value
+
+
+def _objects(parent: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
+    """``parent[key]``, which must be an array of objects when present; an
+    absent or empty value reads as an empty array."""
+    value = parent.get(key) or []
+    if not isinstance(value, list):
+        raise ValidationError(f"{key} is not an array")
+    for entry in value:  # a loop, not all(): this runs for every item of every feed
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{key} holds a non-object")
+    return value
+
+
 def _gather_cpe_uris(configurations: Mapping[str, Any]) -> list[CpeUri]:
     uris: list[CpeUri] = []
     seen: set[str] = set()
 
     def walk(node: Mapping[str, Any]) -> None:
-        for match in node.get("cpe_match", []):
+        for match in _objects(node, "cpe_match"):
             raw = match.get("cpe23Uri")
             if raw is None:
                 continue
+            if not isinstance(raw, str):
+                raise ValidationError(f"CPE name must be a string, got {raw!r}")
             if raw not in seen:
                 seen.add(raw)
                 uris.append(CpeUri.parse(raw))
-        for child in node.get("children", []):
+        for child in _objects(node, "children"):
             walk(child)
 
-    for node in configurations.get("nodes", []):
+    for node in _objects(configurations, "nodes"):
         walk(node)
     return uris
 
 
+def _item_id(item: Mapping[str, Any]) -> Any:
+    """The item's CVE id, for its reject; None when there is no object path to it."""
+    cve = item.get("cve")
+    meta = cve.get("CVE_data_meta") if isinstance(cve, dict) else None
+    return meta.get("ID") if isinstance(meta, dict) else None
+
+
 def _parse_feed_item(item: Mapping[str, Any]) -> CveRecord:
-    cve = item.get("cve") or {}
-    meta = cve.get("CVE_data_meta") or {}
-    cve_id = meta.get("ID")
+    cve = _object(item, "cve")
+    cve_id = _object(cve, "CVE_data_meta").get("ID")
     if not cve_id:
         raise ValidationError("item lacks a CVE id")
     published = _item_date(item, "publishedDate")
@@ -140,21 +169,19 @@ def _parse_feed_item(item: Mapping[str, Any]) -> CveRecord:
     last_modified = _item_date(item, "lastModifiedDate") or published
 
     summary = ""
-    for desc in (cve.get("description") or {}).get("description_data", []):
+    for desc in _objects(_object(cve, "description"), "description_data"):
         if desc.get("lang") == "en":
             summary = desc.get("value", "")
             break
 
     score = None
-    impact = item.get("impact") or {}
-    base_metric = impact.get("baseMetricV3") or {}
-    cvss3 = base_metric.get("cvssV3") or {}
+    cvss3 = _object(_object(_object(item, "impact"), "baseMetricV3"), "cvssV3")
     if "baseScore" in cvss3:
         score = cvss3["baseScore"]
 
     references = tuple(
         ref["url"]
-        for ref in (cve.get("references") or {}).get("reference_data", [])
+        for ref in _objects(_object(cve, "references"), "reference_data")
         if ref.get("url")
     )
 
@@ -164,7 +191,7 @@ def _parse_feed_item(item: Mapping[str, Any]) -> CveRecord:
         last_modified=last_modified,
         summary=summary,
         cvss3_base=score,
-        cpe_list=tuple(_gather_cpe_uris(item.get("configurations") or {})),
+        cpe_list=tuple(_gather_cpe_uris(_object(item, "configurations"))),
         references=references,
     )
 
@@ -184,11 +211,10 @@ def parse_feed(data: bytes | str) -> FeedParseResult:
         if not isinstance(item, dict):
             rejects.append(FeedReject(index=index, reason="item is not an object"))
             continue
-        meta_id = ((item.get("cve") or {}).get("CVE_data_meta") or {}).get("ID")
         try:
             records.append(_parse_feed_item(item))
         except ValidationError as exc:
-            rejects.append(FeedReject(index=index, reason=str(exc), cve_id=meta_id))
+            rejects.append(FeedReject(index=index, reason=str(exc), cve_id=_item_id(item)))
     return FeedParseResult(records=tuple(records), rejects=tuple(rejects))
 
 

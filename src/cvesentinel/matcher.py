@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Iterable
 
 from .errors import ValidationError
 from .ingest import CpeDictionary
-from .model import AssetRecord, CveRecord, MatchVia
+from .model import AssetRecord, CveRecord, MatchVia, Row
 from .normalize import StopWordList, read_text_file, standardize, tokenize, well_formed_from_cpe
 
 DEFAULT_MAX_PHRASE_LEN = 4
@@ -108,7 +108,7 @@ class MatchResult:
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Row):
     """Extraction quality over a labeled corpus.
 
     ``tp`` follows the inclusive reading (own vendor or product found);
@@ -123,16 +123,6 @@ class EvalReport:
     fp_rate: float
     elided_names: int
     tp_strict: int = 0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "total": self.total,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fp_rate": self.fp_rate,
-            "elided_names": self.elided_names,
-            "tp_strict": self.tp_strict,
-        }
 
 
 class AssetIndex:

@@ -4,13 +4,13 @@ All types are immutable after construction and validate their invariants
 in ``__post_init__``; invalid values are rejected, never repaired. The two
 forms that are stored or emitted round-trip through ``to_dict`` /
 ``from_dict``: ``CveRecord`` (the snapshot store) and ``Ticket`` (the
-ticket stream).
+ticket stream). Flat report rows share the ``to_dict`` of ``Row``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -52,6 +52,22 @@ _TICKET_PRIORITY = {
     SeverityLevel.LOW: 4,
     SeverityLevel.NONE: 5,
 }
+
+
+class Row:
+    """A flat report row: ``to_dict`` gives its fields in order, dates in
+    ISO form and enums by value, so the fields are also its CSV header."""
+
+    def to_dict(self) -> dict[str, Any]:
+        row = {}
+        for f in fields(self):  # type: ignore[arg-type]  # subclasses are dataclasses
+            value = getattr(self, f.name)
+            if isinstance(value, date):
+                value = value.isoformat()
+            elif isinstance(value, Enum):
+                value = value.value
+            row[f.name] = value
+        return row
 
 
 class MatchVia(Enum):
@@ -154,8 +170,10 @@ class CveRecord:
         object.__setattr__(self, "cvss3_base", _coerce_score(self.cvss3_base))
         object.__setattr__(self, "cpe_list", tuple(self.cpe_list))
         object.__setattr__(self, "references", tuple(self.references))
-        if not CVE_ID_RE.fullmatch(self.id):
+        if not isinstance(self.id, str) or not CVE_ID_RE.fullmatch(self.id):
             raise ValidationError(f"malformed CVE id: {self.id!r}")
+        if not isinstance(self.summary, str):
+            raise ValidationError(f"{self.id}: summary is not a string: {self.summary!r}")
         if self.last_modified < self.published:
             raise ValidationError(
                 f"{self.id}: last_modified {self.last_modified} precedes published {self.published}"

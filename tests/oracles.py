@@ -5,20 +5,30 @@ substring search over a space-joined token string instead of n-gram set
 membership, summary matching tests every asset key against every CVE
 instead of looking summary phrases up in an index, the exact rank-test
 distribution comes from Gaussian binomial polynomial arithmetic instead of
-the library's iterative count, and a stored day is loaded on its own,
+the library's iterative count, a stored day is loaded on its own,
 building every record from its dict, instead of reusing the records of the
-day before.
+day before, and the history reports regroup a whole list of snapshots into
+per-CVE lists of (date, record) and scan each list, instead of folding the
+snapshots one at a time.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from datetime import date
+from decimal import Decimal
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from cvesentinel.errors import SnapshotIntegrityError, SnapshotNotFoundError, ValidationError
+from cvesentinel.analytics import CompletionDelay, CompletionField, DailyCompleteness, DelayReport
+from cvesentinel.errors import (
+    OrderingError,
+    SnapshotIntegrityError,
+    SnapshotNotFoundError,
+    ValidationError,
+)
 from cvesentinel.ingest import CpeDictionary, Snapshot, snapshot_path
 from cvesentinel.matcher import FUNCTION_WORDS, FpFilter, MatchResult
 from cvesentinel.model import AssetRecord, CveRecord, MatchVia
@@ -247,3 +257,124 @@ def oracle_load_snapshot(store_root: str | Path, day: date) -> Snapshot:
     if len(record_map) != len(records):
         raise SnapshotIntegrityError(f"snapshot file {path} repeats a CVE id")
     return Snapshot(date=day, records=record_map)
+
+
+def _check_order(snapshots: Sequence[Snapshot]) -> None:
+    for earlier, later in zip(snapshots, snapshots[1:]):
+        if earlier.date >= later.date:
+            raise OrderingError(
+                f"snapshots must be strictly ascending, got {earlier.date} before {later.date}"
+            )
+
+
+def oracle_histories(snapshots: Sequence[Snapshot]) -> dict[str, list[tuple[date, CveRecord]]]:
+    """Per-CVE appearance sequence, in snapshot order (first seen first)."""
+    _check_order(snapshots)
+    histories: dict[str, list[tuple[date, CveRecord]]] = {}
+    for snapshot in snapshots:
+        for cve_id in sorted(snapshot.records):
+            histories.setdefault(cve_id, []).append((snapshot.date, snapshot.records[cve_id]))
+    return histories
+
+
+def oracle_daily_completeness(snapshots: Sequence[Snapshot]) -> list[DailyCompleteness]:
+    """Each day's new CVEs, the ids not in the day before, over a whole list."""
+    snapshots = list(snapshots)
+    _check_order(snapshots)
+    results = []
+    for previous, current in zip(snapshots, snapshots[1:]):
+        new = [current.records[i] for i in current.records.keys() - previous.records.keys()]
+        results.append(
+            DailyCompleteness(
+                date=current.date,
+                total_reports=len(new),
+                missing_cvss=sum(1 for r in new if r.cvss3_base is None),
+                missing_cpe=sum(1 for r in new if not r.cpe_list),
+                missing_mitigation=sum(1 for r in new if not r.references),
+            )
+        )
+    return results
+
+
+def _has_field(record: CveRecord, field: CompletionField) -> bool:
+    if field is CompletionField.CVSS:
+        return record.cvss3_base is not None
+    return bool(record.cpe_list)
+
+
+def oracle_completion_delays(snapshots: Sequence[Snapshot], field: CompletionField) -> DelayReport:
+    """Scan each CVE's whole appearance list for the field.
+
+    A field dated before the published date is a reject here, where the
+    walk this copies raised on the negative delay.
+    """
+    delays: list[CompletionDelay] = []
+    updated_no_field: list[str] = []
+    never: list[str] = []
+    rejected: list[str] = []
+    for cve_id, states in sorted(oracle_histories(list(snapshots)).items()):
+        first_date, first_record = states[0]
+        if _has_field(first_record, field):
+            continue
+        completed_at = next(
+            (day for day, rec in states[1:] if _has_field(rec, field)), None
+        )
+        if completed_at is not None and completed_at < first_record.published:
+            rejected.append(cve_id)
+        elif completed_at is not None:
+            delays.append(
+                CompletionDelay(
+                    cve_id=cve_id,
+                    published=first_record.published,
+                    completed=completed_at,
+                    field=field,
+                    days=(completed_at - first_record.published).days,
+                )
+            )
+        elif any(rec != first_record for _, rec in states[1:]):
+            updated_no_field.append(cve_id)
+        else:
+            never.append(cve_id)
+    return DelayReport(
+        field=field,
+        delays=tuple(delays),
+        updated_without_field=tuple(updated_no_field),
+        never_updated=tuple(never),
+        rejected=tuple(rejected),
+    )
+
+
+def oracle_assemble_vendor_corpus(snapshots: Sequence[Snapshot]) -> list[CveRecord]:
+    """Each first record with the CPEs of every later appearance appended."""
+    corpus = []
+    for cve_id, states in sorted(oracle_histories(list(snapshots)).items()):
+        _, first_record = states[0]
+        seen_raw = {uri.raw for uri in first_record.cpe_list}
+        union = list(first_record.cpe_list)
+        for _, record in states[1:]:
+            for uri in record.cpe_list:
+                if uri.raw not in seen_raw:
+                    seen_raw.add(uri.raw)
+                    union.append(uri)
+        record = first_record
+        if len(union) != len(first_record.cpe_list):
+            record = replace(first_record, cpe_list=tuple(union))
+        corpus.append(record)
+    return corpus
+
+
+def oracle_split_scores(snapshots: Sequence[Snapshot]) -> tuple[list[Decimal], list[Decimal]]:
+    """First scores, found by scanning each CVE's whole appearance list."""
+    initial: list[Decimal] = []
+    later: list[Decimal] = []
+    for _, states in sorted(oracle_histories(list(snapshots)).items()):
+        _, first_record = states[0]
+        if first_record.cvss3_base is not None:
+            initial.append(first_record.cvss3_base)
+            continue
+        first_score = next(
+            (rec.cvss3_base for _, rec in states[1:] if rec.cvss3_base is not None), None
+        )
+        if first_score is not None:
+            later.append(first_score)
+    return initial, later

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from datetime import date
+from datetime import date, timedelta
 from decimal import Decimal
 
 import pytest
@@ -26,7 +26,14 @@ from cvesentinel.analytics import (
 )
 from cvesentinel.errors import DomainError, OrderingError
 from cvesentinel.model import SeverityLevel
-from oracles import oracle_exact_mwu_p, oracle_exact_mwu_p_large
+from oracles import (
+    oracle_assemble_vendor_corpus,
+    oracle_completion_delays,
+    oracle_daily_completeness,
+    oracle_exact_mwu_p,
+    oracle_exact_mwu_p_large,
+    oracle_split_scores,
+)
 
 
 class TestSeverityBucket:
@@ -270,6 +277,81 @@ class TestCompletionDelays:
             assert len(report.delays) + len(report.updated_without_field) + len(
                 report.never_updated
             ) == len(first_seen_without)
+
+
+    def test_field_dated_before_publication_is_rejected(self):
+        # Published 06-05 per the record, yet seen bare on 06-01 and scored on 06-02.
+        bare = make_record("CVE-2021-0002", "2021-06-05")
+        scored = make_record("CVE-2021-0002", "2021-06-05", score=5.0)
+        on_time = make_record("CVE-2021-0001", "2021-06-01")
+        on_time_scored = make_record("CVE-2021-0001", "2021-06-01", score=5.0)
+        snaps = [
+            snapshot_of("2021-06-01", [on_time, bare]),
+            snapshot_of("2021-06-02", [on_time_scored, scored]),
+        ]
+        report = completion_delays(iter(snaps), CompletionField.CVSS)
+        assert [d.cve_id for d in report.delays] == ["CVE-2021-0001"]
+        assert report.rejected == ("CVE-2021-0002",)
+        assert report.updated_without_field == report.never_updated == ()
+
+
+_DAY0 = date(2021, 6, 1)
+_HISTORY_IDS = [f"CVE-2021-000{n}" for n in range(1, 5)]
+_HISTORY_CPES = [cpe23("acme", "anvil"), cpe23("acme", "rocket"), cpe23("inc", "widget"),
+                 cpe23("geotab", "r2d2")]
+
+
+@st.composite
+def _history_record(draw, cve_id):
+    published = _DAY0 + timedelta(days=draw(st.integers(-2, 8)))
+    return make_record(
+        cve_id,
+        published.isoformat(),
+        summary=draw(st.sampled_from(["a", "b"])),
+        score=draw(st.sampled_from([None, 0, 0.0, 5.0, 9.8])),
+        cpes=draw(st.lists(st.sampled_from(_HISTORY_CPES), max_size=3)),
+        refs=draw(st.sampled_from([(), ("https://r",)])),
+    )
+
+
+@st.composite
+def _histories(draw):
+    """1-6 ascending days; each CVE is absent, kept as the same object as
+    the day before, or given a freshly drawn record."""
+    day = _DAY0
+    last: dict[str, object] = {}
+    snapshots = []
+    for _ in range(draw(st.integers(1, 6))):
+        records = []
+        for cve_id in _HISTORY_IDS:
+            action = draw(st.sampled_from(["absent", "keep", "new"]))
+            if action == "keep" and cve_id in last:
+                records.append(last[cve_id])
+            elif action != "absent":
+                last[cve_id] = draw(_history_record(cve_id))
+                records.append(last[cve_id])
+        snapshots.append(snapshot_of(day.isoformat(), records))
+        day += timedelta(days=draw(st.integers(1, 3)))
+    return snapshots
+
+
+class TestHistoryFunctionsEqualOracles:
+    """Each history function, fed a generator, equals its whole-list oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_histories())
+    def test_four_history_functions(self, snaps):
+        assert daily_completeness(s for s in snaps) == oracle_daily_completeness(snaps)
+        for field in CompletionField:
+            assert completion_delays((s for s in snaps), field) == oracle_completion_delays(
+                snaps, field
+            )
+        corpus = assemble_vendor_corpus(s for s in snaps)
+        assert [repr(r) for r in corpus] == [repr(r) for r in oracle_assemble_vendor_corpus(snaps)]
+        initial, later = split_scores(s for s in snaps)
+        oracle_initial, oracle_later = oracle_split_scores(snaps)
+        assert [str(x) for x in initial] == [str(x) for x in oracle_initial]
+        assert [str(x) for x in later] == [str(x) for x in oracle_later]
 
 
 class TestVendorCompleteness:

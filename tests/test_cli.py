@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import gzip
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
 from conftest import cpe23, feed_bytes, feed_item
+from cvesentinel import cli
 from cvesentinel.cli import main
 from oracles import oracle_evaluate
 
@@ -91,6 +93,23 @@ class TestIngest:
         payload = json.loads(capsys.readouterr().out)
         assert payload["stored"] == 2
         assert payload["rejected_total"] == 2
+
+    def test_wrong_shapes_are_item_rejects(self, tmp_path, store, capsys):
+        cve_not_object = feed_item("CVE-2021-0002")
+        cve_not_object["cve"] = 5
+        node_not_object = feed_item("CVE-2021-0003")
+        node_not_object["configurations"]["nodes"] = [5]
+        cpe_list = feed_item("CVE-2021-0004", cpes=[cpe23("acme", "anvil")])
+        cpe_list["configurations"]["nodes"][0]["cpe_match"][0]["cpe23Uri"] = [cpe23("a", "b")]
+        summary_not_string = feed_item("CVE-2021-0005", summary="five")
+        summary_not_string["cve"]["description"]["description_data"][0]["value"] = 5
+        items = [feed_item("CVE-2021-0001"), cve_not_object, node_not_object, cpe_list,
+                 summary_not_string, feed_item("CVE-2021-0006")]
+        assert ingest_day(tmp_path, store, "2021-06-01", items) == 0
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        payload = json.loads(out)
+        assert (payload["stored"], payload["rejected_total"]) == (2, 4)
 
     def test_same_file_name_in_two_directories_keeps_both_counts(self, tmp_path, store, capsys):
         (tmp_path / "a").mkdir()
@@ -347,6 +366,7 @@ CORRUPTIONS = {
     "repeated-id-day-5": [("2021-06-05", lambda p: p["records"].append(dict(p["records"][-1])))],
     "int-cpe": [("2021-06-02", _set_first(cpe_list=[1]))],
     "nan-score": [("2021-06-02", _set_first(cvss3_base="NaN"))],
+    "int-summary": [("2021-06-03", _set_first(summary=5))],
 }
 
 
@@ -463,6 +483,55 @@ class TestStats:
         err = capsys.readouterr().err
         assert err.startswith(("error: corrupt snapshot file", "error: snapshot file"))
         assert err.count("\n") == 1
+
+    def test_vendor_that_standardizes_to_nothing_is_skipped(self, tmp_path, store, capsys):
+        ingest_day(tmp_path, store, "2021-06-01", [
+            feed_item("CVE-2021-0001", cpes=[cpe23("acme", "anvil")]),
+            feed_item("CVE-2021-0002", cpes=["cpe:2.3:a:inc:widget:1.0:*:*:*:*:*:*:*"]),
+            feed_item("CVE-2021-0003"),
+        ])
+        capsys.readouterr()
+        code = main(["stats", "--report", "vendors", "--from", "2021-06-01", "--to", "2021-06-01",
+                     "--store", store])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["skipped_no_vendor"] == 2
+        assert [v["vendor"] for v in payload["vendors"]] == ["acme"]
+
+    def test_field_before_publication_is_a_counted_reject(self, tmp_path, store, capsys):
+        ingest_day(tmp_path, store, "2021-06-01", [
+            feed_item("CVE-2021-0001", published="2021-06-01T00:00Z"),
+            feed_item("CVE-2021-0002", published="2021-06-05T00:00Z"),
+        ])
+        ingest_day(tmp_path, store, "2021-06-02", [
+            feed_item("CVE-2021-0001", published="2021-06-01T00:00Z", score=5.0),
+            feed_item("CVE-2021-0002", published="2021-06-05T00:00Z", score=5.0),
+        ])
+        capsys.readouterr()
+        code = main(["stats", "--report", "delays", "--field", "cvss",
+                     "--from", "2021-06-01", "--to", "2021-06-02", "--store", store])
+        assert code == 0
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert list(payload) == ["report", "field", "completed", "updated_no_field", "never",
+                                 "average_days", "delays"]
+        assert (payload["completed"], payload["updated_no_field"], payload["never"]) == (1, 0, 0)
+        assert err == "1 CVE(s) rejected, CVSS arrived before publishedDate: CVE-2021-0002\n"
+
+    def test_range_is_loaded_one_day_at_a_time(self, tmp_path, store):
+        for day in ("2021-06-01", "2021-06-02", "2021-06-03"):
+            ingest_day(tmp_path, store, day, [feed_item("CVE-2021-0001")])
+        args = cli.build_parser().parse_args(
+            ["stats", "--report", "daily", "--from", "2021-06-01", "--to", "2021-06-03",
+             "--store", store]
+        )
+        days = cli._snapshots(args)
+        first = weakref.ref(next(days))
+        second = next(days)
+        assert first() is None  # freed before the last day is loaded
+        last = next(days)
+        assert last.records["CVE-2021-0001"] is second.records["CVE-2021-0001"]
+        assert next(days, None) is None
 
     def test_ranktest_report(self, tmp_path, capsys):
         a = write(tmp_path, "a.txt", "1\n2\n")

@@ -150,6 +150,40 @@ class TestParseFeed:
         assert len(result.records) == kinds.count("ok")
 
 
+    # Where a JSON value of any type can sit in an item, with the keys on the way to it.
+    _SHAPE_PATHS = [
+        ("cve",), ("cve", "CVE_data_meta"), ("cve", "CVE_data_meta", "ID"),
+        ("cve", "description"), ("cve", "description", "description_data"),
+        ("cve", "references"), ("cve", "references", "reference_data"),
+        ("configurations",), ("configurations", "nodes"), ("impact",),
+        ("impact", "baseMetricV3"), ("impact", "baseMetricV3", "cvssV3"),
+        ("impact", "baseMetricV3", "cvssV3", "baseScore"),
+    ]
+    _JSON = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+        | st.just(cpe23("acme", "anvil")),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["cpe_match", "children", "cpe23Uri", "lang", "value"]),
+                          inner, max_size=3),
+        max_leaves=8,
+    )
+
+    @settings(deadline=None)
+    @given(st.sampled_from(_SHAPE_PATHS), _JSON, st.booleans())
+    def test_any_shape_is_a_record_or_a_reject(self, path, value, in_node):
+        item = feed_item("CVE-2021-0001", summary="s", score=5.0, cpes=[cpe23("acme", "anvil")])
+        if in_node:  # inside a configuration node, where the CPE walk recurses
+            item["configurations"]["nodes"][0]["children"] = [value]
+        else:
+            parent = item
+            for key in path[:-1]:
+                parent = parent.setdefault(key, {})
+            parent[path[-1]] = value
+        result = parse_feed(feed_bytes([item, feed_item("CVE-2021-0002")]))
+        assert len(result.records) + len(result.rejects) == 2
+        assert "CVE-2021-0002" in {r.id for r in result.records}
+
+
 class TestParseCpeDictionary:
     def test_geotab_entry(self):
         data = json.dumps([{"cpe23": "cpe:2.3:a:geotab:r2d2:3.0.1.16:*:*:*:*:*:*:*"}])

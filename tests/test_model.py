@@ -87,6 +87,12 @@ class TestCveRecord:
         with pytest.raises(ValidationError):
             make_record(bad_id)
 
+    @pytest.mark.parametrize("field", [{"id": 5}, {"summary": 5}, {"summary": None}])
+    def test_non_string_id_or_summary_rejected(self, field):
+        data = {**make_record("CVE-2021-1234", summary="s").to_dict(), **field}
+        with pytest.raises(ValidationError):
+            CveRecord.from_dict(data)
+
     def test_modified_before_published_rejected(self):
         with pytest.raises(ValidationError):
             make_record("CVE-2021-1234", published="2021-06-02", modified="2021-06-01")
