@@ -9,16 +9,18 @@ its index and reason while the remaining items still parse, so
 from __future__ import annotations
 
 import csv
+import gc
 import gzip
 import io
 import json
 import os
 import xml.etree.ElementTree as ET
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import (
     FeedParseError,
@@ -33,6 +35,27 @@ from .model import AssetRecord, CpeUri, CveRecord, SnapshotDiff
 from .normalize import StopWordList, as_text, well_formed_from_cpe, well_formed_from_raw
 
 INVENTORY_COLUMNS = ("asset_id", "product_name", "vendor_name", "version", "cpe23")
+
+# The C encoder; any indent would force the pure-Python one.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore its state.
+
+    Building a feed or a stored day allocates many containers that live
+    until the build ends, and leaves no reference cycle, so each collection
+    those allocations would trigger finds nothing to free. A collector the
+    caller had turned off stays off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -129,26 +152,29 @@ def _objects(parent: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
     return value
 
 
-def _gather_cpe_uris(configurations: Mapping[str, Any]) -> list[CpeUri]:
-    uris: list[CpeUri] = []
-    seen: set[str] = set()
-
-    def walk(node: Mapping[str, Any]) -> None:
+def _gather_cpe_uris(
+    configurations: Mapping[str, Any], cpes: dict[str, CpeUri]
+) -> tuple[CpeUri, ...]:
+    """The distinct CPE names of an item's configuration tree, in document
+    order (each node's own names before its children's). ``cpes`` maps raw
+    strings to their parsed names, so a feed parses each string once."""
+    uris: dict[str, CpeUri] = {}
+    stack = _objects(configurations, "nodes")[::-1]
+    while stack:  # a stack, not recursion: a recursive closure is a cycle per item
+        node = stack.pop()
         for match in _objects(node, "cpe_match"):
             raw = match.get("cpe23Uri")
             if raw is None:
                 continue
             if not isinstance(raw, str):
                 raise ValidationError(f"CPE name must be a string, got {raw!r}")
-            if raw not in seen:
-                seen.add(raw)
-                uris.append(CpeUri.parse(raw))
-        for child in _objects(node, "children"):
-            walk(child)
-
-    for node in _objects(configurations, "nodes"):
-        walk(node)
-    return uris
+            if raw not in uris:
+                uri = cpes.get(raw)
+                if uri is None:
+                    uri = cpes[raw] = CpeUri.parse(raw)
+                uris[raw] = uri
+        stack.extend(reversed(_objects(node, "children")))
+    return tuple(uris.values())
 
 
 def _item_id(item: Mapping[str, Any]) -> Any:
@@ -158,7 +184,7 @@ def _item_id(item: Mapping[str, Any]) -> Any:
     return meta.get("ID") if isinstance(meta, dict) else None
 
 
-def _parse_feed_item(item: Mapping[str, Any]) -> CveRecord:
+def _parse_feed_item(item: Mapping[str, Any], cpes: dict[str, CpeUri]) -> CveRecord:
     cve = _object(item, "cve")
     cve_id = _object(cve, "CVE_data_meta").get("ID")
     if not cve_id:
@@ -191,28 +217,34 @@ def _parse_feed_item(item: Mapping[str, Any]) -> CveRecord:
         last_modified=last_modified,
         summary=summary,
         cvss3_base=score,
-        cpe_list=tuple(_gather_cpe_uris(_object(item, "configurations"))),
+        cpe_list=_gather_cpe_uris(_object(item, "configurations"), cpes),
         references=references,
     )
 
 
+@_gc_paused()
 def parse_feed(data: bytes | str) -> FeedParseResult:
-    """Parse an NVD JSON 1.1 feed into records plus item-level rejects."""
+    """Parse an NVD JSON 1.1 feed into records plus item-level rejects.
+
+    Each distinct CPE string of the feed is parsed once."""
     try:
         document = json.loads(as_text(data))
     except json.JSONDecodeError as exc:
         raise FeedParseError(f"malformed feed JSON at byte {exc.pos}: {exc.msg}", offset=exc.pos)
+    except (ValueError, RecursionError) as exc:  # a huge number literal, deep nesting
+        raise FeedParseError(f"unparseable feed JSON: {exc}")
     if not isinstance(document, dict) or not isinstance(document.get("CVE_Items"), list):
         raise FeedParseError("feed document lacks a CVE_Items array")
 
     records: list[CveRecord] = []
     rejects: list[FeedReject] = []
+    cpes: dict[str, CpeUri] = {}
     for index, item in enumerate(document["CVE_Items"]):
         if not isinstance(item, dict):
             rejects.append(FeedReject(index=index, reason="item is not an object"))
             continue
         try:
-            records.append(_parse_feed_item(item))
+            records.append(_parse_feed_item(item, cpes))
         except ValidationError as exc:
             rejects.append(FeedReject(index=index, reason=str(exc), cve_id=_item_id(item)))
     return FeedParseResult(records=tuple(records), rejects=tuple(rejects))
@@ -253,7 +285,7 @@ def _cpe_names_from_xml(text: str) -> Iterable[str]:
 def _cpe_names_from_json(text: str) -> Iterable[str]:
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"unparseable CPE dictionary JSON: {exc}")
     if not isinstance(document, list):
         raise FormatError("simplified CPE dictionary must be a JSON array")
@@ -350,21 +382,23 @@ def snapshot_path(store_root: str | Path, day: date) -> Path:
 def store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool = False) -> Path:
     """Persist a snapshot as one JSON file named by its date.
 
-    Refuses to clobber an existing date unless overwrite is set. The write
-    goes through a temp file so a crash never leaves a half-written day.
+    The file holds ``{"date", "record_count", "records": [...]}`` with one
+    compact record per line, sorted by id, so a changed record is one
+    changed line. Refuses to clobber an existing date unless overwrite is
+    set. The write goes through a temp file so a crash never leaves a
+    half-written day.
     """
     path = snapshot_path(store_root, snapshot.date)
     if path.exists() and not overwrite:
         raise SnapshotExistsError(f"snapshot for {snapshot.date.isoformat()} already stored")
     path.parent.mkdir(parents=True, exist_ok=True)
-    records = [snapshot.records[cve_id].to_dict() for cve_id in sorted(snapshot.records)]
-    payload = {
-        "date": snapshot.date.isoformat(),
-        "record_count": len(records),
-        "records": records,
-    }
+    records = snapshot.records
+    head = f'{{"date":"{snapshot.date.isoformat()}","record_count":{len(records)},"records":['
+    body = ",".join(
+        "\n" + _RECORD_ENCODER.encode(records[cve_id].to_dict()) for cve_id in sorted(records)
+    )
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(payload, indent=1), encoding="utf-8")
+    tmp.write_text(f"{head}{body}\n]}}\n", encoding="utf-8")
     tmp.replace(path)
     return path
 
@@ -383,6 +417,7 @@ def _stored_record(
     return CveRecord.from_dict(data, cpes)
 
 
+@_gc_paused()
 def load_snapshot(
     store_root: str | Path, day: date, previous: Snapshot | None = None
 ) -> Snapshot:
@@ -404,7 +439,7 @@ def load_snapshot(
         stored_date = date.fromisoformat(payload["date"])
         records = [_stored_record(data, known, cpes) for data in payload["records"]]
         count = payload["record_count"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError, ValidationError) as exc:
         raise SnapshotIntegrityError(f"corrupt snapshot file {path}: {exc}")
     if stored_date != day:
         raise SnapshotIntegrityError(f"snapshot file {path} is stamped {stored_date.isoformat()}")

@@ -174,6 +174,9 @@ class CveRecord:
             raise ValidationError(f"malformed CVE id: {self.id!r}")
         if not isinstance(self.summary, str):
             raise ValidationError(f"{self.id}: summary is not a string: {self.summary!r}")
+        for ref in self.references:
+            if not isinstance(ref, str):
+                raise ValidationError(f"{self.id}: reference is not a string: {ref!r}")
         if self.last_modified < self.published:
             raise ValidationError(
                 f"{self.id}: last_modified {self.last_modified} precedes published {self.published}"

@@ -5,7 +5,9 @@ substring search over a space-joined token string instead of n-gram set
 membership, summary matching tests every asset key against every CVE
 instead of looking summary phrases up in an index, the exact rank-test
 distribution comes from Gaussian binomial polynomial arithmetic instead of
-the library's iterative count, a stored day is loaded on its own,
+the library's iterative count, a feed item's CPE names are gathered by
+recursion over its configuration tree instead of with an explicit stack,
+a stored day is loaded on its own,
 building every record from its dict, instead of reusing the records of the
 day before, and the history reports regroup a whole list of snapshots into
 per-CVE lists of (date, record) and scan each list, instead of folding the
@@ -20,7 +22,7 @@ from datetime import date
 from decimal import Decimal
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from cvesentinel.analytics import CompletionDelay, CompletionField, DailyCompleteness, DelayReport
 from cvesentinel.errors import (
@@ -29,9 +31,9 @@ from cvesentinel.errors import (
     SnapshotNotFoundError,
     ValidationError,
 )
-from cvesentinel.ingest import CpeDictionary, Snapshot, snapshot_path
+from cvesentinel.ingest import CpeDictionary, Snapshot, _objects, snapshot_path
 from cvesentinel.matcher import FUNCTION_WORDS, FpFilter, MatchResult
-from cvesentinel.model import AssetRecord, CveRecord, MatchVia
+from cvesentinel.model import AssetRecord, CpeUri, CveRecord, MatchVia
 from cvesentinel.normalize import standardize, tokenize
 
 
@@ -233,6 +235,29 @@ def oracle_exact_mwu_p_large(a: Sequence[float], b: Sequence[float]) -> float:
     total = sum(dist)
     below = sum(dist[: u_min + 1])
     return min(1.0, 2 * below / total)
+
+
+def oracle_gather_cpe_uris(configurations: Mapping[str, Any]) -> list[CpeUri]:
+    """The distinct CPE names of a configuration tree, by recursion."""
+    uris: list[CpeUri] = []
+    seen: set[str] = set()
+
+    def walk(node: Mapping[str, Any]) -> None:
+        for match in _objects(node, "cpe_match"):
+            raw = match.get("cpe23Uri")
+            if raw is None:
+                continue
+            if not isinstance(raw, str):
+                raise ValidationError(f"CPE name must be a string, got {raw!r}")
+            if raw not in seen:
+                seen.add(raw)
+                uris.append(CpeUri.parse(raw))
+        for child in _objects(node, "children"):
+            walk(child)
+
+    for node in _objects(configurations, "nodes"):
+        walk(node)
+    return uris
 
 
 def oracle_load_snapshot(store_root: str | Path, day: date) -> Snapshot:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import gzip
 import json
 import weakref
@@ -51,6 +52,18 @@ INVENTORY = "\n".join(
 def ingest_day(tmp_path, store, day: str, items, name=None) -> int:
     feed = write(tmp_path, name or f"feed-{day}.json", feed_bytes(items))
     return main(["ingest", feed, "--date", day, "--store", store])
+
+
+# JSON that json.loads refuses with an error other than JSONDecodeError.
+UNPARSEABLE_JSON = {
+    "5000-digit-number": '[{"cpe23": ' + "9" * 5000 + "}]",
+    "deep-nesting": "[" * 100_000,
+}
+
+
+def assert_one_line_error(err: str) -> None:
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestIngest:
@@ -110,6 +123,13 @@ class TestIngest:
         assert "Traceback" not in err
         payload = json.loads(out)
         assert (payload["stored"], payload["rejected_total"]) == (2, 4)
+
+    @pytest.mark.parametrize("text", UNPARSEABLE_JSON.values(), ids=UNPARSEABLE_JSON.keys())
+    def test_unparseable_feed_json_exits_2(self, tmp_path, store, capsys, text):
+        feed = write(tmp_path, "feed.json", text)
+        assert main(["ingest", feed, "--date", "2021-06-01", "--store", store]) == 2
+        assert_one_line_error(capsys.readouterr().err)
+        assert gc.isenabled()
 
     def test_same_file_name_in_two_directories_keeps_both_counts(self, tmp_path, store, capsys):
         (tmp_path / "a").mkdir()
@@ -367,6 +387,7 @@ CORRUPTIONS = {
     "int-cpe": [("2021-06-02", _set_first(cpe_list=[1]))],
     "nan-score": [("2021-06-02", _set_first(cvss3_base="NaN"))],
     "int-summary": [("2021-06-03", _set_first(summary=5))],
+    "int-reference": [("2021-06-04", _set_first(references=["https://r", 5]))],
 }
 
 
@@ -483,6 +504,20 @@ class TestStats:
         err = capsys.readouterr().err
         assert err.startswith(("error: corrupt snapshot file", "error: snapshot file"))
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", UNPARSEABLE_JSON.values(), ids=UNPARSEABLE_JSON.keys())
+    def test_unparseable_stored_day_exits_4(self, tmp_path, store, capsys, text):
+        for day in ("2021-06-01", "2021-06-02"):
+            ingest_day(tmp_path, store, day, [feed_item("CVE-2021-0001")])
+        (Path(store) / "snapshots" / "2021-06-02").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        code = main(["stats", "--report", "daily", "--from", "2021-06-01", "--to", "2021-06-02",
+                     "--store", store])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert err.startswith("error: corrupt snapshot file")
+        assert gc.isenabled()
 
     def test_vendor_that_standardizes_to_nothing_is_skipped(self, tmp_path, store, capsys):
         ingest_day(tmp_path, store, "2021-06-01", [
@@ -870,6 +905,18 @@ class TestBuildFilterAndEvaluate:
         assert main(["evaluate", feed, "--dictionary", dictionary]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", UNPARSEABLE_JSON.values(), ids=UNPARSEABLE_JSON.keys())
+    def test_unparseable_dictionary_json_exits_2(self, tmp_path, capsys, text):
+        feed = self._feeds(tmp_path)
+        dictionary = write(tmp_path, "dict.json", text)
+        code = main(["build-filter", feed, "--dictionary", dictionary,
+                     "--out-vendors", str(tmp_path / "v.txt"), "--out-products", str(tmp_path / "p.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert err.startswith("error: unparseable CPE dictionary JSON")
+        assert gc.isenabled()
 
     def test_min_name_len_one_raises_fp_count(self, tmp_path, capsys):
         feed = self._feeds(tmp_path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import gzip
 import json
 import tempfile
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cpe23, feed_bytes, feed_item, make_record, snapshot_of
+from cvesentinel import ingest
 from cvesentinel.errors import (
     FeedParseError,
     FormatError,
@@ -20,6 +22,7 @@ from cvesentinel.errors import (
     SnapshotExistsError,
     SnapshotIntegrityError,
     SnapshotNotFoundError,
+    ValidationError,
 )
 from cvesentinel.ingest import (
     Snapshot,
@@ -34,7 +37,23 @@ from cvesentinel.ingest import (
     read_feed_bytes,
     store_snapshot,
 )
-from oracles import oracle_load_snapshot
+from oracles import oracle_gather_cpe_uris, oracle_load_snapshot
+
+
+# CPE names repeated across nodes and items; the last three are rejected.
+_CPE_POOL = [cpe23("acme", "anvil"), cpe23("acme", "anvil", "2.0"), cpe23("px", "x"),
+             cpe23("geotab", "r2d2"), "cpe:2.3:a:truncated", "not a cpe", 5]
+
+
+def _config_node(depth: int):
+    """A configuration node with at most ``depth`` levels of children."""
+    match = st.sampled_from(_CPE_POOL[:4] * 6 + _CPE_POOL[4:]).map(lambda raw: {"cpe23Uri": raw})
+    children = st.just([]) if depth == 1 else st.lists(_config_node(depth - 1), max_size=2)
+    return st.fixed_dictionaries({
+        "operator": st.just("OR"),
+        "cpe_match": st.lists(match | st.just({"vulnerable": True}), max_size=3),
+        "children": children,
+    })
 
 
 class TestParseFeed:
@@ -127,6 +146,33 @@ class TestParseFeed:
         with pytest.raises(FeedParseError):
             parse_feed(b'{"foo": 1}')
 
+    @pytest.mark.parametrize(
+        "data",
+        [b'{"CVE_Items": [{"impact": {"baseMetricV3": {"cvssV3": {"baseScore": '
+         + b"9" * 5000 + b"}}}}]}", b"[" * 100_000],
+        ids=["5000-digit-number", "deep-nesting"],
+    )
+    def test_unparseable_json_is_a_feed_error(self, data):
+        with pytest.raises(FeedParseError, match="unparseable feed JSON"):
+            parse_feed(data)
+
+    def test_non_string_reference_is_an_item_reject(self):
+        items = [feed_item("CVE-2021-0001", refs=[5]), feed_item("CVE-2021-0002", refs=[["x"]]),
+                 feed_item("CVE-2021-0003", refs=["https://a"])]
+        result = parse_feed(feed_bytes(items))
+        assert [r.id for r in result.records] == ["CVE-2021-0003"]
+        assert [(r.cve_id, r.reason) for r in result.rejects] == [
+            ("CVE-2021-0001", "CVE-2021-0001: reference is not a string: 5"),
+            ("CVE-2021-0002", "CVE-2021-0002: reference is not a string: ['x']"),
+        ]
+
+    def test_each_cpe_string_parsed_once_per_feed(self):
+        anvil = cpe23("acme", "anvil")
+        items = [feed_item("CVE-2021-0001", cpes=[anvil]),
+                 feed_item("CVE-2021-0002", cpes=[cpe23("px", "x"), anvil])]
+        first, second = parse_feed(feed_bytes(items)).records
+        assert first.cpe_list[0] is second.cpe_list[1]
+
     def test_gzip_transparent(self, tmp_path):
         payload = feed_bytes([feed_item("CVE-2021-0001")])
         path = tmp_path / "feed.json.gz"
@@ -182,6 +228,27 @@ class TestParseFeed:
         result = parse_feed(feed_bytes([item, feed_item("CVE-2021-0002")]))
         assert len(result.records) + len(result.rejects) == 2
         assert "CVE-2021-0002" in {r.id for r in result.records}
+
+    @settings(deadline=None)
+    @given(st.lists(st.lists(_config_node(4), max_size=3), min_size=1, max_size=4))
+    def test_cpe_lists_equal_the_recursive_oracle(self, trees):
+        items = []
+        for n, nodes in enumerate(trees):
+            item = feed_item(f"CVE-2021-{n + 1:04d}")
+            item["configurations"]["nodes"] = nodes
+            items.append(item)
+        result = parse_feed(feed_bytes(items))
+        records = {r.id: r for r in result.records}
+        rejects = {r.cve_id: r.reason for r in result.rejects}
+        for item in items:
+            cve_id = item["cve"]["CVE_data_meta"]["ID"]
+            try:
+                expected = oracle_gather_cpe_uris(item["configurations"])
+            except ValidationError as exc:
+                assert rejects[cve_id] == str(exc)
+                continue
+            assert list(records[cve_id].cpe_list) == expected
+            assert [u.raw for u in records[cve_id].cpe_list] == [u.raw for u in expected]
 
 
 class TestParseCpeDictionary:
@@ -255,6 +322,12 @@ class TestParseCpeDictionary:
     def test_unrecognized_format(self):
         with pytest.raises(FormatError):
             parse_cpe_dictionary(b"name,vendor\n")
+
+    @pytest.mark.parametrize("data", [b'[{"cpe23": ' + b"9" * 5000 + b"}]", b"[" * 100_000],
+                             ids=["5000-digit-number", "deep-nesting"])
+    def test_unparseable_json_is_a_format_error(self, data):
+        with pytest.raises(FormatError, match="unparseable CPE dictionary JSON"):
+            parse_cpe_dictionary(data)
 
 
 class TestParseAssetInventory:
@@ -335,6 +408,44 @@ class TestSnapshotStore:
         with pytest.raises(SnapshotIntegrityError):
             load_snapshot(tmp_path, date(2021, 6, 1))
 
+    def test_one_compact_record_per_line(self, tmp_path):
+        records = [
+            make_record("CVE-2021-0001", score=9.8, cpes=[cpe23("acme", "anvil")], refs=["https://a"]),
+            make_record("CVE-2021-0002", summary='two "lines"\nand caf\u00e9, \u2603'),
+            make_record("CVE-2021-0003", modified="2021-06-02", score=0.0),
+        ]
+        path = store_snapshot(tmp_path, snapshot_of("2021-06-02", reversed(records)))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(records) + 2
+        assert lines[0] == '{"date":"2021-06-02","record_count":3,"records":['
+        assert lines[-1] == "]}"
+        compact = [json.dumps(r.to_dict(), separators=(",", ":")) for r in records]  # sorted by id
+        assert lines[1:-1] == [line + "," for line in compact[:-1]] + compact[-1:]
+        loaded = load_snapshot(tmp_path, date(2021, 6, 2))
+        assert [repr(r) for r in loaded.records.values()] == [repr(r) for r in records]
+
+    def test_empty_day_is_two_lines(self, tmp_path):
+        path = store_snapshot(tmp_path, snapshot_of("2021-06-01", []))
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            '{"date":"2021-06-01","record_count":0,"records":[', "]}"]
+        assert load_snapshot(tmp_path, date(2021, 6, 1)).records == {}
+
+    def test_indented_layout_still_loads(self, tmp_path):
+        """Days stored before the compact layout, with ``indent=1``, load the same."""
+        records = [
+            make_record("CVE-2021-0001", score=9.8, cpes=[cpe23("acme", "anvil")], refs=["https://a"]),
+            make_record("CVE-2021-0002", summary="caf\u00e9", cpes=[cpe23("px", "x", "2.0")]),
+        ]
+        payload = {"date": "2021-06-01", "record_count": 2, "records": [r.to_dict() for r in records]}
+        path = tmp_path / "snapshots" / "2021-06-01"
+        path.parent.mkdir()
+        path.write_text(json.dumps(payload, indent=1), encoding="utf-8")
+        expected = snapshot_of("2021-06-01", records)
+        for loaded in (load_snapshot(tmp_path, date(2021, 6, 1)),
+                       oracle_load_snapshot(tmp_path, date(2021, 6, 1))):
+            assert loaded == expected
+            assert [repr(r) for r in loaded.records.values()] == [repr(r) for r in records]
+
 
 def write_day(store_root, day: date, records: list[dict]) -> None:
     """Store record dicts as they are given, scores of any JSON type included."""
@@ -413,6 +524,118 @@ class TestLoadWithPrevious:
                     # repr tells Decimal("1") from Decimal("1.0"); == does not
                     assert repr(record) == repr(oracle.records[cve_id])
                 previous = loaded
+
+
+def _nested_feed(count: int) -> bytes:
+    """Items with nested configuration children, every third one a reject."""
+    items = []
+    for n in range(count):
+        item = feed_item(f"CVE-2021-{n + 1:04d}", summary="s", score=5.0, refs=["https://a"],
+                         cpes=[cpe23("acme", "anvil")])
+        child = {"cpe_match": [{"cpe23Uri": cpe23("px", "x", str(n % 7))}],
+                 "children": [{"cpe_match": [{"cpe23Uri": cpe23("acme", "anvil", "2.0")}]}]}
+        if n % 3 == 2:
+            child["children"][0]["cpe_match"][0]["cpe23Uri"] = "not a cpe"
+        item["configurations"]["nodes"][0]["children"] = [child]
+        items.append(item)
+    return feed_bytes(items)
+
+
+def _store_three_days(root: Path) -> list[date]:
+    days = [date(2021, 6, 1) + timedelta(days=n) for n in range(3)]
+    for n, day in enumerate(days):
+        store_snapshot(root, snapshot_of(day.isoformat(), [
+            make_record("CVE-2021-0001", cpes=[cpe23("acme", "anvil")], refs=["https://a"]),
+            make_record(f"CVE-2021-{n + 2:04d}", score=5.0, cpes=[cpe23("px", "x")]),
+        ]))
+    return days
+
+
+class TestCollector:
+    """Building a feed or a stored day runs with the cyclic collector paused,
+    which pays only because the build leaves no reference cycle behind."""
+
+    @staticmethod
+    def _unreachable_after(build) -> int:
+        """Garbage that only the cyclic collector can free, left by ``build``."""
+        gc.collect()
+        gc.disable()
+        try:
+            build()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_parse_feed_leaves_no_cycle(self):
+        data = _nested_feed(30)
+        result = parse_feed(data)
+        assert (len(result.records), len(result.rejects)) == (20, 10)
+        assert self._unreachable_after(lambda: parse_feed(data)) == 0
+
+    def test_chained_loads_leave_no_cycle(self, tmp_path):
+        days = _store_three_days(tmp_path)
+
+        def chain():
+            previous = None
+            for day in days:
+                previous = load_snapshot(tmp_path, day, previous=previous)
+
+        assert self._unreachable_after(chain) == 0
+
+    def test_collector_is_off_while_items_and_records_are_built(self, tmp_path, monkeypatch):
+        days = _store_three_days(tmp_path)
+        states: list[bool] = []
+
+        def spy(build):
+            def wrapper(*args):
+                states.append(gc.isenabled())
+                return build(*args)
+            return wrapper
+
+        for name in ("_parse_feed_item", "_stored_record"):
+            monkeypatch.setattr(ingest, name, spy(getattr(ingest, name)))
+        assert gc.isenabled()
+        parse_feed(_nested_feed(3))
+        load_snapshot(tmp_path, days[1], previous=load_snapshot(tmp_path, days[0]))
+        assert states == [False] * 7
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            ("feed", None),
+            ("malformed-feed", FeedParseError),
+            ("deep-feed", FeedParseError),
+            ("no-items", FeedParseError),
+            ("day", None),
+            ("missing-day", SnapshotNotFoundError),
+            ("corrupt-day", SnapshotIntegrityError),
+        ],
+    )
+    def test_collector_state_restored(self, tmp_path, enabled, call, error):
+        days = _store_three_days(tmp_path)
+        (tmp_path / "snapshots" / days[2].isoformat()).write_text("[" * 100_000, encoding="utf-8")
+        calls = {
+            "feed": lambda: parse_feed(_nested_feed(3)),
+            "malformed-feed": lambda: parse_feed(b"{broken"),
+            "deep-feed": lambda: parse_feed(b"[" * 100_000),
+            "no-items": lambda: parse_feed(b"{}"),
+            "day": lambda: load_snapshot(tmp_path, days[1], previous=load_snapshot(tmp_path, days[0])),
+            "missing-day": lambda: load_snapshot(tmp_path, days[2] + timedelta(days=1)),
+            "corrupt-day": lambda: load_snapshot(tmp_path, days[2]),
+        }
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error is None:
+                calls[call]()
+            else:
+                with pytest.raises(error):
+                    calls[call]()
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestDiffSnapshots:

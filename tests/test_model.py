@@ -93,6 +93,11 @@ class TestCveRecord:
         with pytest.raises(ValidationError):
             CveRecord.from_dict(data)
 
+    @pytest.mark.parametrize("reference", [5, ["x"], None])
+    def test_non_string_reference_rejected(self, reference):
+        with pytest.raises(ValidationError, match="reference is not a string"):
+            make_record("CVE-2021-0001", refs=["https://a", reference])
+
     def test_modified_before_published_rejected(self):
         with pytest.raises(ValidationError):
             make_record("CVE-2021-1234", published="2021-06-02", modified="2021-06-01")
