@@ -16,10 +16,10 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from itertools import pairwise
 from math import comb
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
-from .errors import DomainError, OrderingError, ValidationError
-from .ingest import Snapshot
+from .errors import DomainError, ValidationError
+from .ingest import Snapshot, diff_snapshots
 from .model import CpeUri, CveRecord, Row, SeverityLevel
 from .normalize import StopWordList, standardize
 
@@ -175,24 +175,11 @@ def severity_bucket(score: Decimal | float | int | None) -> SeverityLevel:
     return SeverityLevel.CRITICAL
 
 
-def _ascending(snapshots: Iterable[Snapshot]) -> Iterator[Snapshot]:
-    """The snapshots as given, checked to be strictly ascending by date."""
-    last = None
-    for snapshot in snapshots:
-        if last is not None and last >= snapshot.date:
-            raise OrderingError(
-                f"snapshots must be strictly ascending, got {last} before {snapshot.date}"
-            )
-        last = snapshot.date
-        yield snapshot
-
-
 @dataclass(slots=True)
 class _History:
     """What the reports need of one CVE's appearances after its first."""
 
     first: CveRecord
-    last: CveRecord  # the record of its latest appearance
     changed: bool = False  # some later record differs from the first
     scored_on: date | None = None  # first later day with a score
     score: Decimal | None = None  # the score of that day
@@ -201,18 +188,24 @@ class _History:
 
 
 def _fold(snapshots: Iterable[Snapshot]) -> dict[str, _History]:
-    """Per-CVE history, folded one snapshot at a time in date order."""
-    histories: dict[str, _History] = {}
-    for snapshot in _ascending(snapshots):
-        day = snapshot.date
-        for cve_id, record in snapshot.records.items():
-            history = histories.get(cve_id)
+    """Per-CVE history, folded one snapshot at a time in date order.
+
+    The first day's records are first sightings. Each later day adds only
+    its diff against the day before: a record kept unchanged adds nothing
+    its earlier appearance did not, and a CVE back after a gap is new in
+    the diff and continues its history.
+    """
+    snapshots = iter(snapshots)
+    older = next(snapshots, None)
+    histories = {} if older is None else {i: _History(r) for i, r in older.records.items()}
+    for newer in snapshots:
+        diff = diff_snapshots(older, newer)
+        day = newer.date
+        for record in diff.new_cves + diff.updated_cves:
+            history = histories.get(record.id)
             if history is None:
-                histories[cve_id] = _History(record, record)
+                histories[record.id] = _History(record)
                 continue
-            if record is history.last:  # shared by the load, so nothing new since
-                continue
-            history.last = record
             first = history.first
             if not history.changed and record != first:
                 history.changed = True
@@ -227,6 +220,7 @@ def _fold(snapshots: Iterable[Snapshot]) -> dict[str, _History]:
                         if history.added is None:
                             history.added = {}
                         history.added.setdefault(uri.raw, uri)
+        older = newer
     return histories
 
 
@@ -237,9 +231,8 @@ def daily_completeness(snapshots: Iterable[Snapshot]) -> list[DailyCompleteness]
     second day.
     """
     results = []
-    for previous, current in pairwise(_ascending(snapshots)):
-        new_ids = current.records.keys() - previous.records.keys()
-        new = [current.records[cve_id] for cve_id in new_ids]
+    for previous, current in pairwise(snapshots):
+        new = diff_snapshots(previous, current).new_cves
         results.append(
             DailyCompleteness(
                 date=current.date,

@@ -19,6 +19,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -324,6 +325,24 @@ def parse_cpe_dictionary(
     return CpeDictionary(frozenset(pairs), skipped=skipped)
 
 
+def _inventory_rows(text: str) -> Iterator[tuple[int, dict[str, str]]]:
+    """The rows after the checked header (row 1), numbered from 2. A row the
+    csv module cannot read, say a field over ``csv.field_size_limit()``, is
+    a FormatError naming it."""
+    reader = csv.DictReader(io.StringIO(text))
+    row_number = 1  # the row being read
+    try:
+        missing = [col for col in INVENTORY_COLUMNS if col not in (reader.fieldnames or [])]
+        if missing:
+            raise FormatError(f"inventory is missing required columns: {', '.join(missing)}")
+        row_number = 2
+        for row in reader:
+            yield row_number, row
+            row_number += 1
+    except csv.Error as exc:
+        raise FormatError(f"inventory row {row_number}: {exc}")
+
+
 def parse_asset_inventory(
     data: bytes | str,
     stop_words: StopWordList | None = None,
@@ -334,15 +353,9 @@ def parse_asset_inventory(
     others standardize the raw columns. Rows whose product standardizes to
     empty are rejected with their 1-based row number.
     """
-    reader = csv.DictReader(io.StringIO(as_text(data)))
-    header = reader.fieldnames or []
-    missing = [col for col in INVENTORY_COLUMNS if col not in header]
-    if missing:
-        raise FormatError(f"inventory is missing required columns: {', '.join(missing)}")
-
     assets: list[AssetRecord] = []
     rejects: list[RowReject] = []
-    for row_number, row in enumerate(reader, start=2):  # row 1 is the header
+    for row_number, row in _inventory_rows(as_text(data)):
         raw_cpe = (row.get("cpe23") or "").strip()
         try:
             if raw_cpe:
@@ -474,27 +487,23 @@ def find_previous_date(store_root: str | Path, day: date) -> date | None:
 
 
 def diff_snapshots(older: Snapshot, newer: Snapshot) -> SnapshotDiff:
-    """New and changed records between two snapshots.
+    """The records of ``newer`` that are new or changed since ``older``,
+    each list sorted by id; swapped arguments are rejected.
 
-    A record counts as updated on any structural difference, not just a
-    moved last_modified stamp. Swapped arguments are rejected.
+    A record is changed on any difference in value, not just a moved
+    last_modified stamp. The same object in both days costs one ``is`` test.
     """
     if older.date >= newer.date:
         raise OrderingError(
             f"diff requires older < newer, got {older.date.isoformat()} >= {newer.date.isoformat()}"
         )
-    new = []
-    updated = []
-    for cve_id in sorted(newer.records):
-        record = newer.records[cve_id]
+    new, updated = [], []
+    for cve_id, record in newer.records.items():
         previous = older.records.get(cve_id)
         if previous is None:
             new.append(record)
-        elif previous != record:
-            updated.append((previous, record))
-    return SnapshotDiff(
-        date_from=older.date,
-        date_to=newer.date,
-        new_cves=tuple(new),
-        updated_cves=tuple(updated),
-    )
+        elif previous is not record and previous != record:
+            updated.append(record)
+    by_id = attrgetter("id")
+    return SnapshotDiff(older.date, newer.date, tuple(sorted(new, key=by_id)),
+                        tuple(sorted(updated, key=by_id)))

@@ -206,8 +206,12 @@ class CveRecord:
         there is not parsed again, and every string parsed here is added.
         """
         cpes = {} if cpes is None else cpes
+        raws, references = data.get("cpe_list", []), data.get("references", [])
+        for label, value in (("cpe_list", raws), ("references", references)):
+            if not isinstance(value, list):
+                raise ValidationError(f"{label} is not a list but {type(value).__name__}")
         cpe_list = []
-        for raw in data.get("cpe_list", []):
+        for raw in raws:
             uri = cpes.get(raw)
             if uri is None:
                 uri = cpes[raw] = CpeUri.parse(raw)
@@ -219,7 +223,7 @@ class CveRecord:
             summary=data["summary"],
             cvss3_base=data.get("cvss3_base"),
             cpe_list=tuple(cpe_list),
-            references=tuple(data.get("references", [])),
+            references=tuple(references),
         )
 
 
@@ -322,25 +326,19 @@ class Ticket:
 
 @dataclass(frozen=True)
 class SnapshotDiff:
-    """New and updated CVEs between two dated feed snapshots."""
+    """The new and the changed CVEs of a later snapshot, as records of that
+    later day; the earlier record of a changed CVE is the earlier day's."""
 
     date_from: date
     date_to: date
     new_cves: tuple[CveRecord, ...] = ()
-    updated_cves: tuple[tuple[CveRecord, CveRecord], ...] = ()
+    updated_cves: tuple[CveRecord, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "new_cves", tuple(self.new_cves))
-        object.__setattr__(self, "updated_cves", tuple(tuple(pair) for pair in self.updated_cves))
         if self.date_from >= self.date_to:
             raise ValidationError(
                 f"diff requires date_from < date_to, got {self.date_from} >= {self.date_to}"
             )
-        for before, after in self.updated_cves:
-            if before.id != after.id:
-                raise ValidationError(f"updated pair mixes ids {before.id} and {after.id}")
-            if before == after:
-                raise ValidationError(f"{before.id}: unchanged record listed as updated")
 
 
 def max_severity_of(scores: Iterable[Decimal | None]) -> Decimal | None:

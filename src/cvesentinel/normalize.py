@@ -66,10 +66,6 @@ class StopWordList:
                 raise ValidationError(f"stop-word must be lowercase: {word!r}")
 
     @classmethod
-    def default(cls) -> "StopWordList":
-        return cls(DEFAULT_STOP_WORDS)
-
-    @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "StopWordList":
         words = set()
         for line in lines:

@@ -9,9 +9,10 @@ the library's iterative count, a feed item's CPE names are gathered by
 recursion over its configuration tree instead of with an explicit stack,
 a stored day is loaded on its own,
 building every record from its dict, instead of reusing the records of the
-day before, and the history reports regroup a whole list of snapshots into
+day before, the history reports regroup a whole list of snapshots into
 per-CVE lists of (date, record) and scan each list, instead of folding the
-snapshots one at a time.
+day-to-day diffs one at a time, and a diff walks the later day's sorted ids
+and pairs each changed record with the earlier one, compared by value only.
 """
 
 from __future__ import annotations
@@ -282,6 +283,27 @@ def oracle_load_snapshot(store_root: str | Path, day: date) -> Snapshot:
     if len(record_map) != len(records):
         raise SnapshotIntegrityError(f"snapshot file {path} repeats a CVE id")
     return Snapshot(date=day, records=record_map)
+
+
+def oracle_diff_snapshots(
+    older: Snapshot, newer: Snapshot
+) -> tuple[list[CveRecord], list[tuple[CveRecord, CveRecord]]]:
+    """The new records of ``newer`` and the (before, after) pairs of its
+    changed ones, both in id order."""
+    if older.date >= newer.date:
+        raise OrderingError(
+            f"diff requires older < newer, got {older.date.isoformat()} >= {newer.date.isoformat()}"
+        )
+    new = []
+    updated = []
+    for cve_id in sorted(newer.records):
+        record = newer.records[cve_id]
+        previous = older.records.get(cve_id)
+        if previous is None:
+            new.append(record)
+        elif previous != record:
+            updated.append((previous, record))
+    return new, updated
 
 
 def _check_order(snapshots: Sequence[Snapshot]) -> None:

@@ -306,6 +306,16 @@ class TestTickets:
         assert json.loads(line)["key"] == {"vendor": "zulu", "name": "kilo bravo charlie delta echo"}
         assert out.err.startswith("1 ticket(s)")
 
+    def test_oversized_inventory_field_exits_2(self, tmp_path, store, capsys):
+        argv = self._full_tickets_argv(
+            tmp_path, store, ["A1,Anvil,Acme,1.0,", f"A2,{'x' * 200_000},Acme,1.0,"], "anvil flaw"
+        )
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert err.startswith("error: inventory row 3: field larger than field limit")
+
     def test_max_phrase_len_flag_is_gone(self, tmp_path, store, capsys):
         argv = self._full_tickets_argv(tmp_path, store, ["A1,Anvil,Acme,1.0,"], "anvil flaw")
         with pytest.raises(SystemExit) as exc:
@@ -388,6 +398,8 @@ CORRUPTIONS = {
     "nan-score": [("2021-06-02", _set_first(cvss3_base="NaN"))],
     "int-summary": [("2021-06-03", _set_first(summary=5))],
     "int-reference": [("2021-06-04", _set_first(references=["https://r", 5]))],
+    "string-references": [("2021-06-02", _set_first(references="abc"))],
+    "dict-cpe-list": [("2021-06-03", _set_first(cpe_list={cpe23("acme", "anvil"): 1}))],
 }
 
 

@@ -6,6 +6,7 @@ import gc
 import gzip
 import json
 import tempfile
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from cvesentinel.ingest import (
     read_feed_bytes,
     store_snapshot,
 )
-from oracles import oracle_gather_cpe_uris, oracle_load_snapshot
+from oracles import oracle_diff_snapshots, oracle_gather_cpe_uris, oracle_load_snapshot
 
 
 # CPE names repeated across nodes and items; the last three are rejected.
@@ -360,6 +361,13 @@ class TestParseAssetInventory:
         with pytest.raises(FormatError):
             parse_asset_inventory(inventory_csv.replace(b"Geotab", b"G\xe9otab"))
 
+    @pytest.mark.parametrize("row", [1, 3])
+    def test_oversized_field_is_a_format_error_naming_the_row(self, inventory_csv, row):
+        lines = inventory_csv.split(b"\n")
+        lines[row - 1] = lines[row - 1].replace(b"Windows Server", b"x" * 200_000, 1) + b"y" * 200_000
+        with pytest.raises(FormatError, match=f"^inventory row {row}: field larger than field limit"):
+            parse_asset_inventory(b"\n".join(lines))
+
 
 class TestSnapshotStore:
     def test_store_then_load_round_trip(self, tmp_path):
@@ -638,6 +646,36 @@ class TestCollector:
             (gc.enable if was else gc.disable)()
 
 
+_DIFF_IDS = [f"CVE-2021-{n:04d}" for n in range(1, 7)]
+
+
+@st.composite
+def _day_chains(draw):
+    """2-4 ascending days; each CVE is absent (so it can vanish and come
+    back), kept as the same object as the day before, copied as an equal
+    but distinct object, or redrawn, which may or may not change it."""
+    last: dict[str, object] = {}
+    snapshots = []
+    for n in range(draw(st.integers(2, 4))):
+        records = []
+        for cve_id in _DIFF_IDS:
+            action = draw(st.sampled_from(["absent", "keep", "copy", "redraw"]))
+            if action == "absent":
+                continue
+            if action == "copy" and cve_id in last:
+                last[cve_id] = replace(last[cve_id])
+            elif action == "redraw" or cve_id not in last:
+                last[cve_id] = make_record(
+                    cve_id,
+                    summary=draw(st.sampled_from(["a", "b"])),
+                    score=draw(st.sampled_from([None, 5.0])),
+                    cpes=draw(st.lists(st.sampled_from(_CPE_POOL[:4]), max_size=2)),
+                )
+            records.append(last[cve_id])
+        snapshots.append(snapshot_of(f"2021-06-0{n + 1}", records))
+    return snapshots
+
+
 class TestDiffSnapshots:
     def test_identical_snapshots_empty_diff(self):
         records = [make_record("CVE-2021-0001")]
@@ -657,9 +695,9 @@ class TestDiffSnapshots:
         older = snapshot_of("2021-06-01", [make_record("CVE-2021-0001")])
         newer = snapshot_of("2021-06-02", [make_record("CVE-2021-0001", score=7.5)])
         diff = diff_snapshots(older, newer)
-        (pair,) = diff.updated_cves
-        assert pair[0].cvss3_base is None
-        assert float(pair[1].cvss3_base) == 7.5
+        (after,) = diff.updated_cves
+        assert older.records[after.id].cvss3_base is None
+        assert float(after.cvss3_base) == 7.5
 
     def test_swapped_arguments_rejected(self):
         older = snapshot_of("2021-06-01", [])
@@ -688,6 +726,17 @@ class TestDiffSnapshots:
             if older.records.get(cve_id) == rec
         )
         assert len(diff.new_cves) + len(diff.updated_cves) + unchanged == len(newer.records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_day_chains())
+    def test_equals_pairwise_oracle(self, snaps):
+        for older, newer in zip(snaps, snaps[1:]):
+            diff = diff_snapshots(older, newer)
+            oracle_new, oracle_pairs = oracle_diff_snapshots(older, newer)
+            assert [r.id for r in diff.new_cves] == [r.id for r in oracle_new]
+            assert list(diff.updated_cves) == [after for _, after in oracle_pairs]
+            for record in diff.new_cves + diff.updated_cves:
+                assert record is newer.records[record.id]
 
 
 class TestMergeRecords:
