@@ -74,8 +74,9 @@ def _emit_json(args: argparse.Namespace, payload: object) -> None:
 
 
 def _read_feeds(paths: Sequence[str]) -> tuple[dict[str, ingest.FeedParseResult], dict[str, int]]:
-    """Parse each feed; reject counts are keyed by file name, or by the
-    path as given where two feeds share a file name."""
+    """Parse each feed and note its reject count on stderr; the counts are
+    keyed by file name, or by the path as given where two feeds share a
+    file name."""
     names = Counter(Path(path).name for path in paths)
     results: dict[str, ingest.FeedParseResult] = {}
     reject_counts: dict[str, int] = {}
@@ -84,16 +85,17 @@ def _read_feeds(paths: Sequence[str]) -> tuple[dict[str, ingest.FeedParseResult]
         results[path] = result
         name = Path(path).name
         reject_counts[name if names[name] == 1 else path] = len(result.rejects)
+    for name, count in reject_counts.items():
+        _note(f"{name}: {count} rejected item(s)")
     return results, reject_counts
 
 
-def _feed_corpus(paths: Sequence[str]) -> tuple[list, int, dict[str, int]]:
+def _feed_corpus(paths: Sequence[str]) -> tuple[list, int]:
     """CPE-bearing records merged across feeds, plus the no-CPE count."""
-    results, reject_counts = _read_feeds(paths)
+    results, _ = _read_feeds(paths)
     merged = ingest.merge_records(r.records for r in results.values())
     corpus = [merged[cve_id] for cve_id in sorted(merged) if merged[cve_id].cpe_list]
-    excluded = len(merged) - len(corpus)
-    return corpus, excluded, reject_counts
+    return corpus, len(merged) - len(corpus)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -102,8 +104,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     records = ingest.merge_records(r.records for r in results.values())
     snapshot = Snapshot(date=args.date, records=records)
     ingest.store_snapshot(args.store, snapshot, overwrite=args.overwrite)
-    for name, count in reject_counts.items():
-        _note(f"{name}: {count} rejected item(s)")
     _note(f"stored snapshot {args.date.isoformat()} with {len(records)} records")
     _emit_json(
         args,
@@ -128,20 +128,20 @@ def _load_filter(args: argparse.Namespace) -> matcher.FpFilter:
 def cmd_tickets(args: argparse.Namespace) -> int:
     stop_words = _stop_words(args)
     previous_date = None if args.full else ingest.find_previous_date(args.store, args.date)
-    previous = None
-    # The day before is loaded first, to lend its records to today's load,
+    days = [args.date]
+    # The day before is loaded first, to lend its lines to today's load,
     # but a missing today is still the error reported.
     if previous_date is not None and ingest.snapshot_path(args.store, args.date).exists():
-        previous = ingest.load_snapshot(args.store, previous_date)
-    snapshot = ingest.load_snapshot(args.store, args.date, previous=previous)
+        days.insert(0, previous_date)
+    *earlier, snapshot = ingest.load_snapshots(args.store, days)
     if args.full:
         cves = [snapshot.records[cve_id] for cve_id in sorted(snapshot.records)]
-    elif previous is None:
+    elif not earlier:
         raise SnapshotNotFoundError(
             f"no snapshot stored before {args.date.isoformat()}; rerun with --full"
         )
     else:
-        cves = list(ingest.diff_snapshots(previous, snapshot).new_cves)
+        cves = list(ingest.diff_snapshots(earlier[0], snapshot).new_cves)
 
     if args.dictionary:
         _note("--dictionary is ignored by tickets and will be removed")
@@ -187,17 +187,10 @@ def _snapshots(args: argparse.Namespace) -> Iterator[Snapshot]:
         raise FormatError(f"report {args.report!r} needs --from and --to")
     if args.date_from > args.date_to:
         raise FormatError(f"--from {args.date_from} is after --to {args.date_to}")
-    return _load_range(args.store, args.date_from, args.date_to)
-
-
-def _load_range(store: str, first: date, last: date) -> Iterator[Snapshot]:
-    """Each day loaded with the day before, which is then let go."""
-    snapshot = None
-    day = first
-    while day <= last:
-        snapshot = ingest.load_snapshot(store, day, previous=snapshot)
-        yield snapshot
-        day += timedelta(days=1)
+    days = (args.date_to - args.date_from).days + 1
+    return ingest.load_snapshots(
+        args.store, (args.date_from + timedelta(days=n) for n in range(days))
+    )
 
 
 def _read_score_file(path: str) -> list[float]:
@@ -313,17 +306,16 @@ def _read_dictionary(
 
 def cmd_build_filter(args: argparse.Namespace) -> int:
     stop_words = _stop_words(args)
-    corpus, excluded, reject_counts = _feed_corpus(args.feeds)
+    dictionary = _read_dictionary(args, stop_words)
+    corpus, excluded = _feed_corpus(args.feeds)
     fp_filter = matcher.build_fp_filter(
         corpus,
-        _read_dictionary(args, stop_words),
+        dictionary,
         min_name_len=args.min_name_len,
         stop_words=stop_words,
         source_year=args.source_year,
     )
     fp_filter.save(args.out_vendors, args.out_products)
-    for name, count in reject_counts.items():
-        _note(f"{name}: {count} rejected item(s)")
     _note(f"filter built from {len(corpus)} CPE-bearing record(s), {excluded} excluded")
     _emit_json(
         args,
@@ -340,15 +332,11 @@ def cmd_build_filter(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     stop_words = _stop_words(args)
-    corpus, excluded, reject_counts = _feed_corpus(args.feeds)
+    dictionary = _read_dictionary(args, stop_words)
+    corpus, excluded = _feed_corpus(args.feeds)
     report = matcher.evaluate_corpus(
-        corpus,
-        _read_dictionary(args, stop_words),
-        min_name_len=args.min_name_len,
-        stop_words=stop_words,
+        corpus, dictionary, min_name_len=args.min_name_len, stop_words=stop_words
     )
-    for name, count in reject_counts.items():
-        _note(f"{name}: {count} rejected item(s)")
     _note(f"evaluated {report.total} CPE-bearing record(s), {excluded} excluded for missing CPE")
     _emit_json(args, report.to_dict())
     return EXIT_OK

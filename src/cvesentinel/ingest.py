@@ -14,6 +14,7 @@ import gzip
 import io
 import json
 import os
+import re
 import xml.etree.ElementTree as ET
 import zlib
 from contextlib import contextmanager
@@ -416,42 +417,93 @@ def store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool =
     return path
 
 
-def _stored_record(
-    data: Mapping[str, Any], known: Mapping[str, CveRecord], cpes: dict[str, CpeUri]
-) -> CveRecord:
-    """The record a stored dict holds: ``known``'s record of that id when
-    it stores as exactly this dict, else one built by ``from_dict``."""
-    record = known.get(data["id"])
-    if record is not None and record.to_dict() == data:
-        # Dict equality takes 1 and true for 1.0, and Decimal("1") stores as
-        # 1.0 too; equal strings mean from_dict would build this very score.
-        if str(record.cvss3_base) == str(data["cvss3_base"]):
-            return record
+# The first line of a day in the layout ``store_snapshot`` writes.
+_COMPACT_HEAD = re.compile(
+    r'\{"date":"(\d{4}-\d\d-\d\d)","record_count":(0|[1-9]\d{0,17}),"records":\['
+)
+_DECODER = json.JSONDecoder()
+
+
+def _build_record(data: Any, cpes: dict[str, CpeUri]) -> CveRecord:
+    """The record one stored JSON value holds; the value must be an object."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"stored record is not an object but {type(data).__name__}")
     return CveRecord.from_dict(data, cpes)
+
+
+def _compact_day(
+    lines: list[str], known: Mapping[str, CveRecord], cpes: dict[str, CpeUri]
+) -> tuple[date, int, list[CveRecord], dict[str, CveRecord]] | None:
+    """The stamp, count and records of a day in the layout ``store_snapshot``
+    writes, with its records by line; None for any other layout, or when a
+    record line is not one JSON value plus the comma the layout puts after
+    every record but the last, or when a record fails to build.
+
+    A line that ``known`` holds is taken as its record; any other line is
+    decoded on its own. Such a day, joined again, is a valid JSON document
+    whose records decode to the very same values.
+    """
+    head = _COMPACT_HEAD.fullmatch(lines[0])
+    if head is None or lines[-2:] != ["]}", ""]:
+        return None
+    last = len(lines) - 3
+    records: list[CveRecord] = []
+    by_line: dict[str, CveRecord] = {}
+    try:
+        stored_date = date.fromisoformat(head[1])
+        for n in range(1, last + 1):
+            line = lines[n]
+            comma = n != last
+            if line.endswith(",") != comma:
+                return None
+            record = known.get(line)
+            if record is None:
+                data, end = _DECODER.raw_decode(line)
+                if end != len(line) - comma:
+                    return None
+                record = _build_record(data, cpes)
+            records.append(record)
+            by_line[line] = record
+    except (KeyError, TypeError, ValueError, RecursionError, ValidationError):
+        return None  # the whole document is decoded again, to report the error it gives
+    return stored_date, int(head[2]), records, by_line
 
 
 @_gc_paused()
 def load_snapshot(
-    store_root: str | Path, day: date, previous: Snapshot | None = None
+    store_root: str | Path,
+    day: date,
+    *,
+    line_records: dict[str, CveRecord] | None = None,
+    cpes: dict[str, CpeUri] | None = None,
 ) -> Snapshot:
     """Load the snapshot stored for a date; verifies count and date stamps.
 
-    ``previous``, the loaded snapshot of an earlier day, lends its records:
-    a stored record that one of them stores as exactly is taken as that
-    same object instead of being built again. Consecutive days share most
-    records, so a date range is loaded one day at a time, each day with
-    the day before. Every CPE string is parsed once per load.
+    A day in the layout ``store_snapshot`` writes is read line by line.
+    ``line_records`` maps the record lines of an earlier day to their
+    records: a record stored as one of those very lines is taken as that
+    same object instead of being decoded again, and the map is then
+    refilled with this day's lines. Any other layout, such as the
+    ``indent=1`` one of older days, is decoded whole, and so is a day that
+    turns out corrupt, so that its error is the whole document's.
+    ``cpes`` maps raw CPE strings to their parsed names and gains each one
+    parsed here; without it, every CPE string is parsed once per load.
     """
     path = snapshot_path(store_root, day)
     if not path.exists():
         raise SnapshotNotFoundError(f"no snapshot stored for {day.isoformat()}")
-    known = previous.records if previous is not None else {}
-    cpes: dict[str, CpeUri] = {}
+    cpes = {} if cpes is None else cpes
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        stored_date = date.fromisoformat(payload["date"])
-        records = [_stored_record(data, known, cpes) for data in payload["records"]]
-        count = payload["record_count"]
+        lines = path.read_text(encoding="utf-8").split("\n")
+        compact = _compact_day(lines, line_records or {}, cpes)
+        if compact is None:
+            payload = json.loads("\n".join(lines))
+            stored_date = date.fromisoformat(payload["date"])
+            records = [_build_record(data, cpes) for data in payload["records"]]
+            count = payload["record_count"]
+            by_line = {}
+        else:
+            stored_date, count, records, by_line = compact
     except (KeyError, TypeError, ValueError, RecursionError, ValidationError) as exc:
         raise SnapshotIntegrityError(f"corrupt snapshot file {path}: {exc}")
     if stored_date != day:
@@ -463,7 +515,24 @@ def load_snapshot(
     record_map = {rec.id: rec for rec in records}
     if len(record_map) != len(records):
         raise SnapshotIntegrityError(f"snapshot file {path} repeats a CVE id")
+    if line_records is not None:
+        line_records.clear()
+        line_records.update(by_line)
     return Snapshot(date=day, records=record_map)
+
+
+def load_snapshots(store_root: str | Path, days: Iterable[date]) -> Iterator[Snapshot]:
+    """Load the given days in order, each as it is asked for.
+
+    A record whose stored line is unchanged from the day loaded before it
+    is decoded once, and is the same object in both snapshots. The lines
+    of a day are kept only until the next day has loaded. Each CPE string
+    is parsed once per range.
+    """
+    line_records: dict[str, CveRecord] = {}
+    cpes: dict[str, CpeUri] = {}
+    for day in days:
+        yield load_snapshot(store_root, day, line_records=line_records, cpes=cpes)
 
 
 def list_snapshot_dates(store_root: str | Path) -> list[date]:

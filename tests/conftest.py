@@ -95,6 +95,33 @@ def snapshot_of(day: str, records: Iterable[CveRecord]) -> Snapshot:
     return Snapshot(date=date.fromisoformat(day), records={r.id: r for r in records})
 
 
+def _compact(value: Any) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def compact_day(payload: dict[str, Any]) -> str:
+    """A stored day's payload laid out as ``store_snapshot`` writes it: the
+    head line, one compact record per line, each but the last followed by
+    a comma, then ``]}``."""
+    head = (f'{{"date":{_compact(payload["date"])},'
+            f'"record_count":{_compact(payload["record_count"])},"records":[')
+    body = ",".join("\n" + _compact(record) for record in payload["records"])
+    return f"{head}{body}\n]}}\n"
+
+
+# The ways a stored day's payload is written out: as the store writes it,
+# as one line, in the indented layout of older days, and two layouts that
+# look compact but are not: the first record spans two lines, or the first
+# two records share one.
+DAY_LAYOUTS = {
+    "compact": compact_day,
+    "single-line": json.dumps,
+    "indented": lambda payload: json.dumps(payload, indent=1),
+    "split-record": lambda payload: compact_day(payload).replace('{"id":', '{\n"id":', 1),
+    "shared-line": lambda payload: compact_day(payload).replace("},\n{", "},{", 1),
+}
+
+
 @pytest.fixture
 def inventory_csv() -> bytes:
     rows = [

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cpe23, feed_bytes, feed_item
+from conftest import DAY_LAYOUTS, cpe23, feed_bytes, feed_item
 from cvesentinel import cli
 from cvesentinel.cli import main
 from oracles import oracle_evaluate
@@ -251,9 +251,12 @@ class TestTickets:
             == 2
         )
 
-    @pytest.mark.parametrize("earlier_stored", [False, True], ids=["alone", "after-a-stored-day"])
-    def test_missing_day_is_the_error_named(self, tmp_path, store, capsys, earlier_stored):
-        inventory = self._setup(tmp_path, store) if earlier_stored else write(tmp_path, "inv.csv", INVENTORY)
+    @pytest.mark.parametrize("earlier", [None, "stored", "corrupt"],
+                             ids=["alone", "after-a-stored-day", "after-a-corrupt-day"])
+    def test_missing_day_is_the_error_named(self, tmp_path, store, capsys, earlier):
+        inventory = self._setup(tmp_path, store) if earlier else write(tmp_path, "inv.csv", INVENTORY)
+        if earlier == "corrupt":
+            (Path(store) / "snapshots" / "2021-06-01").write_text("{not json", encoding="utf-8")
         capsys.readouterr()
         argv = ["tickets", "--date", "2021-06-05", "--store", store, "--inventory", inventory]
         assert main(argv) == 2
@@ -374,12 +377,14 @@ class TestTickets:
         assert (tmp_path / "run1.jsonl").read_bytes() == (tmp_path / "run2.jsonl").read_bytes()
 
 
-def edit_day(store, day: str, edit) -> None:
-    """Apply edit to the stored JSON payload of one day, in place."""
+def edit_day(store, day: str, edit, layout: str) -> None:
+    """Apply edit to the stored JSON payload of one day, in place, and write
+    it back in ``layout``: as the store writes it, which the loader reads
+    line by line, or on one line, which it decodes whole."""
     path = Path(store) / "snapshots" / day
     payload = json.loads(path.read_text(encoding="utf-8"))
     edit(payload)
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(DAY_LAYOUTS[layout](payload), encoding="utf-8")
 
 
 def _set_first(**fields):
@@ -489,26 +494,31 @@ class TestStats:
         assert rows["CRITICAL"]["initial_count"] == 1
         assert rows["MEDIUM"]["later_count"] == 1
 
-    def test_gap_in_range_names_missing_date(self, tmp_path, store, capsys):
+    @pytest.mark.parametrize("report", ["daily", "delays", "vendors", "table"])
+    def test_gap_in_range_names_missing_date(self, tmp_path, store, capsys, report):
         ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001")])
         ingest_day(tmp_path, store, "2021-06-03", [feed_item("CVE-2021-0001")])
         capsys.readouterr()
         code = main(
-            ["stats", "--report", "daily", "--from", "2021-06-01", "--to", "2021-06-03",
-             "--store", store]
+            ["stats", "--report", report, "--field", "cvss", "--from", "2021-06-01",
+             "--to", "2021-06-03", "--store", store]
         )
         assert code == 2
-        assert "2021-06-02" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: no snapshot stored for 2021-06-02\n"
 
-    @pytest.mark.parametrize("edits", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
-    def test_corrupt_later_day_exits_4(self, tmp_path, store, capsys, edits):
+    # Bare names for the single-line cases keep those test ids stable.
+    @pytest.mark.parametrize("edits, layout", [
+        pytest.param(edits, layout, id=name if layout == "single-line" else f"{name}-{layout}")
+        for name, edits in CORRUPTIONS.items() for layout in ("single-line", "compact")
+    ])
+    def test_corrupt_later_day_exits_4(self, tmp_path, store, capsys, edits, layout):
         for n in range(1, 6):
             ingest_day(tmp_path, store, f"2021-06-0{n}", [
                 feed_item("CVE-2021-0001", score=1.0, cpes=[cpe23("acme", "anvil")]),
                 feed_item("CVE-2021-0002", summary="two"),
             ])
         for day, edit in edits:
-            edit_day(store, day, edit)
+            edit_day(store, day, edit, layout)
         capsys.readouterr()
         code = main(["stats", "--report", "daily", "--from", "2021-06-01", "--to", "2021-06-05",
                      "--store", store])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cpe23, feed_bytes, feed_item, make_record, snapshot_of
+from conftest import DAY_LAYOUTS, compact_day, cpe23, feed_bytes, feed_item, make_record, snapshot_of
 from cvesentinel import ingest
 from cvesentinel.errors import (
     FeedParseError,
@@ -31,6 +31,7 @@ from cvesentinel.ingest import (
     find_previous_date,
     list_snapshot_dates,
     load_snapshot,
+    load_snapshots,
     merge_records,
     parse_asset_inventory,
     parse_cpe_dictionary,
@@ -429,6 +430,8 @@ class TestSnapshotStore:
         assert lines[-1] == "]}"
         compact = [json.dumps(r.to_dict(), separators=(",", ":")) for r in records]  # sorted by id
         assert lines[1:-1] == [line + "," for line in compact[:-1]] + compact[-1:]
+        text = path.read_text(encoding="utf-8")
+        assert compact_day(json.loads(text)) == text  # the tests' writer of this layout
         loaded = load_snapshot(tmp_path, date(2021, 6, 2))
         assert [repr(r) for r in loaded.records.values()] == [repr(r) for r in records]
 
@@ -455,12 +458,23 @@ class TestSnapshotStore:
             assert [repr(r) for r in loaded.records.values()] == [repr(r) for r in records]
 
 
-def write_day(store_root, day: date, records: list[dict]) -> None:
-    """Store record dicts as they are given, scores of any JSON type included."""
+# DAY_LAYOUTS, and the compact layout with a comma after the last record too,
+# which is not JSON.
+WRITTEN_LAYOUTS = {
+    **DAY_LAYOUTS,
+    "trailing-comma": lambda payload: compact_day(payload).replace("\n]}", ",\n]}"),
+}
+
+
+def write_day(store_root, day: date, records: list[dict], layout: str = "single-line") -> str:
+    """Store record dicts as they are given, scores of any JSON type
+    included, in one of ``WRITTEN_LAYOUTS``; returns the text written."""
     path = store_root / "snapshots" / day.isoformat()
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"date": day.isoformat(), "record_count": len(records), "records": records}
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    text = WRITTEN_LAYOUTS[layout](payload)
+    path.write_text(text, encoding="utf-8")
+    return text
 
 
 HISTORY_IDS = [f"CVE-2021-{n:04d}" for n in range(1, 6)]
@@ -499,6 +513,25 @@ def stored_histories(draw) -> list[list[dict]]:
     return days
 
 
+# Compact twice as often as each other layout, so that consecutive compact days are common.
+DRAWN_LAYOUTS = st.sampled_from(["compact", *sorted(DAY_LAYOUTS)])
+# Stored values that no record may hold.
+BAD_VALUES = {
+    "cvss3_base": [True, "NaN", "7.5"],
+    "cpe_list": [[1], "abc", ["not a cpe"]],
+    "references": ["abc", ["https://a", 5]],
+    "summary": [5, None],
+    "published": ["2021-13-01", 5],
+}
+
+
+def assert_loads_like_oracle(loaded: Snapshot, root, day: date) -> None:
+    oracle = oracle_load_snapshot(root, day)
+    assert loaded == oracle
+    # repr tells Decimal("1") from Decimal("1.0"); == does not
+    assert [repr(r) for r in loaded.records.values()] == [repr(r) for r in oracle.records.values()]
+
+
 class TestLoadWithPrevious:
     def test_unchanged_record_is_the_previous_object(self, tmp_path):
         kept = make_record("CVE-2021-0001", cpes=[cpe23("acme", "anvil")])
@@ -507,31 +540,112 @@ class TestLoadWithPrevious:
         store_snapshot(tmp_path, snapshot_of(
             "2021-06-02", [kept, make_record("CVE-2021-0002", score=5.0, cpes=[cpe23("acme", "anvil")])]
         ))
-        first = load_snapshot(tmp_path, date(2021, 6, 1))
-        second = load_snapshot(tmp_path, date(2021, 6, 2), previous=first)
+        first, second = load_snapshots(tmp_path, [date(2021, 6, 1), date(2021, 6, 2)])
         assert second.records["CVE-2021-0001"] is first.records["CVE-2021-0001"]
         assert second.records["CVE-2021-0002"] is not first.records["CVE-2021-0002"]
-        assert second == oracle_load_snapshot(tmp_path, date(2021, 6, 2))
-        # one CPE string, parsed once per load
+        assert_loads_like_oracle(second, tmp_path, date(2021, 6, 2))
+        # one CPE string, parsed once per range
         (uri_kept,), (uri_rescored,) = (r.cpe_list for r in first.records.values())
-        assert uri_kept is uri_rescored
+        assert uri_kept is uri_rescored is second.records["CVE-2021-0002"].cpe_list[0]
 
-    @given(stored_histories())
+    def test_equal_dicts_in_other_text_are_decoded_again(self, tmp_path):
+        """1, true and 1.0 are equal dict entries but different lines."""
+        record = make_record("CVE-2021-0001", score=1.0).to_dict()
+        days = [date(2021, 6, 1) + timedelta(days=n) for n in range(3)]
+        for day, score in zip(days, [1.0, 1, 1.0]):
+            write_day(tmp_path, day, [{**record, "cvss3_base": score}], "compact")
+        loaded = list(load_snapshots(tmp_path, days))
+        for day, snapshot in zip(days, loaded):
+            assert_loads_like_oracle(snapshot, tmp_path, day)
+        assert [repr(s.records["CVE-2021-0001"].cvss3_base) for s in loaded] == [
+            "Decimal('1.0')", "Decimal('1')", "Decimal('1.0')"]
+
+    def test_a_fallback_day_lends_no_lines(self, tmp_path):
+        records = [make_record(f"CVE-2021-000{n}").to_dict() for n in (1, 2)]
+        days = [date(2021, 6, 1) + timedelta(days=n) for n in range(3)]
+        for day, layout in zip(days, ["compact", "indented", "compact"]):
+            write_day(tmp_path, day, records, layout)
+        first, second, third = load_snapshots(tmp_path, days)
+        assert first.records == second.records == third.records
+        assert all(third.records[i] is not first.records[i] for i in first.records)
+
+    def test_a_known_line_out_of_place_is_still_checked(self, tmp_path):
+        """A line of the day before, now last but still followed by its comma."""
+        first, second = (make_record(f"CVE-2021-000{n}").to_dict() for n in (1, 2))
+        days = [date(2021, 6, 1), date(2021, 6, 2)]
+        write_day(tmp_path, days[0], [first, second], "compact")
+        write_day(tmp_path, days[1], [first], "trailing-comma")
+        loads = load_snapshots(tmp_path, days)
+        next(loads)
+        with pytest.raises(SnapshotIntegrityError, match="Expecting value"):
+            next(loads)
+
+    def test_a_corrupt_day_reports_the_whole_documents_error(self, tmp_path):
+        """A bad record before a JSON error: the JSON error is the one reported."""
+        bad = {**make_record("CVE-2021-0001").to_dict(), "cvss3_base": True}
+        write_day(tmp_path, date(2021, 6, 1), [bad, make_record("CVE-2021-0002").to_dict()],
+                  "trailing-comma")
+        with pytest.raises(SnapshotIntegrityError, match="Expecting value") as loaded:
+            load_snapshot(tmp_path, date(2021, 6, 1))
+        with pytest.raises(SnapshotIntegrityError) as oracle:
+            oracle_load_snapshot(tmp_path, date(2021, 6, 1))
+        assert str(loaded.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("layout", DAY_LAYOUTS)
+    def test_a_record_that_is_not_an_object_is_an_integrity_error(self, tmp_path, layout):
+        write_day(tmp_path, date(2021, 6, 1), [make_record("CVE-2021-0001").to_dict(), ["x"]], layout)
+        with pytest.raises(SnapshotIntegrityError, match="stored record is not an object but list"):
+            load_snapshot(tmp_path, date(2021, 6, 1))
+
+    @given(stored_histories(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_chained_loads_equal_oracle_loads(self, history):
-        with tempfile.TemporaryDirectory() as root:
+    def test_chained_loads_equal_oracle_loads(self, history, data):
+        layouts = [data.draw(DRAWN_LAYOUTS) for _ in history]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
             days = [date(2021, 6, 1) + timedelta(days=n) for n in range(len(history))]
-            for day, records in zip(days, history):
-                write_day(Path(root), day, records)
+            texts = [write_day(root, day, records, layout)
+                     for day, records, layout in zip(days, history, layouts)]
             previous = None
-            for day in days:
-                loaded = load_snapshot(root, day, previous=previous)
-                oracle = oracle_load_snapshot(root, day)
-                assert loaded == oracle
-                for cve_id, record in loaded.records.items():
-                    # repr tells Decimal("1") from Decimal("1.0"); == does not
-                    assert repr(record) == repr(oracle.records[cve_id])
+            for n, loaded in enumerate(load_snapshots(root, days)):
+                assert gc.isenabled()
+                assert_loads_like_oracle(loaded, root, days[n])
+                if n and layouts[n - 1] == layouts[n] == "compact":
+                    # each record line unchanged from the day before is that day's object
+                    before = set(texts[n - 1].split("\n")[1:-2])
+                    for line in texts[n].split("\n")[1:-2]:
+                        cve_id = json.loads(line.rstrip(","))["id"]
+                        shared = loaded.records[cve_id] is previous.records.get(cve_id)
+                        assert shared == (line in before)
                 previous = loaded
+
+    @given(stored_histories(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_corrupt_days_fail_like_the_oracle(self, history, data):
+        """A day with a bad value, or with a comma after its last record,
+        fails with the oracle's error; the days before it load like the
+        oracle's."""
+        bad_day = data.draw(st.integers(0, len(history) - 1))
+        if history[bad_day] and data.draw(st.booleans()):
+            key = data.draw(st.sampled_from(sorted(BAD_VALUES)))
+            n = data.draw(st.integers(0, len(history[bad_day]) - 1))
+            history[bad_day][n] = {**history[bad_day][n], key: data.draw(st.sampled_from(BAD_VALUES[key]))}
+        layouts = [data.draw(st.sampled_from(["compact", *sorted(WRITTEN_LAYOUTS)])) for _ in history]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            days = [date(2021, 6, 1) + timedelta(days=n) for n in range(len(history))]
+            for day, records, layout in zip(days, history, layouts):
+                write_day(root, day, records, layout)
+            loads = load_snapshots(root, days)
+            for day in days:
+                try:
+                    oracle_load_snapshot(root, day)
+                except SnapshotIntegrityError as oracle:
+                    with pytest.raises(SnapshotIntegrityError) as loaded:
+                        next(loads)
+                    assert str(loaded.value) == str(oracle)
+                    return
+                assert_loads_like_oracle(next(loads), root, day)
 
 
 def _nested_feed(count: int) -> bytes:
@@ -584,9 +698,8 @@ class TestCollector:
         days = _store_three_days(tmp_path)
 
         def chain():
-            previous = None
-            for day in days:
-                previous = load_snapshot(tmp_path, day, previous=previous)
+            for _ in load_snapshots(tmp_path, days):
+                pass
 
         assert self._unreachable_after(chain) == 0
 
@@ -600,12 +713,15 @@ class TestCollector:
                 return build(*args)
             return wrapper
 
-        for name in ("_parse_feed_item", "_stored_record"):
+        for name in ("_parse_feed_item", "_build_record"):
             monkeypatch.setattr(ingest, name, spy(getattr(ingest, name)))
         assert gc.isenabled()
         parse_feed(_nested_feed(3))
-        load_snapshot(tmp_path, days[1], previous=load_snapshot(tmp_path, days[0]))
-        assert states == [False] * 7
+        for _ in load_snapshots(tmp_path, days[:2]):
+            assert gc.isenabled()
+        # 3 feed items; 2 records of the first day, and the one line of the
+        # second day that the first does not hold
+        assert states == [False] * 6
         assert gc.isenabled()
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
@@ -629,7 +745,7 @@ class TestCollector:
             "malformed-feed": lambda: parse_feed(b"{broken"),
             "deep-feed": lambda: parse_feed(b"[" * 100_000),
             "no-items": lambda: parse_feed(b"{}"),
-            "day": lambda: load_snapshot(tmp_path, days[1], previous=load_snapshot(tmp_path, days[0])),
+            "day": lambda: list(load_snapshots(tmp_path, days[:2])),
             "missing-day": lambda: load_snapshot(tmp_path, days[2] + timedelta(days=1)),
             "corrupt-day": lambda: load_snapshot(tmp_path, days[2]),
         }
