@@ -130,6 +130,8 @@ class AssetIndex:
 
     ``phrase_len`` is the longest name or vendor in tokens, so summary
     phrases enumerated up to it reach every name and every vendor.
+    ``starts`` holds the first token of every name and vendor: a summary
+    phrase that begins with any other term can equal neither.
     ``unreachable_names`` lists the names holding a function word: summary
     terms never contain one, so these names can never match a summary.
     """
@@ -149,6 +151,7 @@ class AssetIndex:
         for key in sorted(self.by_key):
             self.by_name.setdefault(key[1], []).append(key)
         self.phrase_len = _needed_phrase_len(part for key in self.by_key for part in key)
+        self.starts = frozenset(part.split(" ", 1)[0] for key in self.by_key for part in key)
         self.unreachable_names = tuple(
             sorted(name for name in self.by_name if not FUNCTION_WORDS.isdisjoint(name.split()))
         )
@@ -170,12 +173,31 @@ def extract_summary_terms(
     """
     if max_phrase_len < 1:
         raise ValidationError(f"max_phrase_len must be >= 1, got {max_phrase_len}")
-    terms = tuple(tok for tok in tokenize(summary) if tok not in FUNCTION_WORDS)
+    terms = _summary_terms(summary)
+    return SummaryTerms(
+        cve_id=cve_id, terms=terms, phrases=frozenset(_phrases(terms, max_phrase_len))
+    )
+
+
+def _summary_terms(summary: str) -> tuple[str, ...]:
+    return tuple(tok for tok in tokenize(summary) if tok not in FUNCTION_WORDS)
+
+
+def _phrases(
+    terms: tuple[str, ...], max_len: int, starts: frozenset[str] | None = None
+) -> set[str]:
+    """The contiguous phrases of at most ``max_len`` terms, of those only the
+    ones whose first term is in ``starts`` when it is given."""
     phrases = set()
-    for n in range(1, max_phrase_len + 1):
-        for i in range(len(terms) - n + 1):
-            phrases.add(" ".join(terms[i : i + n]))
-    return SummaryTerms(cve_id=cve_id, terms=terms, phrases=frozenset(phrases))
+    for i, term in enumerate(terms):
+        if starts is not None and term not in starts:
+            continue
+        phrase = term
+        phrases.add(phrase)
+        for nxt in terms[i + 1 : i + max_len]:
+            phrase = f"{phrase} {nxt}"
+            phrases.add(phrase)
+    return phrases
 
 
 def _needed_phrase_len(names: Iterable[str]) -> int:
@@ -294,7 +316,7 @@ def match_corpus(
                 )
             continue
 
-        phrases = extract_summary_terms(cve.summary, assets.phrase_len, cve.id).phrases
+        phrases = _phrases(_summary_terms(cve.summary), assets.phrase_len, assets.starts)
         hits = sorted(key for phrase in phrases for key in assets.by_name.get(phrase, ()))
         for vendor, name in hits:
             if len(name) < min_name_len:

@@ -22,6 +22,7 @@ CVE_ID_RE = re.compile(r"CVE-\d{4}-\d{4,}")
 
 _CPE_PREFIX = "cpe:2.3:"
 _CPE_PARTS = frozenset("aoh")
+_BRACKET_RE = re.compile(r"[(){}]")
 
 
 class SeverityLevel(Enum):
@@ -125,7 +126,7 @@ class CpeUri:
             raise ValidationError(f"CPE name must be a string, got {raw!r}")
         if not raw.startswith(_CPE_PREFIX):
             raise ValidationError(f"not a cpe:2.3 name: {raw!r}")
-        components = _split_cpe_components(raw)
+        components = _split_cpe_components(raw) if "\\" in raw else raw.split(":")
         if len(components) < 6:
             raise ValidationError(f"truncated CPE name: {raw!r}")
         part, vendor, product, version = components[2], components[3], components[4], components[5]
@@ -248,7 +249,7 @@ class WellFormedName:
         for label, value in (("name", self.name), ("vendor", self.vendor)):
             if value != value.lower():
                 raise ValidationError(f"well-formed {label} must be lowercase: {value!r}")
-            if any(ch in value for ch in "(){}"):
+            if _BRACKET_RE.search(value):
                 raise ValidationError(f"well-formed {label} contains bracket characters: {value!r}")
 
     @property

@@ -41,9 +41,12 @@ DEFAULT_STOP_WORDS = frozenset(
     }
 )
 
-# Underscores are CPE's word separator; hyphens and slashes separate words
-# in prose ("Hyper-V" must yield the token "hyper").
-_SPLIT_RE = re.compile(r"[\s,;:/\\_-]+")
+# A token runs from an alphanumeric character to the last one before a
+# separator ([^\W_] is exactly str.isalnum). Underscores are CPE's word
+# separator; hyphens and slashes separate words in prose ("Hyper-V" must
+# yield the token "hyper").
+_TOKEN_RE = re.compile(r"[^\W_](?:[^\s,;:/\\_-]*[^\W_])?")
+_BRACKET_RE = re.compile(r"[(){}]")
 _PAREN_RE = re.compile(r"\([^()]*\)")
 _BRACE_RE = re.compile(r"\{[^{}]*\}")
 _NUMERIC_RE = re.compile(r"\d+(?:\.\d+)*")
@@ -53,7 +56,11 @@ _YEAR_RE = re.compile(r"(?:19|20)\d{2}")
 
 @dataclass(frozen=True)
 class StopWordList:
-    """Tokens removed wherever they stand alone in a name."""
+    """Tokens removed wherever they stand alone in a name.
+
+    Each word must be its own one token under ``tokenize``: any other word
+    (``straße``, ``co.``, ``e-commerce``) could never equal a token.
+    """
 
     words: frozenset[str]
 
@@ -62,19 +69,22 @@ class StopWordList:
         if not self.words:
             raise ValidationError("stop-word list must be non-empty")
         for word in self.words:
-            if word != word.lower():
-                raise ValidationError(f"stop-word must be lowercase: {word!r}")
+            if tokenize(word) != [word]:
+                raise ValidationError(f"stop-word is not a single token: {word!r}")
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "StopWordList":
+        """Each line's text before ``#``, as its one token; a line with text
+        that is not exactly one token raises FormatError."""
         words = set()
-        for line in lines:
-            token = line.split("#", 1)[0].strip().lower()
-            if not token:
+        for number, line in enumerate(lines, 1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
                 continue
-            if any(ch.isspace() for ch in token):
-                raise FormatError(f"stop-word line holds more than one token: {line!r}")
-            words.add(token)
+            tokens = tokenize(text)
+            if len(tokens) != 1:
+                raise FormatError(f"stop-word line {number} is not exactly one token: {line!r}")
+            words.add(tokens[0])
         return cls(frozenset(words))
 
     @classmethod
@@ -99,6 +109,8 @@ def read_text_file(path: str | Path) -> str:
 
 
 def _drop_bracketed(text: str) -> str:
+    if not _BRACKET_RE.search(text):
+        return text
     # Innermost-first until fixpoint, so nested spans disappear too.
     prev = None
     while prev != text:
@@ -106,16 +118,7 @@ def _drop_bracketed(text: str) -> str:
         text = _PAREN_RE.sub(" ", text)
         text = _BRACE_RE.sub(" ", text)
     # Unbalanced leftovers are deleted outright; no output may contain them.
-    return re.sub(r"[(){}]", " ", text)
-
-
-def _strip_edge_punct(token: str) -> str:
-    start, end = 0, len(token)
-    while start < end and not token[start].isalnum():
-        start += 1
-    while end > start and not token[end - 1].isalnum():
-        end -= 1
-    return token[start:end]
+    return _BRACKET_RE.sub(" ", text)
 
 
 def _fold(text: str) -> str:
@@ -132,18 +135,14 @@ def tokenize(text: str) -> list[str]:
     Casefolding (not plain lower) keeps one-way case mappings like the
     micro sign from defeating caseless comparison.
     """
-    tokens = []
-    for piece in _SPLIT_RE.split(_fold(text)):
-        token = _strip_edge_punct(piece)
-        if token:
-            tokens.append(token)
-    return tokens
+    return _TOKEN_RE.findall(_fold(text))
 
 
 def _is_droppable(token: str, stop: frozenset[str]) -> bool:
-    if _NUMERIC_RE.fullmatch(token):
-        return True
-    if _DATE_RE.fullmatch(token) or _YEAR_RE.fullmatch(token):
+    # Numbers, dates and years all begin with a digit (\d is str.isdecimal).
+    if token[0].isdecimal() and (
+        _NUMERIC_RE.fullmatch(token) or _DATE_RE.fullmatch(token) or _YEAR_RE.fullmatch(token)
+    ):
         return True
     return token in stop
 
@@ -156,8 +155,9 @@ def standardize(raw: str, stop_words: StopWordList | None = None) -> str:
     Total: any input is accepted and the result may be empty.
     """
     stop = stop_words.words if stop_words is not None else DEFAULT_STOP_WORDS
+    # _fold is idempotent, so the folded text is tokenized without folding again
     text = _drop_bracketed(_fold(raw))
-    kept = [tok for tok in tokenize(text) if not _is_droppable(tok, stop)]
+    kept = [tok for tok in _TOKEN_RE.findall(text) if not _is_droppable(tok, stop)]
     return " ".join(kept)
 
 

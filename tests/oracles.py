@@ -13,11 +13,15 @@ day before, the history reports regroup a whole list of snapshots into
 per-CVE lists of (date, record) and scan each list, instead of folding the
 day-to-day diffs one at a time, and a diff walks the later day's sorted ids
 and pairs each changed record with the earlier one, compared by value only.
+Names are tokenized by splitting on separators and trimming each piece's
+edge punctuation character by character, instead of with one token
+pattern, and standardized without any shortcut.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 from datetime import date
 from decimal import Decimal
@@ -35,11 +39,47 @@ from cvesentinel.errors import (
 from cvesentinel.ingest import CpeDictionary, Snapshot, _objects, snapshot_path
 from cvesentinel.matcher import FUNCTION_WORDS, FpFilter, MatchResult
 from cvesentinel.model import AssetRecord, CpeUri, CveRecord, MatchVia
-from cvesentinel.normalize import standardize, tokenize
+from cvesentinel.normalize import DEFAULT_STOP_WORDS, StopWordList, standardize
+
+_SEPARATORS = re.compile(r"[\s,;:/\\_-]+")
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    """Fold, split on separators, trim non-alphanumeric edges, drop empties."""
+    tokens = []
+    for piece in _SEPARATORS.split(text.casefold().lower()):
+        start, end = 0, len(piece)
+        while start < end and not piece[start].isalnum():
+            start += 1
+        while end > start and not piece[end - 1].isalnum():
+            end -= 1
+        if start < end:
+            tokens.append(piece[start:end])
+    return tokens
+
+
+def oracle_standardize(raw: str, stop_words: StopWordList | None = None) -> str:
+    """Drop bracketed spans to a fixpoint, then every number, date, year and
+    stop-word token, testing each pattern on every token."""
+    stop = stop_words.words if stop_words is not None else DEFAULT_STOP_WORDS
+    text = raw.casefold().lower()
+    prev = None
+    while prev != text:
+        prev = text
+        text = re.sub(r"\([^()]*\)", " ", text)
+        text = re.sub(r"\{[^{}]*\}", " ", text)
+    text = re.sub(r"[(){}]", " ", text)
+    droppable = (r"\d+(?:\.\d+)*", r"\d{1,2}[-/.]\d{1,2}[-/.]\d{2,4}", r"(?:19|20)\d{2}")
+    kept = [
+        tok
+        for tok in oracle_tokenize(text)
+        if tok not in stop and not any(re.fullmatch(p, tok) for p in droppable)
+    ]
+    return " ".join(kept)
 
 
 def summary_tokens(summary: str) -> list[str]:
-    return [tok for tok in tokenize(summary) if tok not in FUNCTION_WORDS]
+    return [tok for tok in oracle_tokenize(summary) if tok not in FUNCTION_WORDS]
 
 
 def contains_name(tokens: Sequence[str], name: str) -> bool:

@@ -982,6 +982,16 @@ class TestTextFiles:
         assert json.loads(capsys.readouterr().out)["u_statistic"] == 0.0
 
 
+class TestStopWordFile:
+    def test_line_that_is_not_one_token_exits_2(self, tmp_path, capsys):
+        scores = write(tmp_path, "scores.txt", "1\n2\n")
+        stop_words = write(tmp_path, "stop.txt", "inc\ne-commerce\n")
+        argv = ["stats", "--report", "ranktest", "--scores-a", scores, "--scores-b", scores]
+        assert main([*argv, "--stopwords", stop_words]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: stop-word line 2 is not exactly one token: 'e-commerce'\n"
+
+
 class TestEnvironment:
     def test_store_env_variable(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SENTINEL_STORE", str(tmp_path / "env-store"))

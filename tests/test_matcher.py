@@ -288,6 +288,28 @@ class TestMatchCve:
         results = match_corpus(cves, index)
         assert [r.cve_id for r in results] == ["CVE-2021-0001", "CVE-2021-0002"]
 
+    def test_filtered_name_matches_through_vendor_that_begins_no_name(self):
+        # "zeta" begins the vendor "zeta labs" and no inventory name, so only
+        # the vendor puts it among the terms that start phrases
+        index = AssetIndex(
+            [make_asset("A1", "widget", "zeta labs"), make_asset("A2", "labs portal", "acme")]
+        )
+        assert index.starts == {"widget", "zeta", "labs", "acme"}
+        fp = FpFilter(vendor_names=frozenset(), product_names=frozenset({"widget"}))
+        with_vendor = make_record("CVE-2021-0001", summary="Zeta Labs Widget crashes")
+        (result,) = match_corpus([with_vendor], index, fp)
+        assert (result.asset_ids, result.matched_phrase) == (("A1",), "widget")
+        without_vendor = make_record("CVE-2021-0002", summary="Zeta Widget crashes in labs")
+        assert match_corpus([without_vendor], index, fp) == []
+
+    def test_name_whose_first_term_recurs_in_the_summary(self):
+        index = AssetIndex([make_asset("A1", "kilo echo delta", "acme")])
+        cve = make_record(
+            "CVE-2021-0001", summary="Kilo echo and kilo bravo hosts, when kilo echo delta runs"
+        )
+        (result,) = match_corpus([cve], index)
+        assert result.matched_phrase == "kilo echo delta"
+
     def test_duplicate_asset_id_rejected(self):
         with pytest.raises(ValidationError):
             AssetIndex([make_asset("A1", "anvil", "acme"), make_asset("A1", "rocket", "acme")])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import cpe23
 from cvesentinel.errors import FormatError, ValidationError
-from cvesentinel.model import CpeUri
+from cvesentinel.model import CpeUri, _split_cpe_components
 from cvesentinel.normalize import (
     DEFAULT_STOP_WORDS,
     StopWordList,
@@ -19,6 +19,7 @@ from cvesentinel.normalize import (
     well_formed_from_cpe,
     well_formed_from_raw,
 )
+from oracles import oracle_standardize, oracle_tokenize
 
 
 class TestStandardize:
@@ -93,6 +94,25 @@ class TestStopWordList:
         path.write_text("system\nfoo\n# comment\n")
         assert StopWordList.from_file(path).words == frozenset({"system", "foo"})
 
+    def test_from_lines_keeps_each_line_as_its_token(self):
+        stop = StopWordList.from_lines(["Straße", "co.", "(beta)", "µ"])
+        assert stop.words == frozenset({"strasse", "co", "beta", "\u03bc"})
+
+    def test_folded_entries_remove_their_tokens(self):
+        stop = StopWordList.from_lines(["straße", "co."])
+        assert standardize("Straße Widget", stop) == "widget"
+        assert standardize("Acme Co. Widget", stop) == "acme widget"
+
+    @pytest.mark.parametrize("entry", ["e-commerce", "a_b", "x/y", "--", "..."])
+    def test_line_that_is_not_one_token_rejected(self, entry):
+        with pytest.raises(FormatError, match=f"stop-word line 3 .*{re.escape(repr(entry))}"):
+            StopWordList.from_lines(["inc", "# comment", entry])
+
+    @pytest.mark.parametrize("word", ["straße", "co.", "e-commerce", "Inc", " inc", ""])
+    def test_word_that_is_not_its_own_token_rejected(self, word):
+        with pytest.raises(ValidationError, match="not a single token"):
+            StopWordList(frozenset({"inc", word}))
+
 
 class TestWellFormedFromCpe:
     def test_geotab_example(self):
@@ -166,3 +186,46 @@ class TestStandardizeProperties:
         for token in tokenize(text):
             assert token
             assert token == token.lower()
+
+
+# Separators, the underscore, brackets, edge punctuation and dots, beside
+# letters and digits outside ASCII: "ß" folds to "ss", "µ" to Greek mu,
+# Cherokee letters fold to uppercase, "٣" is a decimal digit, "²" a digit
+# that is not decimal, "İ" folds to "i" plus a combining dot that is not
+# alphanumeric, and "Σ" folds to "σ" where lower() alone gives a final "ς".
+NAME_ALPHABET = " \t\n,;:/\\-_(){}.!'\"#*aZk019ßµ\u13a0\uab70\u0663\u00b2\u0130\u03a3"
+names = st.one_of(st.text(max_size=40), st.text(alphabet=NAME_ALPHABET, max_size=40))
+stop_lists = st.sets(
+    st.sampled_from(["ss", "strasse", "k", "z0", "\u03bc", "\uab70", "\u0663", "a.k", "2019"]),
+    min_size=1,
+).map(lambda words: StopWordList(frozenset(words)))
+
+
+class TestNormalizeOracles:
+    @given(names)
+    def test_tokenize_equals_oracle(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
+
+    @given(names)
+    def test_standardize_equals_oracle(self, text):
+        assert standardize(text) == oracle_standardize(text)
+
+    @given(names, stop_lists)
+    def test_standardize_with_stop_words_equals_oracle(self, text, stop):
+        assert standardize(text, stop) == oracle_standardize(text, stop)
+
+    @pytest.mark.parametrize("alphabet", ["aBz09.*-_?", "aBz09.*-_?\\:"])
+    @given(data=st.data())
+    def test_cpe_parse_equals_char_loop_split(self, alphabet, data):
+        values = data.draw(st.lists(st.text(alphabet=alphabet, max_size=6), max_size=8))
+        raw = ":".join(["cpe", "2.3", "a", *values])
+        components = _split_cpe_components(raw)
+        try:
+            expected = CpeUri(
+                "a", components[3].lower(), components[4].lower(), components[5], raw
+            )
+        except (IndexError, ValidationError):
+            with pytest.raises(ValidationError):
+                CpeUri.parse(raw)
+            return
+        assert CpeUri.parse(raw) == expected
