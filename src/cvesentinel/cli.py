@@ -29,7 +29,7 @@ from .errors import (
     SnapshotNotFoundError,
 )
 from .ingest import Snapshot
-from .normalize import StopWordList, read_text_file, standardize
+from .normalize import StopWordList, as_text, read_text_file, standardize
 
 STORE_ENV_VAR = "SENTINEL_STORE"
 DEFAULT_STORE = "sentinel-store"
@@ -81,7 +81,9 @@ def _read_feeds(paths: Sequence[str]) -> tuple[dict[str, ingest.FeedParseResult]
     results: dict[str, ingest.FeedParseResult] = {}
     reject_counts: dict[str, int] = {}
     for path in paths:
-        result = ingest.parse_feed(ingest.read_feed_bytes(path))
+        # Decoded first, so the feed's bytes are freed before its items are
+        # built; parse_feed counts a kept byte-order mark in error offsets.
+        result = ingest.parse_feed(as_text(ingest.read_feed_bytes(path), path, keep_bom=True))
         results[path] = result
         name = Path(path).name
         reject_counts[name if names[name] == 1 else path] = len(result.rejects)
@@ -145,7 +147,7 @@ def cmd_tickets(args: argparse.Namespace) -> int:
 
     if args.dictionary:
         _note("--dictionary is ignored by tickets and will be removed")
-    inventory = ingest.parse_asset_inventory(Path(args.inventory).read_bytes(), stop_words)
+    inventory = ingest.parse_asset_inventory(read_text_file(args.inventory), stop_words)
     for reject in inventory.rejects:
         _note(f"inventory row {reject.row} rejected: {reject.reason}")
 
@@ -299,7 +301,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def _read_dictionary(
     args: argparse.Namespace, stop_words: StopWordList | None
 ) -> ingest.CpeDictionary:
-    dictionary = ingest.parse_cpe_dictionary(Path(args.dictionary).read_bytes(), stop_words)
+    dictionary = ingest.parse_cpe_dictionary(read_text_file(args.dictionary), stop_words)
     _note(f"dictionary: {dictionary.skipped} entr(ies) skipped")
     return dictionary
 

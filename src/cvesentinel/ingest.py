@@ -40,6 +40,14 @@ INVENTORY_COLUMNS = ("asset_id", "product_name", "vendor_name", "version", "cpe2
 
 # The C encoder; any indent would force the pure-Python one.
 _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# The json module's own scanner pieces, so that a feed is walked by the
+# grammar and whitespace (``[ \t\n\r]``) of ``json.loads``.
+_DECODER = json.JSONDecoder()
+_WHITESPACE = json.decoder.WHITESPACE.match
+_scanstring = json.decoder.scanstring
+# Yielded by the feed walk where a CVE_Items value starts.
+_ARRAY, _NOT_ARRAY = object(), object()
+_NO_ITEMS = "feed document lacks a CVE_Items array"
 
 
 @contextmanager
@@ -224,31 +232,112 @@ def _parse_feed_item(item: Mapping[str, Any], cpes: dict[str, CpeUri]) -> CveRec
     )
 
 
+def _punct(text: str, idx: int) -> tuple[str, int]:
+    """The character after any whitespace at ``idx``, and the index past it."""
+    idx = _WHITESPACE(text, idx).end()
+    return text[idx:idx + 1], idx + 1
+
+
+def _walk_feed(text: str, idx: int) -> Iterator[Any]:
+    """Walk the JSON object at ``idx`` to the end of ``text``, decoding each
+    value in turn and dropping it, except under a ``CVE_Items`` key: there
+    ``_ARRAY`` is yielded and then each element of the array as it is
+    decoded, or ``_NOT_ARRAY`` for a value of any other type.
+
+    Raises ValueError or RecursionError where the text is not one such
+    object, which may be short of where ``json.loads`` would stop.
+    """
+    decode = _DECODER.raw_decode
+    char, idx = _punct(text, idx)
+    if char != "{":
+        raise ValueError("not an object")
+    idx = _WHITESPACE(text, idx).end()
+    if text.startswith("}", idx):
+        idx += 1
+    else:
+        char = ","
+        while char == ",":
+            char, idx = _punct(text, idx)
+            if char != '"':
+                raise ValueError("expected a key")
+            key, idx = _scanstring(text, idx)
+            char, idx = _punct(text, idx)
+            if char != ":":
+                raise ValueError("expected ':'")
+            idx = _WHITESPACE(text, idx).end()
+            if key != "CVE_Items" or not text.startswith("[", idx):
+                _, idx = decode(text, idx)
+                if key == "CVE_Items":
+                    yield _NOT_ARRAY
+            else:
+                yield _ARRAY
+                idx = _WHITESPACE(text, idx + 1).end()
+                if text.startswith("]", idx):
+                    idx += 1
+                else:
+                    char = ","
+                    while char == ",":
+                        item, idx = decode(text, _WHITESPACE(text, idx).end())
+                        yield item
+                        char, idx = _punct(text, idx)
+                    if char != "]":
+                        raise ValueError("expected ',' or ']'")
+            char, idx = _punct(text, idx)
+        if char != "}":
+            raise ValueError("expected ',' or '}'")
+    if _WHITESPACE(text, idx).end() != len(text):
+        raise ValueError("extra data")
+
+
+def _feed_items(text: str, start: int) -> Iterator[Any]:
+    """``_walk_feed`` from ``start``. Where the walk stops, the whole text
+    is decoded, only to raise the error ``json.loads`` gives; its offset is
+    in UTF-8 bytes of ``text``, so a byte-order mark before ``start``
+    counts. A document ``json.loads`` accepts lacks a ``CVE_Items`` array."""
+    try:
+        yield from _walk_feed(text, start)
+        return
+    except (ValueError, RecursionError):
+        pass
+    try:
+        json.loads(text[start:])
+    except json.JSONDecodeError as exc:
+        offset = len(text[:start + exc.pos].encode("utf-8", "surrogatepass"))
+        raise FeedParseError(f"malformed feed JSON at byte {offset}: {exc.msg}", offset=offset)
+    except (ValueError, RecursionError) as exc:  # a huge number literal, deep nesting
+        raise FeedParseError(f"unparseable feed JSON: {exc}")
+    raise FeedParseError(_NO_ITEMS)
+
+
 @_gc_paused()
 def parse_feed(data: bytes | str) -> FeedParseResult:
     """Parse an NVD JSON 1.1 feed into records plus item-level rejects.
 
-    Each distinct CPE string of the feed is parsed once."""
-    try:
-        document = json.loads(as_text(data))
-    except json.JSONDecodeError as exc:
-        raise FeedParseError(f"malformed feed JSON at byte {exc.pos}: {exc.msg}", offset=exc.pos)
-    except (ValueError, RecursionError) as exc:  # a huge number literal, deep nesting
-        raise FeedParseError(f"unparseable feed JSON: {exc}")
-    if not isinstance(document, dict) or not isinstance(document.get("CVE_Items"), list):
-        raise FeedParseError("feed document lacks a CVE_Items array")
-
-    records: list[CveRecord] = []
+    The feed is decoded one ``CVE_Items`` element at a time, and each
+    element is built into its record or reject before the next is decoded,
+    so the feed's decoded tree is never held whole. As with ``json.loads``,
+    the last of repeated ``CVE_Items`` keys wins. A malformed feed's error
+    gives the UTF-8 byte offset of the fault in ``data``, a byte-order mark
+    included. Each distinct CPE string of the feed is parsed once."""
+    text = as_text(data, keep_bom=True)
+    records: list[CveRecord] | None = None
     rejects: list[FeedReject] = []
     cpes: dict[str, CpeUri] = {}
-    for index, item in enumerate(document["CVE_Items"]):
-        if not isinstance(item, dict):
-            rejects.append(FeedReject(index=index, reason="item is not an object"))
-            continue
-        try:
-            records.append(_parse_feed_item(item, cpes))
-        except ValidationError as exc:
-            rejects.append(FeedReject(index=index, reason=str(exc), cve_id=_item_id(item)))
+    for item in _feed_items(text, 1 if text.startswith("\ufeff") else 0):
+        if item is _ARRAY:
+            records, rejects = [], []
+        elif item is _NOT_ARRAY:
+            records = None
+        elif not isinstance(item, dict):
+            rejects.append(FeedReject(index=len(records) + len(rejects), reason="item is not an object"))
+        else:
+            try:
+                records.append(_parse_feed_item(item, cpes))
+            except ValidationError as exc:
+                index = len(records) + len(rejects)
+                rejects.append(FeedReject(index=index, reason=str(exc), cve_id=_item_id(item)))
+    if records is None:
+        raise FeedParseError(_NO_ITEMS)
     return FeedParseResult(records=tuple(records), rejects=tuple(rejects))
 
 
@@ -398,22 +487,30 @@ def store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool =
 
     The file holds ``{"date", "record_count", "records": [...]}`` with one
     compact record per line, sorted by id, so a changed record is one
-    changed line. Refuses to clobber an existing date unless overwrite is
-    set. The write goes through a temp file so a crash never leaves a
-    half-written day.
+    changed line. Each line is written as soon as it is encoded, so the
+    day's text is never held whole. Refuses to clobber an existing date
+    unless overwrite is set. The write goes through a temp file, which
+    replaces the day only once complete and is deleted when the write
+    fails, so a crash never leaves a half-written day.
     """
     path = snapshot_path(store_root, snapshot.date)
     if path.exists() and not overwrite:
         raise SnapshotExistsError(f"snapshot for {snapshot.date.isoformat()} already stored")
     path.parent.mkdir(parents=True, exist_ok=True)
     records = snapshot.records
-    head = f'{{"date":"{snapshot.date.isoformat()}","record_count":{len(records)},"records":['
-    body = ",".join(
-        "\n" + _RECORD_ENCODER.encode(records[cve_id].to_dict()) for cve_id in sorted(records)
-    )
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    tmp.write_text(f"{head}{body}\n]}}\n", encoding="utf-8")
-    tmp.replace(path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            out.write(f'{{"date":"{snapshot.date.isoformat()}","record_count":{len(records)},"records":[')
+            separator = "\n"
+            for cve_id in sorted(records):
+                out.write(separator + _RECORD_ENCODER.encode(records[cve_id].to_dict()))
+                separator = ",\n"
+            out.write("\n]}\n")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -421,7 +518,6 @@ def store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool =
 _COMPACT_HEAD = re.compile(
     r'\{"date":"(\d{4}-\d\d-\d\d)","record_count":(0|[1-9]\d{0,17}),"records":\['
 )
-_DECODER = json.JSONDecoder()
 
 
 def _build_record(data: Any, cpes: dict[str, CpeUri]) -> CveRecord:

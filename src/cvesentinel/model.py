@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from datetime import date
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
@@ -142,10 +142,9 @@ class CpeUri:
 def _coerce_score(value: Any) -> Decimal | None:
     if value is None:
         return None
-    try:
-        score = value if isinstance(value, Decimal) else Decimal(str(value))
-    except InvalidOperation as exc:
-        raise ValidationError(f"not a decimal score: {value!r}") from exc
+    if isinstance(value, bool) or not isinstance(value, (int, float, Decimal)):
+        raise ValidationError(f"not a numeric score: {value!r}")  # "7.5" is rejected, not repaired
+    score = value if isinstance(value, Decimal) else Decimal(str(value))
     if not score.is_finite():  # NaN would raise on the range check below
         raise ValidationError(f"not a finite score: {value!r}")
     return score

@@ -92,15 +92,16 @@ class StopWordList:
         return cls.from_lines(read_text_file(path).splitlines())
 
 
-def as_text(data: bytes | str, source: str = "input") -> str:
-    """Text of UTF-8 input without a leading byte-order mark; bytes that
-    are not UTF-8 raise FormatError."""
+def as_text(data: bytes | str, source: str = "input", *, keep_bom: bool = False) -> str:
+    """Text of UTF-8 input without its leading byte-order mark, unless
+    ``keep_bom``; bytes that are not UTF-8 raise FormatError naming
+    ``source``. Only one mark is dropped: a second one is text."""
     if isinstance(data, bytes):
         try:
-            return data.decode("utf-8-sig")
+            return data.decode("utf-8" if keep_bom else "utf-8-sig")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{source} is not UTF-8 text: {exc}")
-    return data.lstrip("\ufeff")
+    return data[1:] if data.startswith("\ufeff") and not keep_bom else data
 
 
 def read_text_file(path: str | Path) -> str:

@@ -7,7 +7,9 @@ instead of looking summary phrases up in an index, the exact rank-test
 distribution comes from Gaussian binomial polynomial arithmetic instead of
 the library's iterative count, a feed item's CPE names are gathered by
 recursion over its configuration tree instead of with an explicit stack,
-a stored day is loaded on its own,
+a feed is decoded whole with ``json.loads`` before its items are built,
+instead of one item at a time, a stored day is written as one joined
+string instead of line by line, a stored day is loaded on its own,
 building every record from its dict, instead of reusing the records of the
 day before, the history reports regroup a whole list of snapshots into
 per-CVE lists of (date, record) and scan each list, instead of folding the
@@ -21,6 +23,7 @@ pattern, and standardized without any shortcut.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import replace
 from datetime import date
@@ -31,15 +34,26 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from cvesentinel.analytics import CompletionDelay, CompletionField, DailyCompleteness, DelayReport
 from cvesentinel.errors import (
+    FeedParseError,
     OrderingError,
+    SnapshotExistsError,
     SnapshotIntegrityError,
     SnapshotNotFoundError,
     ValidationError,
 )
-from cvesentinel.ingest import CpeDictionary, Snapshot, _objects, snapshot_path
+from cvesentinel.ingest import (
+    CpeDictionary,
+    FeedParseResult,
+    FeedReject,
+    Snapshot,
+    _item_id,
+    _objects,
+    _parse_feed_item,
+    snapshot_path,
+)
 from cvesentinel.matcher import FUNCTION_WORDS, FpFilter, MatchResult
 from cvesentinel.model import AssetRecord, CpeUri, CveRecord, MatchVia
-from cvesentinel.normalize import DEFAULT_STOP_WORDS, StopWordList, standardize
+from cvesentinel.normalize import DEFAULT_STOP_WORDS, StopWordList, as_text, standardize
 
 _SEPARATORS = re.compile(r"[\s,;:/\\_-]+")
 
@@ -299,6 +313,54 @@ def oracle_gather_cpe_uris(configurations: Mapping[str, Any]) -> list[CpeUri]:
     for node in _objects(configurations, "nodes"):
         walk(node)
     return uris
+
+
+def oracle_parse_feed(data: bytes | str) -> FeedParseResult:
+    """Decode the whole feed with ``json.loads``, then build each item. A
+    malformed feed's offset is the input's UTF-8 length less that of the
+    text from json's error position on."""
+    text = as_text(data)
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raw = data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass")
+        offset = len(raw) - len(text[exc.pos:].encode("utf-8", "surrogatepass"))
+        raise FeedParseError(f"malformed feed JSON at byte {offset}: {exc.msg}", offset=offset)
+    except (ValueError, RecursionError) as exc:
+        raise FeedParseError(f"unparseable feed JSON: {exc}")
+    if not isinstance(document, dict) or not isinstance(document.get("CVE_Items"), list):
+        raise FeedParseError("feed document lacks a CVE_Items array")
+
+    records: list[CveRecord] = []
+    rejects: list[FeedReject] = []
+    cpes: dict[str, CpeUri] = {}
+    for index, item in enumerate(document["CVE_Items"]):
+        if not isinstance(item, dict):
+            rejects.append(FeedReject(index=index, reason="item is not an object"))
+            continue
+        try:
+            records.append(_parse_feed_item(item, cpes))
+        except ValidationError as exc:
+            rejects.append(FeedReject(index=index, reason=str(exc), cve_id=_item_id(item)))
+    return FeedParseResult(records=tuple(records), rejects=tuple(rejects))
+
+
+def oracle_store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool = False) -> Path:
+    """Write a day as one string: the head line, the compact records joined
+    line by line in id order, and the tail."""
+    path = snapshot_path(store_root, snapshot.date)
+    if path.exists() and not overwrite:
+        raise SnapshotExistsError(f"snapshot for {snapshot.date.isoformat()} already stored")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    records = snapshot.records
+    head = f'{{"date":"{snapshot.date.isoformat()}","record_count":{len(records)},"records":['
+    body = ",".join(
+        "\n" + json.dumps(records[cve_id].to_dict(), separators=(",", ":")) for cve_id in sorted(records)
+    )
+    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+    tmp.write_text(f"{head}{body}\n]}}\n", encoding="utf-8")
+    tmp.replace(path)
+    return path
 
 
 def oracle_load_snapshot(store_root: str | Path, day: date) -> Snapshot:

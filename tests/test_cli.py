@@ -147,6 +147,16 @@ class TestIngest:
         feed = write(tmp_path, "bad.json", b"{broken")
         assert main(["ingest", feed, "--date", "2021-06-01", "--store", store]) == 2
 
+    @pytest.mark.parametrize("name", ["bad.json", "bad.json.gz"])
+    def test_malformed_feed_error_gives_its_byte_offset(self, tmp_path, store, capsys, name):
+        text = '\ufeff{"CVE_Items":[{"x":"\u00e9\u00e9\u00e9\u00e9\u00e9"},}'
+        data = text.encode("utf-8")
+        feed = write(tmp_path, name, gzip.compress(data) if name.endswith(".gz") else data)
+        assert main(["ingest", feed, "--date", "2021-06-01", "--store", store]) == 2
+        # the mark is 3 bytes and each \u00e9 is 2, so "}" is byte 36 (json's index is 28)
+        assert capsys.readouterr().err == "error: malformed feed JSON at byte 36: Expecting value\n"
+        assert data[36:37] == b"}"
+
     def test_missing_file_exits_2(self, store):
         assert main(["ingest", "/nonexistent.json", "--date", "2021-06-01", "--store", store]) == 2
 
@@ -401,6 +411,7 @@ CORRUPTIONS = {
     "repeated-id-day-5": [("2021-06-05", lambda p: p["records"].append(dict(p["records"][-1])))],
     "int-cpe": [("2021-06-02", _set_first(cpe_list=[1]))],
     "nan-score": [("2021-06-02", _set_first(cvss3_base="NaN"))],
+    "string-score": [("2021-06-02", _set_first(cvss3_base="7.5"))],
     "int-summary": [("2021-06-03", _set_first(summary=5))],
     "int-reference": [("2021-06-04", _set_first(references=["https://r", 5]))],
     "string-references": [("2021-06-02", _set_first(references="abc"))],
@@ -953,12 +964,22 @@ class TestBuildFilterAndEvaluate:
 
 
 class TestTextFiles:
-    @pytest.mark.parametrize("kind", ["score-file", "stop-words", "filter-list"])
+    @pytest.mark.parametrize(
+        "kind", ["score-file", "stop-words", "filter-list", "feed", "inventory", "dictionary"])
     def test_non_utf8_exits_2_without_traceback(self, tmp_path, store, capsys, kind):
         bad = write(tmp_path, "bad.txt", b"1\ncaf\xe9\n")
         good = write(tmp_path, "good.txt", "1\n2\n")
         ranktest = ["stats", "--report", "ranktest", "--scores-b", good]
-        if kind == "score-file":
+        if kind == "feed":
+            argv = ["ingest", bad, "--date", "2021-06-01", "--store", store]
+        elif kind == "inventory":
+            ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001")])
+            argv = ["tickets", "--full", "--date", "2021-06-01", "--store", store, "--inventory", bad]
+        elif kind == "dictionary":
+            feed = write(tmp_path, "feed.json", feed_bytes([feed_item("CVE-2021-0001")]))
+            argv = ["build-filter", feed, "--dictionary", bad, "--out-vendors", str(tmp_path / "v"),
+                    "--out-products", str(tmp_path / "p")]
+        elif kind == "score-file":
             argv = [*ranktest, "--scores-a", bad]
         elif kind == "stop-words":
             argv = [*ranktest, "--scores-a", good, "--stopwords", bad]

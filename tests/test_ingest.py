@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import gzip
+import io
 import json
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -39,7 +42,13 @@ from cvesentinel.ingest import (
     read_feed_bytes,
     store_snapshot,
 )
-from oracles import oracle_diff_snapshots, oracle_gather_cpe_uris, oracle_load_snapshot
+from oracles import (
+    oracle_diff_snapshots,
+    oracle_gather_cpe_uris,
+    oracle_load_snapshot,
+    oracle_parse_feed,
+    oracle_store_snapshot,
+)
 
 
 # CPE names repeated across nodes and items; the last three are rejected.
@@ -148,6 +157,33 @@ class TestParseFeed:
         with pytest.raises(FeedParseError):
             parse_feed(b'{"foo": 1}')
 
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("as_bytes", [True, False], ids=["bytes", "str"])
+    def test_malformed_json_offset_is_in_utf8_bytes(self, bom, as_bytes):
+        text = bom + '{"CVE_Items":[{"x":"\u00e9\u00e9\u00e9\u00e9\u00e9"},}'
+        with pytest.raises(FeedParseError) as info:
+            parse_feed(text.encode("utf-8") if as_bytes else text)
+        offset = 36 if bom else 33  # the "}" after the comma; each é is two bytes, a mark three
+        assert str(info.value) == f"malformed feed JSON at byte {offset}: Expecting value"
+        assert info.value.offset == offset
+        assert text.encode("utf-8")[offset:offset + 1] == b"}"
+
+    def test_last_cve_items_key_wins(self):
+        first, second = feed_item("CVE-2021-0001"), feed_item("CVE-2021-0002")
+        text = f'{{"CVE_Items":[{json.dumps(first)}, 5],"CVE_Items":[{json.dumps(second)}]}}'
+        result = parse_feed(text)
+        assert [r.id for r in result.records] == ["CVE-2021-0002"] and result.rejects == ()
+        with pytest.raises(FeedParseError, match="lacks a CVE_Items array"):
+            parse_feed(f'{{"CVE_Items":[{json.dumps(first)}],"CVE_Items":{{}}}}')
+
+    @pytest.mark.parametrize("score", ["7.5", " 7.5 ", "75e-1", True])
+    def test_score_that_is_not_a_number_is_a_reject(self, score):
+        item = feed_item("CVE-2021-0001")
+        item["impact"] = {"baseMetricV3": {"cvssV3": {"baseScore": score}}}
+        result = parse_feed(feed_bytes([item, feed_item("CVE-2021-0002", score=7.5)]))
+        assert [r.id for r in result.records] == ["CVE-2021-0002"]
+        assert [r.reason for r in result.rejects] == [f"not a numeric score: {score!r}"]
+
     @pytest.mark.parametrize(
         "data",
         [b'{"CVE_Items": [{"impact": {"baseMetricV3": {"cvssV3": {"baseScore": '
@@ -251,6 +287,118 @@ class TestParseFeed:
                 continue
             assert list(records[cve_id].cpe_list) == expected
             assert [u.raw for u in records[cve_id].cpe_list] == [u.raw for u in expected]
+
+
+_FEED_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from([0.5, 1e300, "", "caf\u00e9"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["a", "\u2603"]), inner, max_size=2),
+    max_leaves=6,
+)
+_BUILT_ITEM = st.builds(
+    lambda n, summary, score, cpes, refs: feed_item(
+        f"CVE-2021-{n:04d}", summary=summary, score=score, cpes=cpes, refs=refs),
+    st.integers(1, 4),
+    st.sampled_from(["", "caf\u00e9 \u2603 flaw", 'a "quoted" \\ value']),
+    st.sampled_from([None, 0, 7.5, 10.0, 7.5, "7.5", 11.5]),
+    st.lists(st.sampled_from(_CPE_POOL[:4] * 4 + _CPE_POOL[4:]), max_size=2),
+    st.lists(st.sampled_from(["https://a", "https://b", "https://c", 5]), max_size=2),
+)
+# Built items three times as often as items without an id or a date, or of any shape.
+_FEED_ITEM = st.one_of(
+    _BUILT_ITEM, _BUILT_ITEM, _BUILT_ITEM,
+    st.sampled_from([feed_item(None), feed_item("CVE-2021-0005", published=None)]), _FEED_JSON,
+)
+# Keys as they are written in the document: "CVE\u005fItems" decodes to CVE_Items.
+_FEED_KEYS = ['"CVE_Items"'] * 3 + ['"CVE\\u005fItems"', '"CVE_data_type"', '"CVE_Item"',
+              '"caf\u00e9"']
+_WS = st.text(alphabet=" \t\n\r", max_size=2)
+# Characters a mutation inserts: JSON punctuation, whitespace, and multi-byte text.
+_INSERTED = st.sampled_from(list('{}[],:"\\ 0-eE\t\n') + ["\u00e9", "\u2603", "\ufeff", "\x00"])
+
+
+@st.composite
+def feed_texts(draw) -> str:
+    """Feed documents laid out with drawn indent, separators and whitespace,
+    with keys before and after CVE_Items, repeated CVE_Items keys and values
+    of any type under them, some top levels that are not objects, a
+    byte-order mark, and some texts then cut short or edited by one
+    character."""
+    indent = draw(st.sampled_from([None, 0, 2, "\t", " \r\n"]))
+    separators = draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,\t", "\r: ")]))
+    ensure_ascii = draw(st.booleans())
+
+    def dump(value) -> str:
+        return json.dumps(value, indent=indent, separators=separators, ensure_ascii=ensure_ascii)
+
+    if draw(st.integers(0, 9)):
+        entries = []
+        for key in draw(st.lists(st.sampled_from(_FEED_KEYS), min_size=1, max_size=4)):
+            items = "CVE" in key and "Items" in key and draw(st.integers(0, 3))
+            value = draw(st.lists(_FEED_ITEM, max_size=4)) if items else draw(_FEED_JSON)
+            entries.append(f"{key}{draw(_WS)}:{draw(_WS)}{dump(value)}")
+        comma = draw(_WS) + "," + draw(_WS)
+        text = "{" + draw(_WS) + comma.join(entries) + draw(_WS) + "}"
+    else:
+        text = dump(draw(st.lists(_FEED_ITEM, max_size=2) | _FEED_JSON))
+    text = draw(st.sampled_from(["", "\ufeff"])) + draw(_WS) + text + draw(_WS)
+    mutation = draw(st.sampled_from(["none", "none", "cut", "delete", "insert"]))
+    if mutation != "none":
+        at = draw(st.integers(0, len(text)))
+        if mutation == "cut":
+            text = text[:at]
+        elif mutation == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + draw(_INSERTED) + text[at:]
+    return text
+
+
+def feed_outcome(parse, data) -> tuple:
+    """What a feed parser gives: its records and rejects, or its error."""
+    try:
+        result = parse(data)
+    except FeedParseError as exc:
+        return "error", str(exc), exc.offset
+    return "parsed", [repr(r) for r in result.records], result.rejects
+
+
+class TestParseFeedOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(feed_texts(), st.booleans())
+    def test_parse_feed_equals_the_whole_document_oracle(self, text, as_bytes):
+        data = text.encode("utf-8") if as_bytes else text
+        assert feed_outcome(parse_feed, data) == feed_outcome(oracle_parse_feed, data)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"CVE_Items": []}', '{"CVE_Items": [] }  ', "[]", '"CVE_Items"', "{}", "",
+         '{"CVE_Items": [1,]}', '{"CVE_Items": [], }', '{"CVE_Items": []} []', '{"CVE_Items" []}',
+         '{"CVE_Items": [1 2]}', '{CVE_Items: []}', '\ufeff\ufeff{"CVE_Items": []}',
+         '{"CVE_Items": [NaN, -Infinity]}', '{"a": 1, "CVE_Items": [], "b": [}',
+         '{"CVE_Items": [' + "[" * 100_000 + "]}",
+         '{"CVE_Items": [], "n": ' + "9" * 5000 + "}"],
+    )
+    def test_edge_documents_equal_the_oracle(self, text):
+        for data in (text, text.encode("utf-8")):
+            assert feed_outcome(parse_feed, data) == feed_outcome(oracle_parse_feed, data)
+
+
+class TestFeedMemory:
+    def test_items_are_not_decoded_all_at_once(self):
+        """Parsing 4,000 rejected items allocates under 3 MB above the feed's
+        text; decoding the whole feed first, as ``oracle_parse_feed`` does,
+        takes several times that."""
+        item = feed_item("CVE-2021-0001", published=None, summary="flaw " * 80,
+                         refs=[f"https://example.com/advisory/{n}" for n in range(8)])
+        text = json.dumps({"CVE_data_type": "CVE", "CVE_Items": [item] * 4000}, indent=1)
+        tracemalloc.start()
+        try:
+            result = parse_feed(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(result.records), len(result.rejects)) == (0, 4000)
+        assert peak < 3 * 2**20
 
 
 class TestParseCpeDictionary:
@@ -440,6 +588,50 @@ class TestSnapshotStore:
         assert path.read_text(encoding="utf-8").splitlines() == [
             '{"date":"2021-06-01","record_count":0,"records":[', "]}"]
         assert load_snapshot(tmp_path, date(2021, 6, 1)).records == {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                make_record,
+                st.sampled_from([f"CVE-2021-{n:04d}" for n in range(1, 9)] + ["CVE-2020-10000"]),
+                summary=st.text(max_size=6),
+                score=st.sampled_from([None, 0, 0.0, 7.5, 10]),
+                cpes=st.lists(st.sampled_from(_CPE_POOL[:4]), max_size=2, unique=True),
+                refs=st.lists(st.text(max_size=3), max_size=2),
+            ),
+            max_size=6,
+        ),
+        st.dates(date(1999, 1, 1), date(2030, 12, 31)),
+    )
+    def test_stored_day_equals_the_joined_oracle(self, records, day):
+        snapshot = Snapshot(date=day, records={r.id: r for r in records})
+        with tempfile.TemporaryDirectory() as tmp:
+            streamed = store_snapshot(Path(tmp) / "a", snapshot).read_bytes()
+            joined = oracle_store_snapshot(Path(tmp) / "b", snapshot).read_bytes()
+        assert streamed == joined
+
+    @pytest.mark.parametrize("day", ["2021-06-01", "2021-06-02"], ids=["overwrite", "new-day"])
+    def test_failed_write_removes_its_temp_file(self, tmp_path, monkeypatch, day):
+        kept = store_snapshot(tmp_path, snapshot_of("2021-06-01", [make_record("CVE-2021-0001")]))
+        before = kept.read_bytes()
+        writes = []
+
+        class DiskFull(io.TextIOWrapper):
+            def write(self, text):
+                writes.append(text)
+                if len(writes) == 2:  # the head is written, then the disk fills
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(text)
+
+        monkeypatch.setattr(ingest, "open", lambda file, mode, encoding: DiskFull(
+            open(file, mode + "b"), encoding=encoding), raising=False)
+        records = [make_record(f"CVE-2021-{n:04d}") for n in range(1, 4)]
+        with pytest.raises(OSError, match="No space left"):
+            store_snapshot(tmp_path, snapshot_of(day, records), overwrite=True)
+        assert len(writes) == 2
+        assert list((tmp_path / "snapshots").iterdir()) == [kept]
+        assert kept.read_bytes() == before
 
     def test_indented_layout_still_loads(self, tmp_path):
         """Days stored before the compact layout, with ``indent=1``, load the same."""

@@ -120,7 +120,8 @@ class TestCveRecord:
 
     @pytest.mark.parametrize(
         "score",
-        [True, False, float("nan"), float("inf"), float("-inf"), "NaN", "-Infinity", Decimal("sNaN")],
+        [True, False, float("nan"), float("inf"), float("-inf"), "NaN", "-Infinity", Decimal("sNaN"),
+         "7.5"],
     )
     def test_non_finite_or_bool_score_rejected(self, score):
         with pytest.raises(ValidationError):
