@@ -456,12 +456,15 @@ def mann_whitney_u(
     approximation with tie-corrected variance and continuity correction is
     used. Pass "exact" or "normal" to force a branch; "exact" raises
     DomainError above n1*n2 = EXACT_MAX_CELLS. Identical constant samples
-    have zero variance and return p = 1.0.
+    have zero variance and return p = 1.0. A NaN has no rank, so it raises
+    DomainError; infinite values rank like any other.
     """
     a = [float(x) for x in a]
     b = [float(x) for x in b]
     if not a or not b:
         raise DomainError("both samples must be non-empty")
+    if any(math.isnan(x) for x in a + b):
+        raise DomainError("samples must not contain NaN")
     if method not in ("auto", "exact", "normal"):
         raise DomainError(f"unknown method {method!r}")
 

@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get(STORE_ENV_VAR, DEFAULT_STORE),
         help=f"snapshot store root (default: ${STORE_ENV_VAR} or ./{DEFAULT_STORE})",
     )
-    common.add_argument("--stopwords", help="stop-word list file, one lowercase token per line")
+    common.add_argument("--stopwords", help="stop-word list file, one token per line, # comments")
     common.add_argument(
         "--min-name-len",
         type=_positive_int,

@@ -1,16 +1,17 @@
 """Relating CVEs to assets, with or without a CPE list.
 
 When a CVE carries CPEs, matching is exact well-formed-name equality.
-When it does not, the summary text is tokenized into candidate terms and
-phrases; an asset matches when its standardized product name appears as a
-contiguous phrase, subject to a short-name cutoff and a historical
+When it does not, the summary text is tokenized into candidate terms; an
+asset matches when its standardized product name appears as a contiguous
+run of terms, subject to a short-name cutoff and a historical
 false-positive filter. A product name on the filter is only believed when
 the asset's vendor name co-occurs in the same summary, since a name plus
 its vendor is much stronger evidence than the name alone.
 
 Term extraction is deterministic tokenization plus closed-class word
 removal; no POS tagging is involved, because the match itself is a pure
-name-containment test.
+name-containment test. One name set (``_NameSet``) finds the names a
+summary holds for matching, filter building and evaluation alike.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from .ingest import CpeDictionary
 from .model import AssetRecord, CveRecord, MatchVia, Row
 from .normalize import StopWordList, read_text_file, standardize, tokenize, well_formed_from_cpe
 
-DEFAULT_MAX_PHRASE_LEN = 4
 DEFAULT_MIN_NAME_LEN = 3
 
 # Closed-class English words: articles, prepositions, conjunctions,
 # pronouns, auxiliaries. Product names are open-class, so dropping these
-# from summaries costs nothing and shrinks the phrase sets considerably.
+# from summaries costs nothing and shrinks the runs to enumerate.
 FUNCTION_WORDS = frozenset(
     """
     a an the and or but nor so yet if while because although than that
@@ -48,15 +48,6 @@ FUNCTION_WORDS = frozenset(
 
 
 @dataclass(frozen=True)
-class SummaryTerms:
-    """Candidate terms from one CVE summary plus their contiguous phrases."""
-
-    cve_id: str
-    terms: tuple[str, ...]
-    phrases: frozenset[str]
-
-
-@dataclass(frozen=True)
 class FpFilter:
     """Names that historically appear in summaries of unrelated CVEs."""
 
@@ -69,8 +60,11 @@ class FpFilter:
         return cls(vendor_names=frozenset(), product_names=frozenset())
 
     def save(self, vendors_path: str | Path, products_path: str | Path) -> None:
+        header = f"#source_year={self.source_year}"
+        if header.splitlines() != [header]:  # a line break would plant names in both lists
+            raise ValidationError(f"source year {self.source_year!r} is not one line")
         for path, names in ((vendors_path, self.vendor_names), (products_path, self.product_names)):
-            lines = [f"#source_year={self.source_year}"]
+            lines = [header]
             lines.extend(sorted(names))
             Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -125,13 +119,35 @@ class EvalReport(Row):
     tp_strict: int = 0
 
 
+class _NameSet:
+    """Names, the longest of them in tokens, and the set of their first tokens.
+
+    Only a run of summary terms that begins with a first token and is no
+    longer than the longest name can equal a name, so no other run is built.
+    """
+
+    def __init__(self, names: Iterable[str]):
+        self.names = frozenset(names)
+        self.longest = max((name.count(" ") + 1 for name in self.names), default=1)
+        self.starts = frozenset(name.split(" ", 1)[0] for name in self.names)
+
+    def found_in(self, terms: tuple[str, ...]) -> frozenset[str]:
+        """The names that occur as contiguous runs of ``terms``."""
+        runs = []
+        for i, term in enumerate(terms):
+            if term in self.starts:
+                run = term
+                runs.append(run)
+                for nxt in terms[i + 1 : i + self.longest]:
+                    run = f"{run} {nxt}"
+                    runs.append(run)
+        return self.names.intersection(runs)
+
+
 class AssetIndex:
     """Read-only asset lookup by id, by (vendor, name) key and by name.
 
-    ``phrase_len`` is the longest name or vendor in tokens, so summary
-    phrases enumerated up to it reach every name and every vendor.
-    ``starts`` holds the first token of every name and vendor: a summary
-    phrase that begins with any other term can equal neither.
+    ``names`` is the name set over every name and every vendor.
     ``unreachable_names`` lists the names holding a function word: summary
     terms never contain one, so these names can never match a summary.
     """
@@ -150,8 +166,7 @@ class AssetIndex:
         self.by_name: dict[str, list[tuple[str, str]]] = {}
         for key in sorted(self.by_key):
             self.by_name.setdefault(key[1], []).append(key)
-        self.phrase_len = _needed_phrase_len(part for key in self.by_key for part in key)
-        self.starts = frozenset(part.split(" ", 1)[0] for key in self.by_key for part in key)
+        self.names = _NameSet(part for key in self.by_key for part in key)
         self.unreachable_names = tuple(
             sorted(name for name in self.by_name if not FUNCTION_WORDS.isdisjoint(name.split()))
         )
@@ -163,59 +178,18 @@ class AssetIndex:
         return len(self.by_id)
 
 
-def extract_summary_terms(
-    summary: str, max_phrase_len: int = DEFAULT_MAX_PHRASE_LEN, cve_id: str = ""
-) -> SummaryTerms:
-    """Tokenize a summary and enumerate its contiguous phrases.
-
-    Function words are dropped before phrase enumeration, so "windows of
-    microsoft" yields the bigram "windows microsoft".
-    """
-    if max_phrase_len < 1:
-        raise ValidationError(f"max_phrase_len must be >= 1, got {max_phrase_len}")
-    terms = _summary_terms(summary)
-    return SummaryTerms(
-        cve_id=cve_id, terms=terms, phrases=frozenset(_phrases(terms, max_phrase_len))
-    )
-
-
 def _summary_terms(summary: str) -> tuple[str, ...]:
     return tuple(tok for tok in tokenize(summary) if tok not in FUNCTION_WORDS)
 
 
-def _phrases(
-    terms: tuple[str, ...], max_len: int, starts: frozenset[str] | None = None
-) -> set[str]:
-    """The contiguous phrases of at most ``max_len`` terms, of those only the
-    ones whose first term is in ``starts`` when it is given."""
-    phrases = set()
-    for i, term in enumerate(terms):
-        if starts is not None and term not in starts:
-            continue
-        phrase = term
-        phrases.add(phrase)
-        for nxt in terms[i + 1 : i + max_len]:
-            phrase = f"{phrase} {nxt}"
-            phrases.add(phrase)
-    return phrases
-
-
-def _needed_phrase_len(names: Iterable[str]) -> int:
-    longest = 1
-    for name in names:
-        if name:
-            longest = max(longest, name.count(" ") + 1)
-    return longest
-
-
 def _dictionary_names(
     dictionary: CpeDictionary, min_name_len: int
-) -> tuple[set[str], set[str], int]:
+) -> tuple[set[str], set[str], _NameSet]:
     """Dictionary vendor and product names of at least ``min_name_len``,
-    and the phrase length that reaches the longest of them."""
+    and the name set over both."""
     vendors = {v for v in dictionary.vendor_names if len(v) >= min_name_len}
     products = {p for p in dictionary.product_names if len(p) >= min_name_len}
-    return vendors, products, _needed_phrase_len(vendors | products)
+    return vendors, products, _NameSet(vendors | products)
 
 
 def _own_names(
@@ -250,16 +224,16 @@ def build_fp_filter(
     shorter than ``min_name_len`` after standardization are never
     considered. Every corpus record must carry a CPE list.
     """
-    dict_vendors, dict_products, phrase_len = _dictionary_names(dictionary, min_name_len)
+    dict_vendors, dict_products, dict_names = _dictionary_names(dictionary, min_name_len)
     filter_vendors: set[str] = set()
     filter_products: set[str] = set()
     for record in corpus:
         if not record.cpe_list:
             raise ValidationError(f"{record.id}: filter corpus requires a non-empty CPE list")
         own_vendors, own_products, _ = _own_names(record, stop_words)
-        phrases = extract_summary_terms(record.summary, phrase_len, record.id).phrases
-        filter_vendors.update((dict_vendors & phrases) - own_vendors)
-        filter_products.update((dict_products & phrases) - own_products)
+        found = dict_names.found_in(_summary_terms(record.summary))
+        filter_vendors.update((dict_vendors & found) - own_vendors)
+        filter_products.update((dict_products & found) - own_products)
     return FpFilter(
         vendor_names=frozenset(filter_vendors),
         product_names=frozenset(filter_products),
@@ -277,9 +251,10 @@ def match_cve(
     """Match one CVE against the asset index.
 
     A non-empty CPE list takes precedence and suppresses summary matching
-    entirely. Otherwise the summary's phrases, up to the longest name in
-    the index, are looked up by name. Results are ordered by (vendor,
-    name) key and deduplicated per asset group.
+    entirely. Otherwise the index's name set finds the names and vendors
+    that occur in the summary, and each name found matches its asset
+    groups. Results are ordered by (vendor, name) key and deduplicated per
+    asset group.
     """
     return match_corpus([cve], assets, fp_filter, min_name_len, stop_words)
 
@@ -316,13 +291,13 @@ def match_corpus(
                 )
             continue
 
-        phrases = _phrases(_summary_terms(cve.summary), assets.phrase_len, assets.starts)
-        hits = sorted(key for phrase in phrases for key in assets.by_name.get(phrase, ()))
+        found = assets.names.found_in(_summary_terms(cve.summary))
+        hits = sorted(key for name in found for key in assets.by_name.get(name, ()))
         for vendor, name in hits:
             if len(name) < min_name_len:
                 continue
             if name in fp_filter.product_names:
-                vendor_present = len(vendor) >= min_name_len and vendor in phrases
+                vendor_present = len(vendor) >= min_name_len and vendor in found
                 if not vendor_present:
                     continue
             results.append(
@@ -345,13 +320,14 @@ def evaluate_corpus(
     """Score extraction quality on a corpus whose records all carry CPEs.
 
     A record is a true positive when one of its own CPE vendor or product
-    names occurs among its summary phrases, and a false positive when some
-    dictionary vendor+product pair occurs there without being in the
-    record's own CPE list. Phrase enumeration adapts to the longest
-    candidate name, so no name is missed for length.
+    names occurs in its summary, and a false positive when some dictionary
+    vendor+product pair occurs there without being in the record's own CPE
+    list. Names are found by the rule ``tickets`` uses: one name set over
+    the dictionary names and one over the record's own names, each reaching
+    its longest name, so no name is missed for length.
     """
     corpus = list(corpus)
-    dict_vendors, dict_products, dict_needed = _dictionary_names(dictionary, min_name_len)
+    dict_vendors, dict_products, dict_names = _dictionary_names(dictionary, min_name_len)
     pairs = dictionary.pairs
     elided = sum(1 for v in dictionary.vendor_names if 0 < len(v) < min_name_len) + sum(
         1 for p in dictionary.product_names if 0 < len(p) < min_name_len
@@ -361,22 +337,18 @@ def evaluate_corpus(
         if not record.cpe_list:
             raise ValidationError(f"{record.id}: evaluation corpus requires a non-empty CPE list")
         own_vendors, own_products, own_pairs = _own_names(record, stop_words)
-        needed = max(dict_needed, _needed_phrase_len(own_vendors | own_products))
-        phrases = extract_summary_terms(record.summary, needed, record.id).phrases
-
-        own_hits = {n for n in own_vendors | own_products if len(n) >= min_name_len} & phrases
-        if own_hits:
+        terms = _summary_terms(record.summary)
+        own_names = _NameSet(n for n in own_vendors | own_products if len(n) >= min_name_len)
+        own_found = own_names.found_in(terms)
+        if own_found:
             tp += 1
-        if any(
-            v in phrases and p in phrases
-            for v, p in own_pairs
-            if len(v) >= min_name_len and len(p) >= min_name_len
-        ):
+        if any(v in own_found and p in own_found for v, p in own_pairs):
             tp_strict += 1
         # narrow to names actually present before touching the pair set, so
         # cost tracks the summary, not the dictionary
-        found_vendors = dict_vendors & phrases
-        found_products = dict_products & phrases
+        found = dict_names.found_in(terms)
+        found_vendors = dict_vendors & found
+        found_products = dict_products & found
         if any(
             (v, p) in pairs and (v, p) not in own_pairs
             for v in found_vendors

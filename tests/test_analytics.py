@@ -481,6 +481,21 @@ class TestMannWhitney:
         with pytest.raises(DomainError):
             mann_whitney_u([], [1.0])
 
+    @pytest.mark.parametrize(
+        "a", [[float("nan"), 1, 5], [1, 5, float("nan")]], ids=["nan-first", "nan-last"]
+    )
+    def test_nan_rejected_in_either_sample(self, a):
+        with pytest.raises(DomainError, match="NaN"):
+            mann_whitney_u(a, [2, 3, 4])
+        with pytest.raises(DomainError, match="NaN"):
+            mann_whitney_u([2, 3, 4], a)
+
+    def test_infinite_values_rank_at_the_ends(self):
+        inf = float("inf")
+        assert mann_whitney_u([inf, 1, 5], [2, 3, -inf]) == mann_whitney_u(
+            [100, 1, 5], [2, 3, -100]
+        )
+
     def test_exact_with_ties_rejected(self):
         with pytest.raises(DomainError):
             mann_whitney_u([1, 2], [2, 3], method="exact")

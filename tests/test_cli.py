@@ -611,6 +611,22 @@ class TestStats:
         assert payload["u_statistic"] == 0.0
         assert abs(payload["p_value"] - 1 / 3) < 1e-12
 
+    @pytest.mark.parametrize("text", ["nan\n1\n5\n", "1\n5\nNaN\n"], ids=["first", "last"])
+    def test_ranktest_nan_score_exits_2(self, tmp_path, capsys, text):
+        a = write(tmp_path, "a.txt", text)
+        b = write(tmp_path, "b.txt", "2\n3\n4\n")
+        for argv in (["--scores-a", a, "--scores-b", b], ["--scores-a", b, "--scores-b", a]):
+            assert main(["stats", "--report", "ranktest", *argv]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    def test_ranktest_accepts_infinite_scores(self, tmp_path, capsys):
+        a = write(tmp_path, "a.txt", "inf\n1\n5\n")
+        b = write(tmp_path, "b.txt", "2\n3\n-inf\n")
+        assert main(["stats", "--report", "ranktest", "--scores-a", a, "--scores-b", b]) == 0
+        assert json.loads(capsys.readouterr().out)["n1"] == 3
+
     def test_ranktest_method_override(self, tmp_path, capsys):
         a = write(tmp_path, "a.txt", "1\n2\n5\n")
         b = write(tmp_path, "b.txt", "3\n4\n9\n")
@@ -895,6 +911,21 @@ class TestBuildFilterAndEvaluate:
         expected.save(tmp_path / "expect_v.txt", tmp_path / "expect_p.txt")
         assert (tmp_path / "vendors.txt").read_bytes() == (tmp_path / "expect_v.txt").read_bytes()
         assert (tmp_path / "products.txt").read_bytes() == (tmp_path / "expect_p.txt").read_bytes()
+
+    def test_source_year_with_line_break_exits_2(self, tmp_path, capsys):
+        feed = self._feeds(tmp_path)
+        dictionary = write(tmp_path, "dict.json", json.dumps(DICTIONARY))
+        out_v, out_p = tmp_path / "vendors.txt", tmp_path / "products.txt"
+        code = main(
+            ["build-filter", feed, "--dictionary", dictionary, "--out-vendors", str(out_v),
+             "--out-products", str(out_p), "--source-year", "2020\nwidget"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error: ")] == [
+            "error: source year '2020\\nwidget' is not one line"
+        ]
+        assert not out_v.exists() and not out_p.exists()
 
     def test_evaluate_matches_oracle(self, tmp_path, capsys):
         feed = self._feeds(tmp_path)

@@ -1,4 +1,4 @@
-"""Summary-term extraction, filter construction, matching, evaluation."""
+"""Finding names in summaries, filter construction, matching, evaluation."""
 
 from __future__ import annotations
 
@@ -17,13 +17,18 @@ from cvesentinel.matcher import (
     FpFilter,
     build_fp_filter,
     evaluate_corpus,
-    extract_summary_terms,
     match_corpus,
     match_cve,
 )
 from cvesentinel.model import AssetRecord, MatchVia, WellFormedName
 from cvesentinel.normalize import standardize
-from oracles import oracle_build_filter, oracle_evaluate, oracle_match_corpus
+from oracles import (
+    contains_name,
+    oracle_build_filter,
+    oracle_evaluate,
+    oracle_match_corpus,
+    summary_tokens,
+)
 
 
 def make_asset(asset_id: str, name: str, vendor: str, version: str = "") -> AssetRecord:
@@ -36,38 +41,50 @@ def make_asset(asset_id: str, name: str, vendor: str, version: str = "") -> Asse
     )
 
 
-class TestExtractSummaryTerms:
-    def test_hyper_v_summary_contains_vendor_and_product(self):
-        terms = extract_summary_terms(
-            "A vulnerability in Microsoft Hyper-V Virtual allows remote code execution."
-        )
-        assert "microsoft" in terms.phrases
-        assert "hyper" in terms.phrases
+# Names drawn from a small vocabulary overlap and contain one another. "for"
+# is a function word, so a name holding it can never match a summary; "zk"
+# and "q" fall below the default name cutoff.
+NAME_WORDS = ["kilo", "bravo", "echo", "delta", "zulu", "for", "zk", "q"]
+SUMMARY_FILLERS = ["flaw", "the", "in", "allows", "Kilo", "ECHO", "Bravo-Delta", "zulu.", "--"]
+
+
+@st.composite
+def names_and_summary(draw):
+    """Names of 1 to 6 tokens and a summary that holds some of them whole."""
+    words = st.sampled_from(NAME_WORDS)
+    names = draw(st.sets(st.lists(words, min_size=1, max_size=6).map(" ".join), max_size=6))
+    pieces = st.sampled_from(NAME_WORDS + SUMMARY_FILLERS + sorted(names))
+    return names, " ".join(draw(st.lists(pieces, max_size=10)))
+
+
+def found_names(names, summary: str) -> set[str]:
+    return matcher._NameSet(names).found_in(matcher._summary_terms(summary))
+
+
+class TestNameSet:
+    def test_hyper_v_summary_holds_vendor_and_product(self):
+        summary = "A vulnerability in Microsoft Hyper-V Virtual allows remote code execution."
+        assert found_names({"microsoft", "hyper", "windows"}, summary) == {"microsoft", "hyper"}
 
     def test_empty_summary(self):
-        terms = extract_summary_terms("")
-        assert terms.terms == ()
-        assert terms.phrases == frozenset()
+        assert matcher._summary_terms("") == ()
+        assert found_names({"server"}, "") == set()
 
-    def test_ngram_enumeration(self):
-        terms = extract_summary_terms("SQL injection in example app", max_phrase_len=2)
-        assert {"sql", "injection", "sql injection"} <= terms.phrases
-        assert "sql injection in" not in terms.phrases
-
-    def test_function_words_removed(self):
-        terms = extract_summary_terms("The server and the client")
-        assert "the" not in terms.terms
-        assert "and" not in terms.terms
-        # removal happens before phrase enumeration
-        assert "server client" in terms.phrases
+    def test_function_words_dropped_before_runs_are_taken(self):
+        assert not {"the", "and"} & set(matcher._summary_terms("The server and the client"))
+        assert found_names({"server client"}, "The server and the client") == {"server client"}
 
     def test_no_pure_punctuation_terms(self):
-        terms = extract_summary_terms("foo -- bar ... baz !!")
-        assert all(any(ch.isalnum() for ch in t) for t in terms.terms)
+        terms = matcher._summary_terms("foo -- bar ... baz !!")
+        assert all(any(ch.isalnum() for ch in t) for t in terms)
+        assert found_names({"foo bar baz"}, "foo -- bar ... baz !!") == {"foo bar baz"}
 
-    def test_phrase_len_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            extract_summary_terms("x", max_phrase_len=0)
+    @given(names_and_summary())
+    @settings(max_examples=300, deadline=None)
+    def test_found_names_equal_oracle(self, inputs):
+        names, summary = inputs
+        expected = {n for n in names if contains_name(summary_tokens(summary), n)}
+        assert found_names(names, summary) == expected
 
 
 class TestBuildFpFilter:
@@ -184,6 +201,19 @@ class TestBuildFpFilter:
         loaded = FpFilter.load(tmp_path / "vendors.txt", tmp_path / "products.txt")
         assert loaded == fp
 
+    @pytest.mark.parametrize("label", ["2019-2020", "nvd a=b #1", ""])
+    def test_source_year_label_round_trips(self, tmp_path, label):
+        fp = FpFilter(frozenset({"acme"}), frozenset({"hyper"}), source_year=label)
+        fp.save(tmp_path / "vendors.txt", tmp_path / "products.txt")
+        assert FpFilter.load(tmp_path / "vendors.txt", tmp_path / "products.txt") == fp
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\x85", "\u2028"], ids=["lf", "cr", "nel", "ls"])
+    def test_source_year_with_line_break_rejected_before_writing(self, tmp_path, brk):
+        fp = FpFilter(frozenset(), frozenset(), source_year=f"2020{brk}widget")
+        with pytest.raises(ValidationError, match="not one line"):
+            fp.save(tmp_path / "vendors.txt", tmp_path / "products.txt")
+        assert list(tmp_path.iterdir()) == []
+
     def test_serialization_is_deterministic(self, tmp_path):
         fp = FpFilter(
             vendor_names=frozenset({"b", "a", "c"}),
@@ -294,7 +324,7 @@ class TestMatchCve:
         index = AssetIndex(
             [make_asset("A1", "widget", "zeta labs"), make_asset("A2", "labs portal", "acme")]
         )
-        assert index.starts == {"widget", "zeta", "labs", "acme"}
+        assert index.names.starts == {"widget", "zeta", "labs", "acme"}
         fp = FpFilter(vendor_names=frozenset(), product_names=frozenset({"widget"}))
         with_vendor = make_record("CVE-2021-0001", summary="Zeta Labs Widget crashes")
         (result,) = match_corpus([with_vendor], index, fp)
@@ -335,13 +365,6 @@ class TestMatchCve:
             )
         )
         assert grown <= base
-
-
-# Names drawn from a small vocabulary overlap and contain one another. "for"
-# is a function word, so a name holding it can never match a summary; "zk"
-# and "q" fall below the default name cutoff.
-NAME_WORDS = ["kilo", "bravo", "echo", "delta", "zulu", "for", "zk", "q"]
-SUMMARY_FILLERS = ["flaw", "the", "in", "allows", "Kilo", "ECHO", "Bravo-Delta", "zulu.", "--"]
 
 
 @st.composite
