@@ -29,6 +29,7 @@ from .errors import (
     SnapshotNotFoundError,
 )
 from .ingest import Snapshot
+from .model import CveRecord
 from .normalize import StopWordList, as_text, read_text_file, standardize
 
 STORE_ENV_VAR = "SENTINEL_STORE"
@@ -73,37 +74,34 @@ def _emit_json(args: argparse.Namespace, payload: object) -> None:
     _write_text(args, json.dumps(payload, indent=2) + "\n")
 
 
-def _read_feeds(paths: Sequence[str]) -> tuple[dict[str, ingest.FeedParseResult], dict[str, int]]:
-    """Parse each feed and note its reject count on stderr; the counts are
-    keyed by file name, or by the path as given where two feeds share a
-    file name."""
+def _read_feeds(paths: Sequence[str]) -> tuple[dict[str, CveRecord], dict[str, int]]:
+    """One id-keyed map of the feeds' records, a later feed's record winning,
+    and each feed's reject count, noted on stderr too and keyed by file name,
+    or by the path as given where two feeds share a file name."""
     names = Counter(Path(path).name for path in paths)
-    results: dict[str, ingest.FeedParseResult] = {}
+    records: dict[str, CveRecord] = {}
     reject_counts: dict[str, int] = {}
     for path in paths:
         # Decoded first, so the feed's bytes are freed before its items are
         # built; parse_feed counts a kept byte-order mark in error offsets.
         result = ingest.parse_feed(as_text(ingest.read_feed_bytes(path), path, keep_bom=True))
-        results[path] = result
+        records.update((record.id, record) for record in result.records)
         name = Path(path).name
         reject_counts[name if names[name] == 1 else path] = len(result.rejects)
     for name, count in reject_counts.items():
         _note(f"{name}: {count} rejected item(s)")
-    return results, reject_counts
+    return records, reject_counts
 
 
 def _feed_corpus(paths: Sequence[str]) -> tuple[list, int]:
     """CPE-bearing records merged across feeds, plus the no-CPE count."""
-    results, _ = _read_feeds(paths)
-    merged = ingest.merge_records(r.records for r in results.values())
-    corpus = [merged[cve_id] for cve_id in sorted(merged) if merged[cve_id].cpe_list]
-    return corpus, len(merged) - len(corpus)
+    records, _ = _read_feeds(paths)
+    corpus = [records[cve_id] for cve_id in sorted(records) if records[cve_id].cpe_list]
+    return corpus, len(records) - len(corpus)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    _stop_words(args)  # unused here, but an unreadable list is an input error in every command
-    results, reject_counts = _read_feeds(args.feeds)
-    records = ingest.merge_records(r.records for r in results.values())
+    records, reject_counts = _read_feeds(args.feeds)
     snapshot = Snapshot(date=args.date, records=records)
     ingest.store_snapshot(args.store, snapshot, overwrite=args.overwrite)
     _note(f"stored snapshot {args.date.isoformat()} with {len(records)} records")
@@ -247,7 +245,7 @@ def _vendors_report(args: argparse.Namespace, stop_words: StopWordList | None) -
     corpus = analytics.assemble_vendor_corpus(_snapshots(args))
     # A CVE without a CPE vendor that standardizes to a name is skipped, not an error.
     usable = [r for r in corpus if any(standardize(uri.vendor, stop_words) for uri in r.cpe_list)]
-    stats = analytics.vendor_completeness(usable, stop_words) if usable else []
+    stats = analytics.vendor_completeness(usable, stop_words)
     rows = [s.to_dict() for s in stats]
     summary = {"skipped_no_vendor": len(corpus) - len(usable)}
     return {"report": "vendors", **summary, "vendors": rows}, rows, summary
@@ -307,6 +305,7 @@ def _read_dictionary(
 
 
 def cmd_build_filter(args: argparse.Namespace) -> int:
+    matcher.FpFilter.header(args.source_year)  # an unwritable label fails before any read
     stop_words = _stop_words(args)
     dictionary = _read_dictionary(args, stop_words)
     corpus, excluded = _feed_corpus(args.feeds)
@@ -351,14 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get(STORE_ENV_VAR, DEFAULT_STORE),
         help=f"snapshot store root (default: ${STORE_ENV_VAR} or ./{DEFAULT_STORE})",
     )
-    common.add_argument("--stopwords", help="stop-word list file, one token per line, # comments")
-    common.add_argument(
+    common.add_argument("--output", help="write the report here instead of stdout")
+    # --stopwords where names are standardized; --min-name-len where summaries are searched
+    stopwords = argparse.ArgumentParser(add_help=False)
+    stopwords.add_argument("--stopwords", help="stop-word list file, one token per line, # comments")
+    names = argparse.ArgumentParser(add_help=False, parents=[stopwords])
+    names.add_argument(
         "--min-name-len",
         type=_positive_int,
         default=matcher.DEFAULT_MIN_NAME_LEN,
         help="shortest standardized name admitted as match evidence",
     )
-    common.add_argument("--output", help="write the report here instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="sentinel",
@@ -373,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_tickets = sub.add_parser(
-        "tickets", parents=[common], help="match a day's new CVEs and emit grouped tickets"
+        "tickets", parents=[common, names], help="match a day's new CVEs and emit grouped tickets"
     )
     p_tickets.add_argument("--date", type=_date_arg, required=True)
     p_tickets.add_argument("--inventory", required=True, help="asset inventory CSV")
@@ -385,7 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tickets.set_defaults(func=cmd_tickets)
 
-    p_stats = sub.add_parser("stats", parents=[common], help="completeness statistics reports")
+    p_stats = sub.add_parser(
+        "stats", parents=[common, stopwords], help="completeness statistics reports"
+    )
     p_stats.add_argument("--report", required=True, choices=list(STATS_REPORTS))
     p_stats.add_argument("--from", dest="date_from", type=_date_arg)
     p_stats.add_argument("--to", dest="date_to", type=_date_arg)
@@ -400,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=cmd_stats)
 
     p_filter = sub.add_parser(
-        "build-filter", parents=[common], help="compile false-positive name lists from feeds"
+        "build-filter", parents=[common, names], help="compile false-positive name lists from feeds"
     )
     p_filter.add_argument("feeds", nargs="+")
     p_filter.add_argument("--dictionary", required=True)
@@ -410,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.set_defaults(func=cmd_build_filter)
 
     p_eval = sub.add_parser(
-        "evaluate", parents=[common], help="score summary-extraction quality on labeled feeds"
+        "evaluate", parents=[common, names], help="score summary-extraction quality on labeled feeds"
     )
     p_eval.add_argument("feeds", nargs="+")
     p_eval.add_argument("--dictionary", required=True)
@@ -429,10 +433,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (MatchIntegrityError, SnapshotIntegrityError) as exc:
         _note(f"error: {exc}")
         return EXIT_INTEGRITY
-    except SentinelError as exc:
-        _note(f"error: {exc}")
-        return EXIT_INPUT
-    except OSError as exc:
+    except (SentinelError, OSError) as exc:
         _note(f"error: {exc}")
         return EXIT_INPUT
 

@@ -93,10 +93,6 @@ class CpeDictionary:
     pairs: frozenset[tuple[str, str]]
     skipped: int = field(default=0, compare=False)
 
-    @classmethod
-    def empty(cls) -> "CpeDictionary":
-        return cls(frozenset())
-
     @property
     def vendor_names(self) -> frozenset[str]:
         return frozenset(vendor for vendor, _ in self.pairs if vendor)
@@ -352,15 +348,6 @@ def read_feed_bytes(path: str | Path) -> bytes:
         raise FeedParseError(f"{path}: unreadable gzip stream: {exc}")
 
 
-def merge_records(batches: Iterable[Iterable[CveRecord]]) -> dict[str, CveRecord]:
-    """Union several record lists into one id-keyed map; later batches win."""
-    merged: dict[str, CveRecord] = {}
-    for batch in batches:
-        for record in batch:
-            merged[record.id] = record
-    return merged
-
-
 def _cpe_names_from_xml(text: str) -> Iterable[str]:
     try:
         root = ET.fromstring(text)
@@ -397,7 +384,7 @@ def parse_cpe_dictionary(
     """
     text = as_text(data).strip()
     if not text:
-        return CpeDictionary.empty()
+        return CpeDictionary(frozenset())
     if text.startswith("<"):
         names = _cpe_names_from_xml(text)
     elif text.startswith("["):
@@ -520,13 +507,6 @@ _COMPACT_HEAD = re.compile(
 )
 
 
-def _build_record(data: Any, cpes: dict[str, CpeUri]) -> CveRecord:
-    """The record one stored JSON value holds; the value must be an object."""
-    if not isinstance(data, dict):
-        raise ValidationError(f"stored record is not an object but {type(data).__name__}")
-    return CveRecord.from_dict(data, cpes)
-
-
 def _compact_day(
     lines: list[str], known: Mapping[str, CveRecord], cpes: dict[str, CpeUri]
 ) -> tuple[date, int, list[CveRecord], dict[str, CveRecord]] | None:
@@ -557,7 +537,7 @@ def _compact_day(
                 data, end = _DECODER.raw_decode(line)
                 if end != len(line) - comma:
                     return None
-                record = _build_record(data, cpes)
+                record = CveRecord.from_dict(data, cpes)
             records.append(record)
             by_line[line] = record
     except (KeyError, TypeError, ValueError, RecursionError, ValidationError):
@@ -595,7 +575,7 @@ def load_snapshot(
         if compact is None:
             payload = json.loads("\n".join(lines))
             stored_date = date.fromisoformat(payload["date"])
-            records = [_build_record(data, cpes) for data in payload["records"]]
+            records = [CveRecord.from_dict(data, cpes) for data in payload["records"]]
             count = payload["record_count"]
             by_line = {}
         else:

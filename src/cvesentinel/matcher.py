@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 from .ingest import CpeDictionary
 from .model import AssetRecord, CveRecord, MatchVia, Row
 from .normalize import StopWordList, read_text_file, standardize, tokenize, well_formed_from_cpe
 
 DEFAULT_MIN_NAME_LEN = 3
+_LABEL = "#source_year="  # the first line of a filter list, before its label
 
 # Closed-class English words: articles, prepositions, conjunctions,
 # pronouns, auxiliaries. Product names are open-class, so dropping these
@@ -59,10 +60,16 @@ class FpFilter:
     def empty(cls) -> "FpFilter":
         return cls(vendor_names=frozenset(), product_names=frozenset())
 
-    def save(self, vendors_path: str | Path, products_path: str | Path) -> None:
-        header = f"#source_year={self.source_year}"
+    @staticmethod
+    def header(source_year: str) -> str:
+        """The label line that begins both lists; the label must be one line."""
+        header = f"{_LABEL}{source_year}"
         if header.splitlines() != [header]:  # a line break would plant names in both lists
-            raise ValidationError(f"source year {self.source_year!r} is not one line")
+            raise ValidationError(f"source year {source_year!r} is not one line")
+        return header
+
+    def save(self, vendors_path: str | Path, products_path: str | Path) -> None:
+        header = self.header(self.source_year)
         for path, names in ((vendors_path, self.vendor_names), (products_path, self.product_names)):
             lines = [header]
             lines.extend(sorted(names))
@@ -70,20 +77,25 @@ class FpFilter:
 
     @classmethod
     def load(cls, vendors_path: str | Path, products_path: str | Path) -> "FpFilter":
-        def read(path: str | Path) -> tuple[frozenset[str], str]:
+        """Read both lists; a label is kept exactly as written, and a list
+        without one takes the other's, but two different labels are an error."""
+        def read(path: str | Path) -> tuple[frozenset[str], str | None]:
             names = set()
-            year = ""
+            year = None
             for line in read_text_file(path).splitlines():
-                line = line.strip()
-                if line.startswith("#source_year="):
-                    year = line.split("=", 1)[1]
-                elif line and not line.startswith("#"):
-                    names.add(line)
+                if line.startswith(_LABEL):
+                    year = line[len(_LABEL) :]
+                elif (name := line.strip()) and not name.startswith("#"):
+                    names.add(name)
             return frozenset(names), year
 
         vendors, year_v = read(vendors_path)
         products, year_p = read(products_path)
-        return cls(vendor_names=vendors, product_names=products, source_year=year_v or year_p)
+        labels = {year_v, year_p} - {None}
+        if len(labels) > 1:
+            raise FormatError(f"{vendors_path} and {products_path} disagree on the source year: "
+                              f"{year_v!r} against {year_p!r}")
+        return cls(vendors, products, source_year=labels.pop() if labels else "")
 
 
 @dataclass(frozen=True)
@@ -147,6 +159,7 @@ class _NameSet:
 class AssetIndex:
     """Read-only asset lookup by id, by (vendor, name) key and by name.
 
+    ``_ids`` maps each key to the sorted ids of its asset group, and
     ``names`` is the name set over every name and every vendor.
     ``unreachable_names`` lists the names holding a function word: summary
     terms never contain one, so these names can never match a summary.
@@ -154,28 +167,20 @@ class AssetIndex:
 
     def __init__(self, assets: Iterable[AssetRecord]):
         self.by_id: dict[str, AssetRecord] = {}
-        self.by_key: dict[tuple[str, str], list[AssetRecord]] = {}
+        groups: dict[tuple[str, str], list[str]] = {}
         for asset in assets:
             if asset.asset_id in self.by_id:
                 raise ValidationError(f"duplicate asset id {asset.asset_id!r}")
             self.by_id[asset.asset_id] = asset
-            self.by_key.setdefault(asset.wfn.key, []).append(asset)
-        self._ids = {
-            key: tuple(sorted(a.asset_id for a in group)) for key, group in self.by_key.items()
-        }
+            groups.setdefault(asset.wfn.key, []).append(asset.asset_id)
+        self._ids = {key: tuple(sorted(ids)) for key, ids in groups.items()}
         self.by_name: dict[str, list[tuple[str, str]]] = {}
-        for key in sorted(self.by_key):
+        for key in sorted(self._ids):
             self.by_name.setdefault(key[1], []).append(key)
-        self.names = _NameSet(part for key in self.by_key for part in key)
+        self.names = _NameSet(part for key in self._ids for part in key)
         self.unreachable_names = tuple(
             sorted(name for name in self.by_name if not FUNCTION_WORDS.isdisjoint(name.split()))
         )
-
-    def ids_for(self, key: tuple[str, str]) -> tuple[str, ...]:
-        return self._ids.get(key, ())
-
-    def __len__(self) -> int:
-        return len(self.by_id)
 
 
 def _summary_terms(summary: str) -> tuple[str, ...]:
@@ -283,11 +288,11 @@ def match_corpus(
                     except ValidationError:
                         cpe_keys[pair] = None  # undescribable product name
                 key = cpe_keys[pair]
-                if key in assets.by_key:
+                if key in assets._ids:
                     matched_keys.add(key)
             for key in sorted(matched_keys):
                 results.append(
-                    MatchResult(cve_id=cve.id, asset_ids=assets.ids_for(key), via=MatchVia.CPE)
+                    MatchResult(cve_id=cve.id, asset_ids=assets._ids[key], via=MatchVia.CPE)
                 )
             continue
 
@@ -303,7 +308,7 @@ def match_corpus(
             results.append(
                 MatchResult(
                     cve_id=cve.id,
-                    asset_ids=assets.ids_for((vendor, name)),
+                    asset_ids=assets._ids[vendor, name],
                     via=MatchVia.SUMMARY,
                     matched_phrase=name,
                 )
@@ -326,14 +331,14 @@ def evaluate_corpus(
     the dictionary names and one over the record's own names, each reaching
     its longest name, so no name is missed for length.
     """
-    corpus = list(corpus)
     dict_vendors, dict_products, dict_names = _dictionary_names(dictionary, min_name_len)
     pairs = dictionary.pairs
     elided = sum(1 for v in dictionary.vendor_names if 0 < len(v) < min_name_len) + sum(
         1 for p in dictionary.product_names if 0 < len(p) < min_name_len
     )
-    tp = fp = tp_strict = 0
+    total = tp = fp = tp_strict = 0
     for record in corpus:
+        total += 1
         if not record.cpe_list:
             raise ValidationError(f"{record.id}: evaluation corpus requires a non-empty CPE list")
         own_vendors, own_products, own_pairs = _own_names(record, stop_words)
@@ -356,7 +361,6 @@ def evaluate_corpus(
         ):
             fp += 1
 
-    total = len(corpus)
     return EvalReport(
         total=total,
         tp=tp,

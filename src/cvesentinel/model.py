@@ -198,13 +198,15 @@ class CveRecord:
 
     @classmethod
     def from_dict(
-        cls, data: Mapping[str, Any], cpes: dict[str, CpeUri] | None = None
+        cls, data: dict[str, Any], cpes: dict[str, CpeUri] | None = None
     ) -> "CveRecord":
-        """Build a record from its ``to_dict`` form.
+        """Build a record from its ``to_dict`` form, which must be a dict.
 
         ``cpes`` maps raw CPE strings to their parsed names; a string found
         there is not parsed again, and every string parsed here is added.
         """
+        if not isinstance(data, dict):
+            raise ValidationError(f"stored record is not an object but {type(data).__name__}")
         cpes = {} if cpes is None else cpes
         raws, references = data.get("cpe_list", []), data.get("references", [])
         for label, value in (("cpe_list", raws), ("references", references)):

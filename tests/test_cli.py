@@ -6,6 +6,8 @@ import gc
 import gzip
 import json
 import weakref
+from datetime import date
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from conftest import DAY_LAYOUTS, cpe23, feed_bytes, feed_item
 from cvesentinel import cli
 from cvesentinel.cli import main
+from cvesentinel.ingest import load_snapshot
 from oracles import oracle_evaluate
 
 
@@ -73,6 +76,38 @@ class TestIngest:
         assert main(["ingest", f1, f2, "--date", "2021-06-01", "--store", store]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["stored"] == 2
+
+    @pytest.mark.parametrize("scores", [(5.0, 9.8), (9.8, 5.0)], ids=["higher-last", "lower-last"])
+    def test_later_feed_wins_for_a_cve_in_two_feeds(self, tmp_path, store, capsys, scores):
+        f1, f2 = (write(tmp_path, name, feed_bytes([feed_item("CVE-2021-0001", score=score)]))
+                  for name, score in zip(("a.json", "b.json"), scores))
+        assert main(["ingest", f1, f2, "--date", "2021-06-01", "--store", store]) == 0
+        assert json.loads(capsys.readouterr().out)["stored"] == 1
+        (record,) = load_snapshot(store, date(2021, 6, 1)).records.values()
+        assert record.cvss3_base == Decimal(str(scores[1]))
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("ingest", "--min-name-len"), ("ingest", "--stopwords"), ("stats", "--min-name-len")],
+    )
+    def test_option_the_command_would_ignore_exits_2(self, tmp_path, store, capsys, command, flag):
+        ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001")])
+        value = "3" if flag == "--min-name-len" else write(tmp_path, "stop.txt", "inc\n")
+        feed = write(tmp_path, "f.json", feed_bytes([feed_item("CVE-2021-0002")]))
+        argv = {
+            "ingest": ["ingest", feed, "--date", "2021-06-02"],
+            "stats": ["stats", "--report", "daily", "--from", "2021-06-01", "--to", "2021-06-01"],
+        }[command]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--store", store, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+        assert not (Path(store) / "snapshots" / "2021-06-02").exists()
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert flag not in capsys.readouterr().out
 
     def test_same_date_twice_without_overwrite(self, tmp_path, store):
         assert ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001")]) == 0
@@ -216,6 +251,24 @@ class TestTickets:
         )
         assert code == 0
         assert capsys.readouterr().out == ""
+
+    def test_filter_lists_with_different_labels_exit_2(self, tmp_path, store, capsys):
+        inventory = self._setup(tmp_path, store)
+        filter_vendors = write(tmp_path, "fv.txt", "#source_year=2019\n")
+        filter_products = write(tmp_path, "fp.txt", "#source_year=2020\nhyper\n")
+        capsys.readouterr()
+        code = main(
+            ["tickets", "--full", "--date", "2021-06-01", "--store", store, "--inventory", inventory,
+             "--filter-vendors", filter_vendors, "--filter-products", filter_products]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_line_error(captured.err)
+        assert captured.err == (
+            f"error: {filter_vendors} and {filter_products} disagree on the source year: "
+            "'2019' against '2020'\n"
+        )
 
     def test_summary_match_with_vendor_cooccurrence(self, tmp_path, store, capsys):
         inventory = self._setup(tmp_path, store)
@@ -925,6 +978,20 @@ class TestBuildFilterAndEvaluate:
         assert [line for line in err if line.startswith("error: ")] == [
             "error: source year '2020\\nwidget' is not one line"
         ]
+        assert not out_v.exists() and not out_p.exists()
+
+    def test_bad_source_year_is_refused_before_any_input_is_read(self, tmp_path, capsys):
+        feed = self._feeds(tmp_path)
+        out_v, out_p = tmp_path / "vendors.txt", tmp_path / "products.txt"
+        code = main(
+            ["build-filter", feed, "--dictionary", str(tmp_path / "missing.xml"),
+             "--out-vendors", str(out_v), "--out-products", str(out_p),
+             "--source-year", "2020\nx"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert err == "error: source year '2020\\nx' is not one line\n"
         assert not out_v.exists() and not out_p.exists()
 
     def test_evaluate_matches_oracle(self, tmp_path, capsys):

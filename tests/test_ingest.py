@@ -35,13 +35,13 @@ from cvesentinel.ingest import (
     list_snapshot_dates,
     load_snapshot,
     load_snapshots,
-    merge_records,
     parse_asset_inventory,
     parse_cpe_dictionary,
     parse_feed,
     read_feed_bytes,
     store_snapshot,
 )
+from cvesentinel.model import CveRecord
 from oracles import (
     oracle_diff_snapshots,
     oracle_gather_cpe_uris,
@@ -519,6 +519,10 @@ class TestParseAssetInventory:
 
 
 class TestSnapshotStore:
+    def test_key_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            Snapshot(date=date(2021, 6, 1), records={"CVE-2021-9999": make_record("CVE-2021-0001")})
+
     def test_store_then_load_round_trip(self, tmp_path):
         snapshot = snapshot_of(
             "2021-06-01",
@@ -905,8 +909,8 @@ class TestCollector:
                 return build(*args)
             return wrapper
 
-        for name in ("_parse_feed_item", "_build_record"):
-            monkeypatch.setattr(ingest, name, spy(getattr(ingest, name)))
+        monkeypatch.setattr(ingest, "_parse_feed_item", spy(ingest._parse_feed_item))
+        monkeypatch.setattr(CveRecord, "from_dict", spy(CveRecord.from_dict))
         assert gc.isenabled()
         parse_feed(_nested_feed(3))
         for _ in load_snapshots(tmp_path, days[:2]):
@@ -1046,16 +1050,3 @@ class TestDiffSnapshots:
             for record in diff.new_cves + diff.updated_cves:
                 assert record is newer.records[record.id]
 
-
-class TestMergeRecords:
-    def test_later_batch_wins(self):
-        first = make_record("CVE-2021-0001")
-        second = make_record("CVE-2021-0001", score=5.0)
-        merged = merge_records([[first], [second]])
-        assert merged["CVE-2021-0001"].cvss3_base is not None
-
-    def test_key_mismatch_rejected(self):
-        from cvesentinel.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            Snapshot(date=date(2021, 6, 1), records={"CVE-2021-9999": make_record("CVE-2021-0001")})

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import cpe23, make_dictionary, make_record
 from cvesentinel import matcher
-from cvesentinel.errors import ValidationError
+from cvesentinel.errors import FormatError, ValidationError
 from cvesentinel.matcher import (
     FUNCTION_WORDS,
     AssetIndex,
@@ -201,11 +201,26 @@ class TestBuildFpFilter:
         loaded = FpFilter.load(tmp_path / "vendors.txt", tmp_path / "products.txt")
         assert loaded == fp
 
-    @pytest.mark.parametrize("label", ["2019-2020", "nvd a=b #1", ""])
+    @pytest.mark.parametrize("label", ["2019-2020", "nvd a=b #1", "", " 2020 "])
     def test_source_year_label_round_trips(self, tmp_path, label):
         fp = FpFilter(frozenset({"acme"}), frozenset({"hyper"}), source_year=label)
         fp.save(tmp_path / "vendors.txt", tmp_path / "products.txt")
         assert FpFilter.load(tmp_path / "vendors.txt", tmp_path / "products.txt") == fp
+
+    def test_lists_with_different_labels_rejected(self, tmp_path):
+        vendors = tmp_path / "vendors.txt"
+        products = tmp_path / "products.txt"
+        vendors.write_text("#source_year=2019\nacme\n", encoding="utf-8")
+        products.write_text("#source_year=2020\nhyper\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="disagree on the source year: '2019' against '2020'"):
+            FpFilter.load(vendors, products)
+
+    @pytest.mark.parametrize("unlabeled", ["vendors", "products"])
+    def test_list_without_label_takes_the_other_label(self, tmp_path, unlabeled):
+        paths = {kind: tmp_path / f"{kind}.txt" for kind in ("vendors", "products")}
+        for kind, path in paths.items():
+            path.write_text(("" if kind == unlabeled else "#source_year=2020\n") + "acme\n")
+        assert FpFilter.load(paths["vendors"], paths["products"]).source_year == "2020"
 
     @pytest.mark.parametrize("brk", ["\n", "\r", "\x85", "\u2028"], ids=["lf", "cr", "nel", "ls"])
     def test_source_year_with_line_break_rejected_before_writing(self, tmp_path, brk):

@@ -104,6 +104,11 @@ class TestCveRecord:
         with pytest.raises(ValidationError, match="is not a list"):
             CveRecord.from_dict(data)
 
+    @pytest.mark.parametrize("data, kind", [([], "list"), ("x", "str"), (5, "int")], ids=str)
+    def test_from_dict_rejects_a_value_that_is_not_an_object(self, data, kind):
+        with pytest.raises(ValidationError, match=f"^stored record is not an object but {kind}$"):
+            CveRecord.from_dict(data)
+
     @pytest.mark.parametrize("reference", [5, ["x"], None])
     def test_non_string_reference_rejected(self, reference):
         with pytest.raises(ValidationError, match="reference is not a string"):
