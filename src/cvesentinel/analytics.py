@@ -20,7 +20,7 @@ from typing import Any, Iterable, Sequence
 
 from .errors import DomainError, ValidationError
 from .ingest import Snapshot, diff_snapshots
-from .model import CpeUri, CveRecord, Row, SeverityLevel
+from .model import CpeUri, CveRecord, Row, SeverityLevel, severity_bucket  # re-exported
 from .normalize import StopWordList, standardize
 
 
@@ -152,27 +152,6 @@ class RankTestResult(Row):
             raise ValidationError(f"U={self.u_statistic} outside [0, {self.n1 * self.n2}]")
         if not 0.0 <= self.p_value <= 1.0:
             raise ValidationError(f"p-value {self.p_value} outside [0, 1]")
-
-
-def severity_bucket(score: Decimal | float | int | None) -> SeverityLevel:
-    """Map a CVSS v3 base score onto its qualitative severity.
-
-    Absent scores map to UNSCORED and an exact 0.0 to NONE; the named
-    bands start at 0.1. Scores outside [0, 10] raise DomainError.
-    """
-    if score is None:
-        return SeverityLevel.UNSCORED
-    if not 0 <= score <= 10:
-        raise DomainError(f"score {score} outside [0.0, 10.0]")
-    if score == 0:
-        return SeverityLevel.NONE
-    if score < 4:
-        return SeverityLevel.LOW
-    if score < 7:
-        return SeverityLevel.MEDIUM
-    if score < 9:
-        return SeverityLevel.HIGH
-    return SeverityLevel.CRITICAL
 
 
 @dataclass(slots=True)

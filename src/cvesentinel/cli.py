@@ -19,7 +19,9 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from . import analytics, ingest, matcher, ticketer
+# analytics, matcher and ticketer are imported by the commands that run them,
+# so that no command pays for loading the others.
+from . import ingest
 from .errors import (
     FormatError,
     MatchIntegrityError,
@@ -30,7 +32,7 @@ from .errors import (
 )
 from .ingest import Snapshot
 from .model import CveRecord
-from .normalize import StopWordList, as_text, read_text_file, standardize
+from .normalize import DEFAULT_MIN_NAME_LEN, StopWordList, read_text_file, standardize
 
 STORE_ENV_VAR = "SENTINEL_STORE"
 DEFAULT_STORE = "sentinel-store"
@@ -82,9 +84,8 @@ def _read_feeds(paths: Sequence[str]) -> tuple[dict[str, CveRecord], dict[str, i
     records: dict[str, CveRecord] = {}
     reject_counts: dict[str, int] = {}
     for path in paths:
-        # Decoded first, so the feed's bytes are freed before its items are
-        # built; parse_feed counts a kept byte-order mark in error offsets.
-        result = ingest.parse_feed(as_text(ingest.read_feed_bytes(path), path, keep_bom=True))
+        with ingest.read_feed_bytes(path) as feed:
+            result = ingest.parse_feed(feed)
         records.update((record.id, record) for record in result.records)
         name = Path(path).name
         reject_counts[name if names[name] == 1 else path] = len(result.rejects)
@@ -118,6 +119,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _load_filter(args: argparse.Namespace) -> matcher.FpFilter:
+    from . import matcher
     if bool(args.filter_vendors) != bool(args.filter_products):
         raise FormatError("--filter-vendors and --filter-products must be given together")
     if args.filter_vendors:
@@ -126,6 +128,7 @@ def _load_filter(args: argparse.Namespace) -> matcher.FpFilter:
 
 
 def cmd_tickets(args: argparse.Namespace) -> int:
+    from . import matcher, ticketer
     stop_words = _stop_words(args)
     previous_date = None if args.full else ingest.find_previous_date(args.store, args.date)
     days = [args.date]
@@ -212,6 +215,7 @@ Report = tuple[dict, list[dict], dict]
 
 
 def _daily_report(args: argparse.Namespace, stop_words: StopWordList | None) -> Report:
+    from . import analytics
     rows = [day.to_dict() for day in analytics.daily_completeness(_snapshots(args))]
     summary = {
         f"average_{name}": sum(row[name] for row in rows) / len(rows)
@@ -221,6 +225,7 @@ def _daily_report(args: argparse.Namespace, stop_words: StopWordList | None) -> 
 
 
 def _delays_report(args: argparse.Namespace, stop_words: StopWordList | None) -> Report:
+    from . import analytics
     snapshots = _snapshots(args)
     if not args.field:
         raise FormatError("report 'delays' needs --field cvss|cpe")
@@ -242,6 +247,7 @@ def _delays_report(args: argparse.Namespace, stop_words: StopWordList | None) ->
 
 
 def _vendors_report(args: argparse.Namespace, stop_words: StopWordList | None) -> Report:
+    from . import analytics
     corpus = analytics.assemble_vendor_corpus(_snapshots(args))
     # A CVE without a CPE vendor that standardizes to a name is skipped, not an error.
     usable = [r for r in corpus if any(standardize(uri.vendor, stop_words) for uri in r.cpe_list)]
@@ -252,6 +258,7 @@ def _vendors_report(args: argparse.Namespace, stop_words: StopWordList | None) -
 
 
 def _table_report(args: argparse.Namespace, stop_words: StopWordList | None) -> Report:
+    from . import analytics
     initial, later = analytics.split_scores(_snapshots(args))
     zeros = sum(1 for s in initial if s == 0) + sum(1 for s in later if s == 0)
     table = analytics.score_table([s for s in initial if s != 0], [s for s in later if s != 0])
@@ -261,6 +268,7 @@ def _table_report(args: argparse.Namespace, stop_words: StopWordList | None) -> 
 
 
 def _ranktest_report(args: argparse.Namespace, stop_words: StopWordList | None) -> Report:
+    from . import analytics
     if not (args.scores_a and args.scores_b):
         raise FormatError("ranktest needs --scores-a and --scores-b")
     result = analytics.mann_whitney_u(
@@ -269,17 +277,18 @@ def _ranktest_report(args: argparse.Namespace, stop_words: StopWordList | None) 
     return {"report": "ranktest", **result.to_dict()}, [result.to_dict()], {}
 
 
-# report name -> (row type, whose fields are the CSV header; the report)
+# report name -> (the analytics row type whose fields are the CSV header; the report)
 STATS_REPORTS = {
-    "daily": (analytics.DailyCompleteness, _daily_report),
-    "delays": (analytics.CompletionDelay, _delays_report),
-    "vendors": (analytics.VendorStats, _vendors_report),
-    "table": (analytics.ScoreTableRow, _table_report),
-    "ranktest": (analytics.RankTestResult, _ranktest_report),
+    "daily": ("DailyCompleteness", _daily_report),
+    "delays": ("CompletionDelay", _delays_report),
+    "vendors": ("VendorStats", _vendors_report),
+    "table": ("ScoreTableRow", _table_report),
+    "ranktest": ("RankTestResult", _ranktest_report),
 }
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from . import analytics
     stop_words = _stop_words(args)
     row_type, report = STATS_REPORTS[args.report]
     payload, rows, summary = report(args, stop_words)
@@ -287,7 +296,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         _emit_json(args, payload)
         return EXIT_OK
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, [f.name for f in fields(row_type)], lineterminator="\n")
+    header = [f.name for f in fields(getattr(analytics, row_type))]
+    writer = csv.DictWriter(buffer, header, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     _write_text(args, buffer.getvalue())
@@ -305,6 +315,7 @@ def _read_dictionary(
 
 
 def cmd_build_filter(args: argparse.Namespace) -> int:
+    from . import matcher
     matcher.FpFilter.header(args.source_year)  # an unwritable label fails before any read
     stop_words = _stop_words(args)
     dictionary = _read_dictionary(args, stop_words)
@@ -332,6 +343,7 @@ def cmd_build_filter(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import matcher
     stop_words = _stop_words(args)
     dictionary = _read_dictionary(args, stop_words)
     corpus, excluded = _feed_corpus(args.feeds)
@@ -358,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     names.add_argument(
         "--min-name-len",
         type=_positive_int,
-        default=matcher.DEFAULT_MIN_NAME_LEN,
+        default=DEFAULT_MIN_NAME_LEN,
         help="shortest standardized name admitted as match evidence",
     )
 

@@ -8,6 +8,7 @@ its index and reason while the remaining items still parse, so
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gc
 import gzip
@@ -15,14 +16,17 @@ import io
 import json
 import os
 import re
-import xml.etree.ElementTree as ET
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
+
+# hashlib.blake2b is this very type; importing hashlib would load OpenSSL
+# too, about 3 MB more in every process that loads a day.
+from _blake2 import blake2b
 
 from .errors import (
     FeedParseError,
@@ -48,6 +52,8 @@ _scanstring = json.decoder.scanstring
 # Yielded by the feed walk where a CVE_Items value starts.
 _ARRAY, _NOT_ARRAY = object(), object()
 _NO_ITEMS = "feed document lacks a CVE_Items array"
+# Bytes of a feed stream read at a time, or more while one value runs on.
+_FEED_CHUNK = 1 << 16
 
 
 @contextmanager
@@ -228,73 +234,126 @@ def _parse_feed_item(item: Mapping[str, Any], cpes: dict[str, CpeUri]) -> CveRec
     )
 
 
-def _punct(text: str, idx: int) -> tuple[str, int]:
-    """The character after any whitespace at ``idx``, and the index past it."""
-    idx = _WHITESPACE(text, idx).end()
-    return text[idx:idx + 1], idx + 1
-
-
-def _walk_feed(text: str, idx: int) -> Iterator[Any]:
-    """Walk the JSON object at ``idx`` to the end of ``text``, decoding each
-    value in turn and dropping it, except under a ``CVE_Items`` key: there
+def _walk_feed(text: str, stream: BinaryIO | None = None) -> Iterator[Any]:
+    """Walk the JSON object at the start of ``text``, and of the UTF-8
+    text read from ``stream`` after it, to the end, decoding each value in
+    turn and dropping it, except under a ``CVE_Items`` key: there
     ``_ARRAY`` is yielded and then each element of the array as it is
-    decoded, or ``_NOT_ARRAY`` for a value of any other type.
+    decoded, or ``_NOT_ARRAY`` for a value of any other type. A leading
+    byte-order mark is skipped.
+
+    Without a stream, ``text`` is the whole document. Each read from the
+    stream drops the text before the walk's position, so what is held is
+    the value being decoded and a chunk after it. A read asks for at least
+    as many bytes as the text held, so a long value is decoded again only
+    a logarithmic number of times.
 
     Raises ValueError or RecursionError where the text is not one such
-    object, which may be short of where ``json.loads`` would stop.
+    object, which may be short of where ``json.loads`` would stop, and
+    what reading the stream raises, such as a UnicodeDecodeError.
     """
     decode = _DECODER.raw_decode
-    char, idx = _punct(text, idx)
-    if char != "{":
+    utf8 = codecs.getincrementaldecoder("utf-8")().decode
+    idx = 0
+
+    def more() -> bool:
+        """Append the stream's next chunk to the text not yet walked; False at the end."""
+        nonlocal text, idx
+        while stream is not None:
+            block = stream.read(max(_FEED_CHUNK, len(text) - idx))
+            chunk = utf8(block, not block)
+            if chunk:
+                text, idx = text[idx:] + chunk, 0
+                return True
+            if not block:
+                break
+        return False
+
+    def peek() -> str:
+        """The character after any whitespace at idx, which moves onto it; "" at the end."""
+        nonlocal idx
+        idx = _WHITESPACE(text, idx).end()
+        while idx == len(text) and more():
+            idx = _WHITESPACE(text, idx).end()
+        return text[idx:idx + 1]
+
+    def punct() -> str:
+        """``peek``, and past the character."""
+        nonlocal idx
+        char = peek()
+        idx += 1
+        return char
+
+    def scan(scanner: Callable[[str, int], tuple[Any, int]]) -> Any:
+        """What ``scanner`` decodes at idx, which moves past it.
+
+        It is decoded again with the next chunk when it fails or ends less
+        than three characters short of the text's end: a cut value fails,
+        a number can go on in the next chunk, and the ``.`` of ``1.5`` or
+        the ``e+`` of ``1e+5``, cut from their digits, end ``1``."""
+        nonlocal idx
+        while True:
+            try:
+                decoded, end = scanner(text, idx)
+            except ValueError:
+                if more():
+                    continue
+                raise
+            if end + 2 < len(text) or not more():
+                idx = end
+                return decoded
+
+    if not text:
+        more()
+    if text.startswith("\ufeff"):
+        idx = 1
+    if punct() != "{":
         raise ValueError("not an object")
-    idx = _WHITESPACE(text, idx).end()
-    if text.startswith("}", idx):
+    if peek() == "}":
         idx += 1
     else:
         char = ","
         while char == ",":
-            char, idx = _punct(text, idx)
-            if char != '"':
+            if punct() != '"':
                 raise ValueError("expected a key")
-            key, idx = _scanstring(text, idx)
-            char, idx = _punct(text, idx)
-            if char != ":":
+            name = scan(_scanstring)
+            if punct() != ":":
                 raise ValueError("expected ':'")
-            idx = _WHITESPACE(text, idx).end()
-            if key != "CVE_Items" or not text.startswith("[", idx):
-                _, idx = decode(text, idx)
-                if key == "CVE_Items":
+            if peek() != "[" or name != "CVE_Items":
+                scan(decode)
+                if name == "CVE_Items":
                     yield _NOT_ARRAY
             else:
                 yield _ARRAY
-                idx = _WHITESPACE(text, idx + 1).end()
-                if text.startswith("]", idx):
+                idx += 1
+                if peek() == "]":
                     idx += 1
                 else:
                     char = ","
                     while char == ",":
-                        item, idx = decode(text, _WHITESPACE(text, idx).end())
-                        yield item
-                        char, idx = _punct(text, idx)
+                        peek()
+                        yield scan(decode)
+                        char = punct()
                     if char != "]":
                         raise ValueError("expected ',' or ']'")
-            char, idx = _punct(text, idx)
+            char = punct()
         if char != "}":
             raise ValueError("expected ',' or '}'")
-    if _WHITESPACE(text, idx).end() != len(text):
+    if peek():
         raise ValueError("extra data")
 
 
-def _feed_items(text: str, start: int) -> Iterator[Any]:
-    """``_walk_feed`` from ``start``. Where the walk stops, the whole text
-    is decoded, only to raise the error ``json.loads`` gives; its offset is
-    in UTF-8 bytes of ``text``, so a byte-order mark before ``start``
-    counts. A document ``json.loads`` accepts lacks a ``CVE_Items`` array."""
+def _feed_items(text: str) -> Iterator[Any]:
+    """``_walk_feed`` over the whole ``text``. Where the walk stops, the
+    text is decoded whole, only to raise the error ``json.loads`` gives;
+    its offset is in UTF-8 bytes of ``text``, so a byte-order mark counts.
+    A document ``json.loads`` accepts lacks a ``CVE_Items`` array."""
     try:
-        yield from _walk_feed(text, start)
+        yield from _walk_feed(text)
         return
     except (ValueError, RecursionError):
         pass
+    start = 1 if text.startswith("\ufeff") else 0
     try:
         json.loads(text[start:])
     except json.JSONDecodeError as exc:
@@ -305,21 +364,30 @@ def _feed_items(text: str, start: int) -> Iterator[Any]:
     raise FeedParseError(_NO_ITEMS)
 
 
-@_gc_paused()
-def parse_feed(data: bytes | str) -> FeedParseResult:
-    """Parse an NVD JSON 1.1 feed into records plus item-level rejects.
+def _whole_text(stream: BinaryIO) -> str:
+    """The text of a feed stream read again from its start, all at once,
+    for the error a whole read gives: a gzip stream's compressed bytes are
+    decompressed whole, as a chunked read may fail with another message,
+    and each error names the stream's file."""
+    source = str(getattr(stream, "name", "input"))
+    if isinstance(stream, gzip.GzipFile):
+        stream.fileobj.seek(0)
+        try:
+            data = gzip.decompress(stream.fileobj.read())
+        except (EOFError, OSError, zlib.error) as exc:  # truncated, not gzip, corrupt deflate
+            raise FeedParseError(f"{source}: unreadable gzip stream: {exc}")
+    else:
+        stream.seek(0)
+        data = stream.read()
+    return as_text(data, source, keep_bom=True)
 
-    The feed is decoded one ``CVE_Items`` element at a time, and each
-    element is built into its record or reject before the next is decoded,
-    so the feed's decoded tree is never held whole. As with ``json.loads``,
-    the last of repeated ``CVE_Items`` keys wins. A malformed feed's error
-    gives the UTF-8 byte offset of the fault in ``data``, a byte-order mark
-    included. Each distinct CPE string of the feed is parsed once."""
-    text = as_text(data, keep_bom=True)
+
+def _feed_result(items: Iterable[Any]) -> FeedParseResult:
+    """The records and rejects of the items a feed walk yields."""
     records: list[CveRecord] | None = None
     rejects: list[FeedReject] = []
     cpes: dict[str, CpeUri] = {}
-    for item in _feed_items(text, 1 if text.startswith("\ufeff") else 0):
+    for item in items:
         if item is _ARRAY:
             records, rejects = [], []
         elif item is _NOT_ARRAY:
@@ -337,18 +405,36 @@ def parse_feed(data: bytes | str) -> FeedParseResult:
     return FeedParseResult(records=tuple(records), rejects=tuple(rejects))
 
 
-def read_feed_bytes(path: str | Path) -> bytes:
-    """Read a feed file, decompressing transparently when it ends in .gz."""
-    raw = Path(path).read_bytes()
-    if not str(path).endswith(".gz"):
-        return raw
+@_gc_paused()
+def parse_feed(data: bytes | str | BinaryIO) -> FeedParseResult:
+    """Parse an NVD JSON 1.1 feed into records plus item-level rejects.
+
+    ``data`` is the feed's bytes or text, or a binary stream of it, such as
+    ``read_feed_bytes`` opens; a stream is read in chunks. The feed is
+    decoded one ``CVE_Items`` element at a time, and each element is built
+    into its record or reject before the next is decoded, so neither the
+    feed's text nor its decoded tree is held whole. As with ``json.loads``,
+    the last of repeated ``CVE_Items`` keys wins. A malformed feed's error
+    gives the UTF-8 byte offset of the fault, a byte-order mark included.
+    A stream that turns out malformed, not UTF-8 or not gzip is read again
+    whole, for the error a whole read gives. Each distinct CPE string of
+    the feed is parsed once."""
+    if isinstance(data, (bytes, str)):
+        return _feed_result(_feed_items(as_text(data, keep_bom=True)))
     try:
-        return gzip.decompress(raw)
-    except (EOFError, OSError, zlib.error) as exc:  # truncated, not gzip, corrupt deflate
-        raise FeedParseError(f"{path}: unreadable gzip stream: {exc}")
+        return _feed_result(_walk_feed("", data))
+    except (ValueError, RecursionError, EOFError, OSError, zlib.error):
+        return _feed_result(_feed_items(_whole_text(data)))
+
+
+def read_feed_bytes(path: str | Path) -> BinaryIO:
+    """Open a feed file as a binary stream, decompressing transparently when
+    its name ends in .gz; a gzip fault is raised by ``parse_feed``."""
+    return gzip.open(path) if str(path).endswith(".gz") else open(path, "rb")
 
 
 def _cpe_names_from_xml(text: str) -> Iterable[str]:
+    import xml.etree.ElementTree as ET  # here, not at the top: only this parse needs it
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -501,47 +587,53 @@ def store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool =
     return path
 
 
-# The first line of a day in the layout ``store_snapshot`` writes.
+# The first line of a day in the layout ``store_snapshot`` writes, and its last.
 _COMPACT_HEAD = re.compile(
-    r'\{"date":"(\d{4}-\d\d-\d\d)","record_count":(0|[1-9]\d{0,17}),"records":\['
+    rb'\{"date":"(\d{4}-\d\d-\d\d)","record_count":(0|[1-9]\d{0,17}),"records":\[\n'
 )
+_COMPACT_TAIL = b"]}\n"
 
 
 def _compact_day(
-    lines: list[str], known: Mapping[str, CveRecord], cpes: dict[str, CpeUri]
-) -> tuple[date, int, list[CveRecord], dict[str, CveRecord]] | None:
+    lines: Iterator[bytes], known: Mapping[bytes, CveRecord], cpes: dict[str, CpeUri]
+) -> tuple[date, int, list[CveRecord], dict[bytes, CveRecord]] | None:
     """The stamp, count and records of a day in the layout ``store_snapshot``
-    writes, with its records by line; None for any other layout, or when a
-    record line is not one JSON value plus the comma the layout puts after
-    every record but the last, or when a record fails to build.
+    writes, read from its lines one at a time, with its records by the
+    digest of their lines; None for any other layout, or when a record
+    line is not one JSON value plus the comma the layout puts after every
+    record but the last, or when a record fails to build.
 
-    A line that ``known`` holds is taken as its record; any other line is
-    decoded on its own. Such a day, joined again, is a valid JSON document
-    whose records decode to the very same values.
+    A line whose digest ``known`` holds is taken as that record; any other
+    line is decoded on its own. Such a day, joined again, is a valid JSON
+    document whose records decode to the very same values.
     """
-    head = _COMPACT_HEAD.fullmatch(lines[0])
-    if head is None or lines[-2:] != ["]}", ""]:
+    head = _COMPACT_HEAD.fullmatch(next(lines, b""))
+    if head is None:
         return None
-    last = len(lines) - 3
     records: list[CveRecord] = []
-    by_line: dict[str, CveRecord] = {}
+    by_line: dict[bytes, CveRecord] = {}
     try:
-        stored_date = date.fromisoformat(head[1])
-        for n in range(1, last + 1):
-            line = lines[n]
-            comma = n != last
-            if line.endswith(",") != comma:
+        stored_date = date.fromisoformat(head[1].decode())
+        line = next(lines, b"")
+        for following in lines:  # one line ahead: the last record line has no comma
+            comma = following != _COMPACT_TAIL
+            if line.endswith(b",\n") != comma:
                 return None
-            record = known.get(line)
+            digest = blake2b(line, digest_size=16).digest()
+            record = known.get(digest)
             if record is None:
-                data, end = _DECODER.raw_decode(line)
-                if end != len(line) - comma:
+                text = line.decode("utf-8")
+                data, end = _DECODER.raw_decode(text)
+                if end != len(text) - 1 - comma:
                     return None
                 record = CveRecord.from_dict(data, cpes)
             records.append(record)
-            by_line[line] = record
+            by_line[digest] = record
+            line = following
     except (KeyError, TypeError, ValueError, RecursionError, ValidationError):
         return None  # the whole document is decoded again, to report the error it gives
+    if line != _COMPACT_TAIL:
+        return None
     return stored_date, int(head[2]), records, by_line
 
 
@@ -550,30 +642,31 @@ def load_snapshot(
     store_root: str | Path,
     day: date,
     *,
-    line_records: dict[str, CveRecord] | None = None,
+    line_records: dict[bytes, CveRecord] | None = None,
     cpes: dict[str, CpeUri] | None = None,
 ) -> Snapshot:
     """Load the snapshot stored for a date; verifies count and date stamps.
 
-    A day in the layout ``store_snapshot`` writes is read line by line.
-    ``line_records`` maps the record lines of an earlier day to their
-    records: a record stored as one of those very lines is taken as that
-    same object instead of being decoded again, and the map is then
-    refilled with this day's lines. Any other layout, such as the
-    ``indent=1`` one of older days, is decoded whole, and so is a day that
-    turns out corrupt, so that its error is the whole document's.
-    ``cpes`` maps raw CPE strings to their parsed names and gains each one
-    parsed here; without it, every CPE string is parsed once per load.
+    A day in the layout ``store_snapshot`` writes is read from its file
+    line by line. ``line_records`` maps the digests of an earlier day's
+    record lines to their records: a record stored as one of those very
+    lines is taken as that same object instead of being decoded again, and
+    the map is then refilled with this day's lines. Any other layout, such
+    as the ``indent=1`` one of older days, is read and decoded whole, and
+    so is a day that turns out corrupt, so that its error is the whole
+    document's. ``cpes`` maps raw CPE strings to their parsed names and
+    gains each one parsed here; without it, every CPE string is parsed once
+    per load.
     """
     path = snapshot_path(store_root, day)
     if not path.exists():
         raise SnapshotNotFoundError(f"no snapshot stored for {day.isoformat()}")
     cpes = {} if cpes is None else cpes
-    try:
-        lines = path.read_text(encoding="utf-8").split("\n")
+    with open(path, "rb") as lines:
         compact = _compact_day(lines, line_records or {}, cpes)
+    try:
         if compact is None:
-            payload = json.loads("\n".join(lines))
+            payload = json.loads(path.read_text(encoding="utf-8"))
             stored_date = date.fromisoformat(payload["date"])
             records = [CveRecord.from_dict(data, cpes) for data in payload["records"]]
             count = payload["record_count"]
@@ -601,11 +694,11 @@ def load_snapshots(store_root: str | Path, days: Iterable[date]) -> Iterator[Sna
     """Load the given days in order, each as it is asked for.
 
     A record whose stored line is unchanged from the day loaded before it
-    is decoded once, and is the same object in both snapshots. The lines
-    of a day are kept only until the next day has loaded. Each CPE string
-    is parsed once per range.
+    is decoded once, and is the same object in both snapshots. A 16-byte
+    digest of each line of a day is kept, only until the next day has
+    loaded. Each CPE string is parsed once per range.
     """
-    line_records: dict[str, CveRecord] = {}
+    line_records: dict[bytes, CveRecord] = {}
     cpes: dict[str, CpeUri] = {}
     for day in days:
         yield load_snapshot(store_root, day, line_records=line_records, cpes=cpes)

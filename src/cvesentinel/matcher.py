@@ -23,9 +23,9 @@ from typing import Iterable
 from .errors import FormatError, ValidationError
 from .ingest import CpeDictionary
 from .model import AssetRecord, CveRecord, MatchVia, Row
-from .normalize import StopWordList, read_text_file, standardize, tokenize, well_formed_from_cpe
+from .normalize import (DEFAULT_MIN_NAME_LEN, StopWordList, read_text_file, standardize, tokenize,
+                        well_formed_from_cpe)
 
-DEFAULT_MIN_NAME_LEN = 3
 _LABEL = "#source_year="  # the first line of a filter list, before its label
 
 # Closed-class English words: articles, prepositions, conjunctions,

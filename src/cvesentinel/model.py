@@ -16,7 +16,7 @@ from decimal import Decimal
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 CVE_ID_RE = re.compile(r"CVE-\d{4}-\d{4,}")
 
@@ -53,6 +53,27 @@ _TICKET_PRIORITY = {
     SeverityLevel.LOW: 4,
     SeverityLevel.NONE: 5,
 }
+
+
+def severity_bucket(score: Decimal | float | int | None) -> SeverityLevel:
+    """Map a CVSS v3 base score onto its qualitative severity.
+
+    Absent scores map to UNSCORED and an exact 0.0 to NONE; the named
+    bands start at 0.1. Scores outside [0, 10] raise DomainError.
+    """
+    if score is None:
+        return SeverityLevel.UNSCORED
+    if not 0 <= score <= 10:
+        raise DomainError(f"score {score} outside [0.0, 10.0]")
+    if score == 0:
+        return SeverityLevel.NONE
+    if score < 4:
+        return SeverityLevel.LOW
+    if score < 7:
+        return SeverityLevel.MEDIUM
+    if score < 9:
+        return SeverityLevel.HIGH
+    return SeverityLevel.CRITICAL
 
 
 class Row:

@@ -53,6 +53,10 @@ _NUMERIC_RE = re.compile(r"\d+(?:\.\d+)*")
 _DATE_RE = re.compile(r"\d{1,2}[-/.]\d{1,2}[-/.]\d{2,4}")
 _YEAR_RE = re.compile(r"(?:19|20)\d{2}")
 
+# The shortest standardized name, in characters, that the matcher takes as
+# evidence; the default of --min-name-len.
+DEFAULT_MIN_NAME_LEN = 3
+
 
 @dataclass(frozen=True)
 class StopWordList:

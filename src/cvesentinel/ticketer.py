@@ -12,10 +12,9 @@ import json
 from datetime import date
 from typing import Iterable, Mapping, TextIO
 
-from .analytics import severity_bucket
 from .errors import EmitError, MatchIntegrityError
 from .matcher import AssetIndex, MatchResult
-from .model import CveRecord, MatchVia, Ticket, max_severity_of
+from .model import CveRecord, MatchVia, Ticket, max_severity_of, severity_bucket
 
 
 def group_matches(

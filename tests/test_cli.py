@@ -5,7 +5,11 @@ from __future__ import annotations
 import gc
 import gzip
 import json
+import os
+import subprocess
+import sys
 import weakref
+import zlib
 from datetime import date
 from decimal import Decimal
 from pathlib import Path
@@ -13,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DAY_LAYOUTS, cpe23, feed_bytes, feed_item
-from cvesentinel import cli
+from cvesentinel import cli, ingest
 from cvesentinel.cli import main
 from cvesentinel.ingest import load_snapshot
 from oracles import oracle_evaluate
@@ -211,6 +215,40 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @staticmethod
+    def _long_feed() -> bytes:
+        """A feed of several chunks, each item's summary different."""
+        items = [feed_item(f"CVE-2021-{n:04d}", summary=f"flaw {n * 7919 % 10007} " * 40)
+                 for n in range(1, 301)]
+        data = feed_bytes(items)
+        assert len(data) > 3 * ingest._FEED_CHUNK
+        return data
+
+    def test_gz_feed_truncated_after_its_first_chunk(self, tmp_path, store, capsys):
+        """The fault shows only after a chunk has been walked; the error is
+        that of decompressing the whole file."""
+        compressed = gzip.compress(self._long_feed())
+        truncated = compressed[:len(compressed) * 3 // 4]
+        assert len(zlib.decompressobj(wbits=31).decompress(truncated)) > ingest._FEED_CHUNK
+        feed = write(tmp_path, "feed.json.gz", truncated)
+        with pytest.raises(EOFError) as whole:
+            gzip.decompress(truncated)
+        assert main(["ingest", feed, "--date", "2021-06-01", "--store", store]) == 2
+        assert capsys.readouterr().err == f"error: {feed}: unreadable gzip stream: {whole.value}\n"
+        assert not (Path(store) / "snapshots").exists()
+
+    @pytest.mark.parametrize("name", ["feed.json", "feed.json.gz"])
+    def test_bad_utf8_byte_past_the_first_chunk(self, tmp_path, store, capsys, name):
+        data = bytearray(self._long_feed())
+        at = data.index(b"flaw", 2 * ingest._FEED_CHUNK)
+        data[at] = 0xFF
+        feed = write(tmp_path, name, gzip.compress(bytes(data)) if name.endswith(".gz") else bytes(data))
+        with pytest.raises(UnicodeDecodeError) as whole:
+            bytes(data).decode("utf-8")
+        assert main(["ingest", feed, "--date", "2021-06-01", "--store", store]) == 2
+        assert capsys.readouterr().err == f"error: {feed} is not UTF-8 text: {whole.value}\n"
+        assert not (Path(store) / "snapshots").exists()
 
 
 class TestTickets:
@@ -956,7 +994,8 @@ class TestBuildFilterAndEvaluate:
         from cvesentinel.ingest import parse_cpe_dictionary, parse_feed, read_feed_bytes
         from cvesentinel.matcher import build_fp_filter
 
-        records = [r for r in parse_feed(read_feed_bytes(feed)).records if r.cpe_list]
+        with read_feed_bytes(feed) as stream:
+            records = [r for r in parse_feed(stream).records if r.cpe_list]
         expected = build_fp_filter(
             records, parse_cpe_dictionary((tmp_path / "dict.json").read_bytes()),
             source_year="2020",
@@ -1003,7 +1042,8 @@ class TestBuildFilterAndEvaluate:
 
         from cvesentinel.ingest import parse_cpe_dictionary, parse_feed, read_feed_bytes
 
-        records = [r for r in parse_feed(read_feed_bytes(feed)).records if r.cpe_list]
+        with read_feed_bytes(feed) as stream:
+            records = [r for r in parse_feed(stream).records if r.cpe_list]
         expected = oracle_evaluate(records, parse_cpe_dictionary((tmp_path / "dict.json").read_bytes()))
         assert payload == expected
 
@@ -1126,3 +1166,49 @@ class TestEnvironment:
         ) == 0
         assert json.loads(out.read_text())["stored"] == 1
         assert capsys.readouterr().out == ""
+
+
+# Runs the CLI on its arguments, then writes the names of the loaded modules
+# as the last line of standard error.
+_MODULES_SCRIPT = """
+import sys
+from cvesentinel.cli import main
+code = main(sys.argv[1:])
+print(*sorted(sys.modules), file=sys.stderr)
+raise SystemExit(code)
+"""
+
+
+class TestImports:
+    """Each command loads only the modules it runs: ``hashlib``'s OpenSSL
+    module and the package modules a command does not call cost every
+    process their import time and memory."""
+
+    def loaded_modules(self, argv: list[str]) -> set[str]:
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("SENTINEL_STORE", None)
+        run = subprocess.run([sys.executable, "-c", _MODULES_SCRIPT, *argv],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        return set(run.stderr.splitlines()[-1].split())
+
+    def test_commands_leave_unused_modules_unloaded(self, tmp_path, store):
+        days = {"2021-06-01": [feed_item("CVE-2021-0001", cpes=[cpe23("acme", "x")])],
+                "2021-06-02": [feed_item("CVE-2021-0001", cpes=[cpe23("acme", "x")]),
+                               feed_item("CVE-2021-0002", summary="flaw in Geotab R2D2")]}
+        for day, items in days.items():
+            feed = write(tmp_path, f"{day}.json.gz", gzip.compress(feed_bytes(items)))
+            loaded = self.loaded_modules(["ingest", feed, "--date", day, "--store", store])
+            assert "cvesentinel.ingest" in loaded
+            assert not loaded & {"cvesentinel.analytics", "cvesentinel.matcher",
+                                 "cvesentinel.ticketer", "_hashlib"}
+        inventory = write(tmp_path, "inv.csv", INVENTORY)
+        loaded = self.loaded_modules(["tickets", "--date", "2021-06-02", "--store", store,
+                                      "--inventory", inventory])
+        assert {"cvesentinel.matcher", "cvesentinel.ticketer"} <= loaded
+        assert not loaded & {"cvesentinel.analytics", "_hashlib"}
+        loaded = self.loaded_modules(["stats", "--report", "daily", "--from", "2021-06-01",
+                                      "--to", "2021-06-02", "--store", store])
+        assert "cvesentinel.analytics" in loaded
+        assert not loaded & {"cvesentinel.matcher", "cvesentinel.ticketer", "_hashlib"}

@@ -12,6 +12,7 @@ import tracemalloc
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -215,7 +216,8 @@ class TestParseFeed:
         payload = feed_bytes([feed_item("CVE-2021-0001")])
         path = tmp_path / "feed.json.gz"
         path.write_bytes(gzip.compress(payload))
-        assert read_feed_bytes(path) == payload
+        with read_feed_bytes(path) as stream:
+            assert stream.read() == payload
 
     @given(st.lists(st.sampled_from(["ok", "no_id", "no_date", "bad_id"]), max_size=12))
     def test_no_item_dropped_property(self, kinds):
@@ -382,6 +384,28 @@ class TestParseFeedOracle:
         for data in (text, text.encode("utf-8")):
             assert feed_outcome(parse_feed, data) == feed_outcome(oracle_parse_feed, data)
 
+    @settings(max_examples=300, deadline=None)
+    @given(feed_texts())
+    def test_a_stream_read_in_small_chunks_equals_the_oracle(self, text):
+        """Keys, numbers, multi-byte characters and the byte-order mark
+        straddle chunks of 1, 2, 3 and 7 bytes. A feed that parses is
+        never read again whole: that read is for errors only."""
+        data = text.encode("utf-8")
+        expected = feed_outcome(oracle_parse_feed, data)
+        whole_reads = []
+        read_whole = ingest._whole_text
+
+        def whole_text(stream):
+            whole_reads.append(stream)
+            return read_whole(stream)
+
+        for chunk in (1, 2, 3, 7):
+            with mock.patch.object(ingest, "_FEED_CHUNK", chunk), \
+                    mock.patch.object(ingest, "_whole_text", whole_text):
+                assert feed_outcome(parse_feed, io.BytesIO(data)) == expected, chunk
+        if expected[0] == "parsed":
+            assert whole_reads == []
+
 
 class TestFeedMemory:
     def test_items_are_not_decoded_all_at_once(self):
@@ -399,6 +423,26 @@ class TestFeedMemory:
             tracemalloc.stop()
         assert (len(result.records), len(result.rejects)) == (0, 4000)
         assert peak < 3 * 2**20
+
+    def test_a_gzipped_feed_is_not_read_whole(self, tmp_path):
+        """A feed parsed from its gzip file holds neither the file's bytes
+        nor its text: parsing 6 MB of text peaks under a quarter of that,
+        most of it the rejects that are kept."""
+        item = feed_item("CVE-2021-0001", published=None, summary="flaw " * 80,
+                         refs=[f"https://example.com/advisory/{n}" for n in range(8)])
+        text = json.dumps({"CVE_data_type": "CVE", "CVE_Items": [item] * 5000}, indent=1)
+        path = tmp_path / "feed.json.gz"
+        path.write_bytes(gzip.compress(text.encode("utf-8")))
+        assert len(text) > 6 * 10**6
+        tracemalloc.start()
+        try:
+            with read_feed_bytes(path) as stream:
+                result = parse_feed(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(result.records), len(result.rejects)) == (0, 5000)
+        assert peak < len(text) / 4
 
 
 class TestParseCpeDictionary:
@@ -787,6 +831,46 @@ class TestLoadWithPrevious:
             oracle_load_snapshot(tmp_path, date(2021, 6, 1))
         assert str(loaded.value) == str(oracle.value)
 
+    @pytest.mark.parametrize("edit, fails", [("crlf", False), ("cr-between-tokens", False),
+                                             ("cr-in-string", True)])
+    def test_carriage_returns_load_and_fail_like_the_oracle(self, tmp_path, edit, fails):
+        """A day read as lines of bytes against the oracle's read in text
+        mode, which turns each carriage return into a line break."""
+        records = [make_record(f"CVE-2021-000{n}", summary="s").to_dict() for n in (1, 2, 3)]
+        days = [date(2021, 6, 1), date(2021, 6, 2)]
+        write_day(tmp_path, days[0], records, "compact")
+        text = compact_day({"date": "2021-06-02", "record_count": 3, "records": records})
+        if edit == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif edit == "cr-between-tokens":
+            text = text.replace('"published"', '\r"published"', 2)
+        else:
+            text = text.replace('"summary":"s"', '"summary":"s\r"', 1)
+        (tmp_path / "snapshots" / "2021-06-02").write_bytes(text.encode("utf-8"))
+        loads = load_snapshots(tmp_path, days)
+        next(loads)
+        if not fails:
+            assert_loads_like_oracle(next(loads), tmp_path, days[1])
+            return
+        with pytest.raises(SnapshotIntegrityError) as oracle:
+            oracle_load_snapshot(tmp_path, days[1])
+        with pytest.raises(SnapshotIntegrityError) as loaded:
+            next(loads)
+        assert str(loaded.value) == str(oracle.value)
+
+    def test_a_count_with_a_non_ascii_digit_fails_like_the_oracle(self, tmp_path):
+        """``int`` reads "1\u0661" as 11, but it is no JSON number."""
+        records = [make_record(f"CVE-2021-{n:04d}").to_dict() for n in range(11)]
+        text = compact_day({"date": "2021-06-01", "record_count": 11, "records": records})
+        path = tmp_path / "snapshots" / "2021-06-01"
+        path.parent.mkdir()
+        path.write_text(text.replace('"record_count":11', '"record_count":1\u0661', 1), encoding="utf-8")
+        with pytest.raises(SnapshotIntegrityError) as oracle:
+            oracle_load_snapshot(tmp_path, date(2021, 6, 1))
+        with pytest.raises(SnapshotIntegrityError) as loaded:
+            load_snapshot(tmp_path, date(2021, 6, 1))
+        assert str(loaded.value) == str(oracle.value)
+
     @pytest.mark.parametrize("layout", DAY_LAYOUTS)
     def test_a_record_that_is_not_an_object_is_an_integrity_error(self, tmp_path, layout):
         write_day(tmp_path, date(2021, 6, 1), [make_record("CVE-2021-0001").to_dict(), ["x"]], layout)
@@ -867,6 +951,34 @@ def _store_three_days(root: Path) -> list[date]:
             make_record(f"CVE-2021-{n + 2:04d}", score=5.0, cpes=[cpe23("px", "x")]),
         ]))
     return days
+
+
+class TestLoadMemory:
+    def test_a_day_loads_without_its_text(self, tmp_path):
+        """Loading day 2 after day 1 holds at its peak less than a quarter
+        of the day's file size above what it keeps: neither the day's text
+        nor its lines are held whole, and the lines of day 1 are kept as
+        digests."""
+        def records(day: int) -> list[CveRecord]:
+            return [make_record(f"CVE-2021-{n:04d}", summary=f"flaw {n} " + "in the widget " * 50,
+                                score=5.0 if n % 50 else day, cpes=[cpe23("acme", f"p{n}")],
+                                refs=[f"https://example.com/advisory/{n}/{r}" for r in range(8)])
+                    for n in range(1, 2001)]
+        days = [date(2021, 6, 1), date(2021, 6, 2)]
+        for n, day in enumerate(days, 1):
+            path = store_snapshot(tmp_path, snapshot_of(day.isoformat(), records(n)))
+        size = path.stat().st_size
+        assert size > 2 * 10**6
+        loads = load_snapshots(tmp_path, days)
+        first = next(loads)
+        tracemalloc.start()
+        try:
+            second = next(loads)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(second.records[i] is not first.records[i] for i in first.records) == 40
+        assert peak - held < size / 4
 
 
 class TestCollector:
