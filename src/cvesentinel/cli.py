@@ -97,7 +97,7 @@ def _read_feeds(paths: Sequence[str]) -> tuple[dict[str, CveRecord], dict[str, i
 def _feed_corpus(paths: Sequence[str]) -> tuple[list, int]:
     """CPE-bearing records merged across feeds, plus the no-CPE count."""
     records, _ = _read_feeds(paths)
-    corpus = [records[cve_id] for cve_id in sorted(records) if records[cve_id].cpe_list]
+    corpus = [record for record in records.values() if record.cpe_list]
     return corpus, len(records) - len(corpus)
 
 
@@ -131,20 +131,18 @@ def cmd_tickets(args: argparse.Namespace) -> int:
     from . import matcher, ticketer
     stop_words = _stop_words(args)
     previous_date = None if args.full else ingest.find_previous_date(args.store, args.date)
-    days = [args.date]
     # The day before is loaded first, to lend its lines to today's load,
     # but a missing today is still the error reported.
     if previous_date is not None and ingest.snapshot_path(args.store, args.date).exists():
-        days.insert(0, previous_date)
-    *earlier, snapshot = ingest.load_snapshots(args.store, days)
-    if args.full:
-        cves = [snapshot.records[cve_id] for cve_id in sorted(snapshot.records)]
-    elif not earlier:
-        raise SnapshotNotFoundError(
-            f"no snapshot stored before {args.date.isoformat()}; rerun with --full"
-        )
+        earlier, snapshot = ingest.load_snapshots(args.store, [previous_date, args.date])
+        cves = list(ingest.diff_snapshots(earlier, snapshot).new_cves)
     else:
-        cves = list(ingest.diff_snapshots(earlier[0], snapshot).new_cves)
+        snapshot = ingest.load_snapshot(args.store, args.date)
+        if not args.full:
+            raise SnapshotNotFoundError(
+                f"no snapshot stored before {args.date.isoformat()}; rerun with --full"
+            )
+        cves = list(snapshot.records.values())
 
     if args.dictionary:
         _note("--dictionary is ignored by tickets and will be removed")

@@ -343,25 +343,20 @@ def _walk_feed(text: str, stream: BinaryIO | None = None) -> Iterator[Any]:
         raise ValueError("extra data")
 
 
-def _feed_items(text: str) -> Iterator[Any]:
-    """``_walk_feed`` over the whole ``text``. Where the walk stops, the
-    text is decoded whole, only to raise the error ``json.loads`` gives;
-    its offset is in UTF-8 bytes of ``text``, so a byte-order mark counts.
-    A document ``json.loads`` accepts lacks a ``CVE_Items`` array."""
-    try:
-        yield from _walk_feed(text)
-        return
-    except (ValueError, RecursionError):
-        pass
+def _feed_error(text: str) -> FeedParseError:
+    """The error of a feed document the walk stopped in, from decoding
+    ``text`` whole as ``json.loads`` does; its offset is in UTF-8 bytes of
+    ``text``, so a byte-order mark counts. A document ``json.loads``
+    accepts lacks a ``CVE_Items`` array."""
     start = 1 if text.startswith("\ufeff") else 0
     try:
         json.loads(text[start:])
     except json.JSONDecodeError as exc:
         offset = len(text[:start + exc.pos].encode("utf-8", "surrogatepass"))
-        raise FeedParseError(f"malformed feed JSON at byte {offset}: {exc.msg}", offset=offset)
+        return FeedParseError(f"malformed feed JSON at byte {offset}: {exc.msg}", offset=offset)
     except (ValueError, RecursionError) as exc:  # a huge number literal, deep nesting
-        raise FeedParseError(f"unparseable feed JSON: {exc}")
-    raise FeedParseError(_NO_ITEMS)
+        return FeedParseError(f"unparseable feed JSON: {exc}")
+    return FeedParseError(_NO_ITEMS)
 
 
 def _whole_text(stream: BinaryIO) -> str:
@@ -410,21 +405,22 @@ def parse_feed(data: bytes | str | BinaryIO) -> FeedParseResult:
     """Parse an NVD JSON 1.1 feed into records plus item-level rejects.
 
     ``data`` is the feed's bytes or text, or a binary stream of it, such as
-    ``read_feed_bytes`` opens; a stream is read in chunks. The feed is
-    decoded one ``CVE_Items`` element at a time, and each element is built
-    into its record or reject before the next is decoded, so neither the
-    feed's text nor its decoded tree is held whole. As with ``json.loads``,
-    the last of repeated ``CVE_Items`` keys wins. A malformed feed's error
-    gives the UTF-8 byte offset of the fault, a byte-order mark included.
-    A stream that turns out malformed, not UTF-8 or not gzip is read again
-    whole, for the error a whole read gives. Each distinct CPE string of
-    the feed is parsed once."""
-    if isinstance(data, (bytes, str)):
-        return _feed_result(_feed_items(as_text(data, keep_bom=True)))
+    ``read_feed_bytes`` opens; bytes are read in chunks like a stream, and
+    text is walked as it is. The feed is decoded one ``CVE_Items`` element
+    at a time, and each element is built into its record or reject before
+    the next is decoded, so neither the feed's text nor its decoded tree is
+    held whole. As with ``json.loads``, the last of repeated ``CVE_Items``
+    keys wins. A feed that turns out malformed, not UTF-8 or not gzip is
+    decoded whole once, for the error a whole read gives only; a malformed
+    feed's error gives the UTF-8 byte offset of the fault, a byte-order
+    mark included. Each distinct CPE string of the feed is parsed once."""
+    if isinstance(data, bytes):
+        data = io.BytesIO(data)
+    text, stream = (data, None) if isinstance(data, str) else ("", data)
     try:
-        return _feed_result(_walk_feed("", data))
+        return _feed_result(_walk_feed(text, stream))
     except (ValueError, RecursionError, EOFError, OSError, zlib.error):
-        return _feed_result(_feed_items(_whole_text(data)))
+        raise _feed_error(text if stream is None else _whole_text(stream))
 
 
 def read_feed_bytes(path: str | Path) -> BinaryIO:
@@ -595,7 +591,7 @@ _COMPACT_TAIL = b"]}\n"
 
 
 def _compact_day(
-    lines: Iterator[bytes], known: Mapping[bytes, CveRecord], cpes: dict[str, CpeUri]
+    lines: Iterator[bytes], known: Mapping[bytes, CveRecord] | None, cpes: dict[str, CpeUri]
 ) -> tuple[date, int, list[CveRecord], dict[bytes, CveRecord]] | None:
     """The stamp, count and records of a day in the layout ``store_snapshot``
     writes, read from its lines one at a time, with its records by the
@@ -604,8 +600,9 @@ def _compact_day(
     record but the last, or when a record fails to build.
 
     A line whose digest ``known`` holds is taken as that record; any other
-    line is decoded on its own. Such a day, joined again, is a valid JSON
-    document whose records decode to the very same values.
+    line is decoded on its own. Without ``known`` no line is digested, and
+    the map of records by digest is empty. Such a day, joined again, is a
+    valid JSON document whose records decode to the very same values.
     """
     head = _COMPACT_HEAD.fullmatch(next(lines, b""))
     if head is None:
@@ -619,8 +616,10 @@ def _compact_day(
             comma = following != _COMPACT_TAIL
             if line.endswith(b",\n") != comma:
                 return None
-            digest = blake2b(line, digest_size=16).digest()
-            record = known.get(digest)
+            digest = record = None
+            if known is not None:
+                digest = blake2b(line, digest_size=16).digest()
+                record = known.get(digest)
             if record is None:
                 text = line.decode("utf-8")
                 data, end = _DECODER.raw_decode(text)
@@ -628,7 +627,8 @@ def _compact_day(
                     return None
                 record = CveRecord.from_dict(data, cpes)
             records.append(record)
-            by_line[digest] = record
+            if digest is not None:
+                by_line[digest] = record
             line = following
     except (KeyError, TypeError, ValueError, RecursionError, ValidationError):
         return None  # the whole document is decoded again, to report the error it gives
@@ -651,19 +651,19 @@ def load_snapshot(
     line by line. ``line_records`` maps the digests of an earlier day's
     record lines to their records: a record stored as one of those very
     lines is taken as that same object instead of being decoded again, and
-    the map is then refilled with this day's lines. Any other layout, such
-    as the ``indent=1`` one of older days, is read and decoded whole, and
-    so is a day that turns out corrupt, so that its error is the whole
-    document's. ``cpes`` maps raw CPE strings to their parsed names and
-    gains each one parsed here; without it, every CPE string is parsed once
-    per load.
+    the map is then refilled with this day's lines; without the map, no
+    line is digested. Any other layout, such as the ``indent=1`` one of
+    older days, is read and decoded whole, and so is a day that turns out
+    corrupt, so that its error is the whole document's. ``cpes`` maps raw
+    CPE strings to their parsed names and gains each one parsed here;
+    without it, every CPE string is parsed once per load.
     """
     path = snapshot_path(store_root, day)
     if not path.exists():
         raise SnapshotNotFoundError(f"no snapshot stored for {day.isoformat()}")
     cpes = {} if cpes is None else cpes
     with open(path, "rb") as lines:
-        compact = _compact_day(lines, line_records or {}, cpes)
+        compact = _compact_day(lines, line_records, cpes)
     try:
         if compact is None:
             payload = json.loads(path.read_text(encoding="utf-8"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from datetime import date
 from decimal import Decimal
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .errors import DomainError, ValidationError
 
@@ -362,9 +362,3 @@ class SnapshotDiff:
             raise ValidationError(
                 f"diff requires date_from < date_to, got {self.date_from} >= {self.date_to}"
             )
-
-
-def max_severity_of(scores: Iterable[Decimal | None]) -> Decimal | None:
-    """Highest score among the given ones, or None when none is scored."""
-    present = [s for s in scores if s is not None]
-    return max(present) if present else None

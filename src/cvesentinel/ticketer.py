@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, TextIO
 
 from .errors import EmitError, MatchIntegrityError
 from .matcher import AssetIndex, MatchResult
-from .model import CveRecord, MatchVia, Ticket, max_severity_of, severity_bucket
+from .model import CveRecord, MatchVia, Ticket, severity_bucket
 
 
 def group_matches(
@@ -55,7 +55,8 @@ def group_matches(
     for key in cve_sets:
         vendor, name = key
         cve_ids = tuple(sorted(cve_sets[key]))
-        top_score = max_severity_of(cve_records[cve_id].cvss3_base for cve_id in cve_ids)
+        scores = (cve_records[cve_id].cvss3_base for cve_id in cve_ids)
+        top_score = max((s for s in scores if s is not None), default=None)
         tickets.append(
             Ticket(
                 vendor=vendor,

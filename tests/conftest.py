@@ -8,6 +8,7 @@ from typing import Any, Iterable, Sequence
 
 import pytest
 
+from cvesentinel import ingest
 from cvesentinel.ingest import CpeDictionary, Snapshot
 from cvesentinel.model import CpeUri, CveRecord
 from cvesentinel.normalize import well_formed_from_cpe
@@ -131,3 +132,17 @@ def inventory_csv() -> bytes:
         f"A3,anything,ignored,9.9,{cpe23('microsoft', 'windows', '10')}",
     ]
     return ("\n".join(rows) + "\n").encode("utf-8")
+
+
+@pytest.fixture
+def digested(monkeypatch) -> list[bytes]:
+    """The stored lines that ``ingest`` digests while the test runs."""
+    lines: list[bytes] = []
+    digest = ingest.blake2b
+
+    def spy(line, **kwargs):
+        lines.append(line)
+        return digest(line, **kwargs)
+
+    monkeypatch.setattr(ingest, "blake2b", spy)
+    return lines

@@ -391,6 +391,22 @@ class TestTickets:
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
 
+    def test_full_digests_no_line(self, tmp_path, store, capsys, digested):
+        """--full loads its day alone, so no stored line is digested; the
+        daily diff loads the day before first, and digests both days."""
+        inventory = self._setup(tmp_path, store)
+        items = [feed_item("CVE-2021-0001"),
+                 feed_item("CVE-2021-0002", score=7.0, cpes=[cpe23("geotab", "r2d2")])]
+        ingest_day(tmp_path, store, "2021-06-02", items)
+        argv = ["tickets", "--date", "2021-06-02", "--store", store, "--inventory", inventory]
+        capsys.readouterr()
+        assert main([*argv, "--full"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+        assert digested == []
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+        assert len(digested) == 3
+
     def _full_tickets_argv(self, tmp_path, store, inventory_rows, summary):
         header = "asset_id,product_name,vendor_name,version,cpe23"
         inventory = write(tmp_path, "inv.csv", "\n".join([header, *inventory_rows]) + "\n")

@@ -195,6 +195,30 @@ class TestParseFeed:
         with pytest.raises(FeedParseError, match="unparseable feed JSON"):
             parse_feed(data)
 
+    @pytest.mark.parametrize("source", ["bytes", "file", "gzip"])
+    def test_a_faulty_feed_builds_each_item_at_most_once(self, tmp_path, monkeypatch, source):
+        """A feed that breaks after 50 items is walked once: its error comes
+        from decoding its text whole, which builds no item."""
+        ids = [f"CVE-2021-{n:04d}" for n in range(1, 51)]
+        data = feed_bytes([feed_item(cve_id) for cve_id in ids])[:-2] + b', {"cve": }]}'
+        built = []
+        build = ingest._parse_feed_item
+
+        def spy(item, cpes):
+            built.append(item["cve"]["CVE_data_meta"]["ID"])
+            return build(item, cpes)
+
+        monkeypatch.setattr(ingest, "_parse_feed_item", spy)
+        path = tmp_path / ("feed.json.gz" if source == "gzip" else "feed.json")
+        path.write_bytes(gzip.compress(data) if source == "gzip" else data)
+        with pytest.raises(FeedParseError, match="malformed feed JSON at byte"):
+            if source == "bytes":
+                parse_feed(data)
+            else:
+                with read_feed_bytes(path) as stream:
+                    parse_feed(stream)
+        assert built == ids
+
     def test_non_string_reference_is_an_item_reject(self):
         items = [feed_item("CVE-2021-0001", refs=[5]), feed_item("CVE-2021-0002", refs=[["x"]]),
                  feed_item("CVE-2021-0003", refs=["https://a"])]
@@ -787,6 +811,15 @@ class TestLoadWithPrevious:
         # one CPE string, parsed once per range
         (uri_kept,), (uri_rescored,) = (r.cpe_list for r in first.records.values())
         assert uri_kept is uri_rescored is second.records["CVE-2021-0002"].cpe_list[0]
+
+    def test_a_lone_load_digests_no_line(self, tmp_path, digested):
+        """A day loaded on its own lends its lines to no later load, so none
+        is digested; a range digests each line of each day."""
+        days = _store_three_days(tmp_path)
+        assert_loads_like_oracle(load_snapshot(tmp_path, days[1]), tmp_path, days[1])
+        assert digested == []
+        list(load_snapshots(tmp_path, days[:2]))
+        assert len(digested) == 4
 
     def test_equal_dicts_in_other_text_are_decoded_again(self, tmp_path):
         """1, true and 1.0 are equal dict entries but different lines."""
