@@ -104,8 +104,11 @@ def _feed_corpus(paths: Sequence[str]) -> tuple[list, int]:
 def cmd_ingest(args: argparse.Namespace) -> int:
     records, reject_counts = _read_feeds(args.feeds)
     snapshot = Snapshot(date=args.date, records=records)
-    ingest.store_snapshot(args.store, snapshot, overwrite=args.overwrite)
-    _note(f"stored snapshot {args.date.isoformat()} with {len(records)} records")
+    path = ingest.store_snapshot(args.store, snapshot, overwrite=args.overwrite)
+    changes = ingest.stored_changes(path)
+    how = "stored whole" if changes is None else (
+        "as changes to {} ({} new, {} changed, {} removed)".format(*changes))
+    _note(f"stored snapshot {args.date.isoformat()} with {len(records)} records {how}")
     _emit_json(
         args,
         {
@@ -131,8 +134,8 @@ def cmd_tickets(args: argparse.Namespace) -> int:
     from . import matcher, ticketer
     stop_words = _stop_words(args)
     previous_date = None if args.full else ingest.find_previous_date(args.store, args.date)
-    # The day before is loaded first, to lend its lines to today's load,
-    # but a missing today is still the error reported.
+    # The day before is loaded first, so that today, stored as its changes
+    # to it, is applied to it; a missing today is still the error reported.
     if previous_date is not None and ingest.snapshot_path(args.store, args.date).exists():
         earlier, snapshot = ingest.load_snapshots(args.store, [previous_date, args.date])
         cves = list(ingest.diff_snapshots(earlier, snapshot).new_cves)

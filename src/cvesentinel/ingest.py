@@ -1,5 +1,6 @@
 """Parsers for NVD JSON 1.1 feeds, CPE dictionaries and asset inventories,
-plus the dated snapshot store and snapshot diffing.
+plus the names of the dated snapshot store (``store``), date-range loads
+and snapshot diffing.
 
 Feed parsing is item-tolerant: a broken item lands in a rejects list with
 its index and reason while the remaining items still parse, so
@@ -10,40 +11,40 @@ from __future__ import annotations
 
 import codecs
 import csv
-import gc
 import gzip
 import io
 import json
-import os
-import re
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
 
-# hashlib.blake2b is this very type; importing hashlib would load OpenSSL
-# too, about 3 MB more in every process that loads a day.
-from _blake2 import blake2b
-
 from .errors import (
     FeedParseError,
     FormatError,
     OrderingError,
-    SnapshotExistsError,
-    SnapshotIntegrityError,
-    SnapshotNotFoundError,
     ValidationError,
 )
 from .model import AssetRecord, CpeUri, CveRecord, SnapshotDiff
 from .normalize import StopWordList, as_text, well_formed_from_cpe, well_formed_from_raw
 
+# The snapshot store, whose public names this module gives too.
+from .store import (  # noqa: F401
+    Snapshot,
+    _gc_paused,
+    find_previous_date,
+    list_snapshot_dates,
+    load_snapshot,
+    snapshot_dir,
+    snapshot_path,
+    store_snapshot,
+    stored_changes,
+)
+
 INVENTORY_COLUMNS = ("asset_id", "product_name", "vendor_name", "version", "cpe23")
 
-# The C encoder; any indent would force the pure-Python one.
-_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
 # The json module's own scanner pieces, so that a feed is walked by the
 # grammar and whitespace (``[ \t\n\r]``) of ``json.loads``.
 _DECODER = json.JSONDecoder()
@@ -54,38 +55,6 @@ _ARRAY, _NOT_ARRAY = object(), object()
 _NO_ITEMS = "feed document lacks a CVE_Items array"
 # Bytes of a feed stream read at a time, or more while one value runs on.
 _FEED_CHUNK = 1 << 16
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector, then restore its state.
-
-    Building a feed or a stored day allocates many containers that live
-    until the build ends, and leaves no reference cycle, so each collection
-    those allocations would trigger finds nothing to free. A collector the
-    caller had turned off stays off.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """All CVE records captured on one calendar date."""
-
-    date: date
-    records: Mapping[str, CveRecord]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", dict(self.records))
-        for cve_id, record in self.records.items():
-            if cve_id != record.id:
-                raise ValidationError(f"snapshot key {cve_id!r} does not match record id {record.id!r}")
 
 
 @dataclass(frozen=True)
@@ -543,185 +512,19 @@ def parse_asset_inventory(
     return InventoryParseResult(assets=tuple(assets), rejects=tuple(rejects))
 
 
-def snapshot_dir(store_root: str | Path) -> Path:
-    return Path(store_root) / "snapshots"
-
-
-def snapshot_path(store_root: str | Path, day: date) -> Path:
-    return snapshot_dir(store_root) / day.isoformat()
-
-
-def store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool = False) -> Path:
-    """Persist a snapshot as one JSON file named by its date.
-
-    The file holds ``{"date", "record_count", "records": [...]}`` with one
-    compact record per line, sorted by id, so a changed record is one
-    changed line. Each line is written as soon as it is encoded, so the
-    day's text is never held whole. Refuses to clobber an existing date
-    unless overwrite is set. The write goes through a temp file, which
-    replaces the day only once complete and is deleted when the write
-    fails, so a crash never leaves a half-written day.
-    """
-    path = snapshot_path(store_root, snapshot.date)
-    if path.exists() and not overwrite:
-        raise SnapshotExistsError(f"snapshot for {snapshot.date.isoformat()} already stored")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    records = snapshot.records
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as out:
-            out.write(f'{{"date":"{snapshot.date.isoformat()}","record_count":{len(records)},"records":[')
-            separator = "\n"
-            for cve_id in sorted(records):
-                out.write(separator + _RECORD_ENCODER.encode(records[cve_id].to_dict()))
-                separator = ",\n"
-            out.write("\n]}\n")
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
-
-
-# The first line of a day in the layout ``store_snapshot`` writes, and its last.
-_COMPACT_HEAD = re.compile(
-    rb'\{"date":"(\d{4}-\d\d-\d\d)","record_count":(0|[1-9]\d{0,17}),"records":\[\n'
-)
-_COMPACT_TAIL = b"]}\n"
-
-
-def _compact_day(
-    lines: Iterator[bytes], known: Mapping[bytes, CveRecord] | None, cpes: dict[str, CpeUri]
-) -> tuple[date, int, list[CveRecord], dict[bytes, CveRecord]] | None:
-    """The stamp, count and records of a day in the layout ``store_snapshot``
-    writes, read from its lines one at a time, with its records by the
-    digest of their lines; None for any other layout, or when a record
-    line is not one JSON value plus the comma the layout puts after every
-    record but the last, or when a record fails to build.
-
-    A line whose digest ``known`` holds is taken as that record; any other
-    line is decoded on its own. Without ``known`` no line is digested, and
-    the map of records by digest is empty. Such a day, joined again, is a
-    valid JSON document whose records decode to the very same values.
-    """
-    head = _COMPACT_HEAD.fullmatch(next(lines, b""))
-    if head is None:
-        return None
-    records: list[CveRecord] = []
-    by_line: dict[bytes, CveRecord] = {}
-    try:
-        stored_date = date.fromisoformat(head[1].decode())
-        line = next(lines, b"")
-        for following in lines:  # one line ahead: the last record line has no comma
-            comma = following != _COMPACT_TAIL
-            if line.endswith(b",\n") != comma:
-                return None
-            digest = record = None
-            if known is not None:
-                digest = blake2b(line, digest_size=16).digest()
-                record = known.get(digest)
-            if record is None:
-                text = line.decode("utf-8")
-                data, end = _DECODER.raw_decode(text)
-                if end != len(text) - 1 - comma:
-                    return None
-                record = CveRecord.from_dict(data, cpes)
-            records.append(record)
-            if digest is not None:
-                by_line[digest] = record
-            line = following
-    except (KeyError, TypeError, ValueError, RecursionError, ValidationError):
-        return None  # the whole document is decoded again, to report the error it gives
-    if line != _COMPACT_TAIL:
-        return None
-    return stored_date, int(head[2]), records, by_line
-
-
-@_gc_paused()
-def load_snapshot(
-    store_root: str | Path,
-    day: date,
-    *,
-    line_records: dict[bytes, CveRecord] | None = None,
-    cpes: dict[str, CpeUri] | None = None,
-) -> Snapshot:
-    """Load the snapshot stored for a date; verifies count and date stamps.
-
-    A day in the layout ``store_snapshot`` writes is read from its file
-    line by line. ``line_records`` maps the digests of an earlier day's
-    record lines to their records: a record stored as one of those very
-    lines is taken as that same object instead of being decoded again, and
-    the map is then refilled with this day's lines; without the map, no
-    line is digested. Any other layout, such as the ``indent=1`` one of
-    older days, is read and decoded whole, and so is a day that turns out
-    corrupt, so that its error is the whole document's. ``cpes`` maps raw
-    CPE strings to their parsed names and gains each one parsed here;
-    without it, every CPE string is parsed once per load.
-    """
-    path = snapshot_path(store_root, day)
-    if not path.exists():
-        raise SnapshotNotFoundError(f"no snapshot stored for {day.isoformat()}")
-    cpes = {} if cpes is None else cpes
-    with open(path, "rb") as lines:
-        compact = _compact_day(lines, line_records, cpes)
-    try:
-        if compact is None:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            stored_date = date.fromisoformat(payload["date"])
-            records = [CveRecord.from_dict(data, cpes) for data in payload["records"]]
-            count = payload["record_count"]
-            by_line = {}
-        else:
-            stored_date, count, records, by_line = compact
-    except (KeyError, TypeError, ValueError, RecursionError, ValidationError) as exc:
-        raise SnapshotIntegrityError(f"corrupt snapshot file {path}: {exc}")
-    if stored_date != day:
-        raise SnapshotIntegrityError(f"snapshot file {path} is stamped {stored_date.isoformat()}")
-    if count != len(records):
-        raise SnapshotIntegrityError(
-            f"snapshot file {path} declares {count} records but holds {len(records)}"
-        )
-    record_map = {rec.id: rec for rec in records}
-    if len(record_map) != len(records):
-        raise SnapshotIntegrityError(f"snapshot file {path} repeats a CVE id")
-    if line_records is not None:
-        line_records.clear()
-        line_records.update(by_line)
-    return Snapshot(date=day, records=record_map)
-
-
 def load_snapshots(store_root: str | Path, days: Iterable[date]) -> Iterator[Snapshot]:
-    """Load the given days in order, each as it is asked for.
+    """Load the given days in order, each as it is asked for, each through
+    ``load_snapshot`` with the day loaded before it.
 
-    A record whose stored line is unchanged from the day loaded before it
-    is decoded once, and is the same object in both snapshots. A 16-byte
-    digest of each line of a day is kept, only until the next day has
-    loaded. Each CPE string is parsed once per range.
+    A delta stored against the day loaded before it is read from its own
+    file alone, and its unchanged records are that day's objects. Each
+    CPE string is parsed once per range.
     """
-    line_records: dict[bytes, CveRecord] = {}
+    previous = None
     cpes: dict[str, CpeUri] = {}
     for day in days:
-        yield load_snapshot(store_root, day, line_records=line_records, cpes=cpes)
-
-
-def list_snapshot_dates(store_root: str | Path) -> list[date]:
-    """All stored snapshot dates, ascending."""
-    directory = snapshot_dir(store_root)
-    if not directory.is_dir():
-        return []
-    dates = []
-    for entry in directory.iterdir():
-        try:
-            dates.append(date.fromisoformat(entry.name))
-        except ValueError:
-            continue  # temp files etc.
-    return sorted(dates)
-
-
-def find_previous_date(store_root: str | Path, day: date) -> date | None:
-    """Nearest stored date strictly before the given one, if any."""
-    earlier = [d for d in list_snapshot_dates(store_root) if d < day]
-    return max(earlier) if earlier else None
+        previous = load_snapshot(store_root, day, previous=previous, cpes=cpes)
+        yield previous
 
 
 def diff_snapshots(older: Snapshot, newer: Snapshot) -> SnapshotDiff:

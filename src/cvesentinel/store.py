@@ -1,0 +1,586 @@
+"""The dated snapshot store: one file per day, in a line layout, holding
+the day whole or as its changes to an earlier stored day.
+
+A day's file is one JSON document of plain lines: a head line, one
+compact record per line in id order, and a tail line. A delta's head names
+the day it is stored against and that day's content digest, its own
+content digest, and the ids it removes; its lines are its new and changed
+records. Days are read a line at a time, and a delta is replayed through
+its chain down to a day stored whole.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import os
+import re
+from contextlib import contextmanager
+from dataclasses import dataclass
+from datetime import date
+from pathlib import Path
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple
+
+# hashlib.blake2b is this very type; importing hashlib would load OpenSSL
+# too, about 3 MB more in every process that loads a day.
+from _blake2 import blake2b
+
+from .errors import (
+    SnapshotExistsError,
+    SnapshotIntegrityError,
+    SnapshotNotFoundError,
+    ValidationError,
+)
+from .model import CpeUri, CveRecord
+
+# The C encoder; any indent would force the pure-Python one.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_DECODER = json.JSONDecoder()
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore its state.
+
+    Building a feed or a stored day allocates many containers that live
+    until the build ends, and leaves no reference cycle, so each collection
+    those allocations would trigger finds nothing to free. A collector the
+    caller had turned off stays off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """All CVE records captured on one calendar date."""
+
+    date: date
+    records: Mapping[str, CveRecord]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "records", dict(self.records))
+        for cve_id, record in self.records.items():
+            if cve_id != record.id:
+                raise ValidationError(f"snapshot key {cve_id!r} does not match record id {record.id!r}")
+
+
+def snapshot_dir(store_root: str | Path) -> Path:
+    return Path(store_root) / "snapshots"
+
+
+def snapshot_path(store_root: str | Path, day: date) -> Path:
+    return snapshot_dir(store_root) / day.isoformat()
+
+
+# The first line of a day in the line layout, stored whole or, with the
+# optional fields, as its changes to an earlier day (a delta); and the last
+# line of both.
+_HEAD = re.compile(
+    rb'\{"date":"(\d{4}-\d\d-\d\d)","record_count":(0|[1-9]\d{0,17}),(?:"base":"(\d{4}-\d\d-\d\d)",'
+    rb'"base_digest":"([0-9a-f]{32})","digest":"([0-9a-f]{32})","removed":(\[[^\n]*\]),)?"records":\[\n'
+)
+_TAIL = b"]}\n"
+# A record line as store_snapshot writes it, which begins with its id.
+_LINE_ID = re.compile(rb'\{"id":"(CVE-\d{4}-\d{4,})"[,}]')
+_DIGEST_SIZE = 16
+
+
+class _Head(NamedTuple):
+    """What a stored day's first line says: its date and record count, and
+    for a delta the day it is stored against, the content digests of that
+    day and of this one, and the ids it removes."""
+
+    date: date
+    count: Any
+    base: date | None = None
+    base_digest: Any = None
+    digest: Any = None
+    removed: Any = ()
+
+    def where(self, path: Path) -> str:
+        """The file, as errors name it: a delta with the day it is stored against."""
+        return f"{path}" if self.base is None else f"{path} (changes to {self.base.isoformat()})"
+
+
+class _NotLines(Exception):
+    """A stored file turns out not to be in the line layout."""
+
+
+def _parse_head(line: bytes) -> _Head | None:
+    """The head of a day in the line layout; None for any other first line."""
+    head = _HEAD.fullmatch(line)
+    if head is None:
+        return None
+    try:
+        day, count = date.fromisoformat(head[1].decode()), int(head[2])
+        if not head[3]:
+            return _Head(day, count)
+        removed = json.loads(head[6])
+        if all(isinstance(cve_id, str) for cve_id in removed):
+            return _Head(day, count, date.fromisoformat(head[3].decode()), head[4].decode(),
+                         head[5].decode(), tuple(removed))
+    except ValueError:  # a day such as 2021-13-01
+        pass
+    return None
+
+
+def _head_of(path: Path) -> _Head | None:
+    """The head of a stored file in the line layout; None for any other
+    layout or a missing file."""
+    try:
+        with open(path, "rb") as file:
+            return _parse_head(file.readline())
+    except FileNotFoundError:
+        return None
+
+
+def _payload_head(payload: Any) -> _Head:
+    """The head of a stored day decoded whole; raises KeyError, TypeError or
+    ValueError where a field is missing or of the wrong type."""
+    stored_date, count = date.fromisoformat(payload["date"]), payload["record_count"]
+    if "base" not in payload:
+        return _Head(stored_date, count)
+    removed = payload["removed"]
+    if not (isinstance(payload["base_digest"], str) and isinstance(payload["digest"], str)
+            and isinstance(removed, list) and all(isinstance(i, str) for i in removed)):
+        raise ValueError("malformed delta head")
+    return _Head(stored_date, count, date.fromisoformat(payload["base"]),
+                 payload["base_digest"], payload["digest"], tuple(removed))
+
+
+def _content_digest(path: Path) -> str:
+    """The content digest of a stored day: a delta states its own; a day
+    stored whole is digested from its bytes. A delta states the digest of
+    the bytes its day would have stored whole, so rewriting a delta whole
+    keeps its digest."""
+    head = _head_of(path)
+    if head is not None and head.base is not None:
+        return head.digest
+    digest = blake2b(digest_size=_DIGEST_SIZE)
+    with open(path, "rb") as file:
+        for block in iter(lambda: file.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _record_lines(file: BinaryIO) -> Iterator[bytes]:
+    """The record lines of a day in the line layout, read after its head
+    one at a time, each without its comma and line break. Raises _NotLines
+    where a line lacks the comma the layout puts after every record but
+    the last, or has one after the last, or the tail line is missing."""
+    line = file.readline()
+    for following in file:  # one line ahead: the last record line has no comma
+        comma = following != _TAIL
+        if line.endswith(b",\n") != comma:
+            raise _NotLines
+        yield line[:-2] if comma else line[:-1]
+        line = following
+    if line != _TAIL:
+        raise _NotLines
+
+
+def _line_id(line: bytes) -> str | None:
+    """The id of a record line that begins with it and holds one "id" key,
+    without decoding the line; None for any other line."""
+    match = _LINE_ID.match(line)
+    return match[1].decode() if match and line.count(b'"id":') == 1 else None
+
+
+def _decode_line(line: bytes, cpes: dict[str, CpeUri]) -> CveRecord:
+    """The record of one stored line, which must be one JSON value."""
+    text = line.decode("utf-8")
+    data, end = _DECODER.raw_decode(text)
+    if end != len(text):
+        raise _NotLines
+    return CveRecord.from_dict(data, cpes)
+
+
+def _same(kept: CveRecord | None, record: CveRecord) -> bool:
+    """Whether two records are equal down to how their scores are written:
+    1 and 1.0 are equal scores, but not the same stored value."""
+    return kept == record and (
+        record.cvss3_base is None or kept.cvss3_base.as_tuple() == record.cvss3_base.as_tuple()
+    )
+
+
+def _read_file(
+    path: Path,
+    cpes: dict[str, CpeUri],
+    fixed: Callable[[str], bool] | None,
+    pending: dict[str, Any],
+    kept: Mapping[str, CveRecord] | None,
+) -> tuple[_Head, dict[str, CveRecord], int, bool]:
+    """One stored file of a day's chain: its head, the records of its lines
+    whose ids ``fixed`` does not hold, in file order, its number of record
+    lines, and whether an id repeats among the records kept. A record
+    equal to the one ``kept`` holds for its id, down to how its score is
+    written, is taken as that one. Each id with a line here is popped from
+    ``pending``.
+
+    A file in the line layout is read a line at a time; given ``fixed``,
+    the id of each line is read up front, and a line whose id ``fixed``
+    holds is not decoded. Any other layout is decoded whole, and so is a
+    file that turns out corrupt, so that its error is the whole
+    document's; that raises SnapshotIntegrityError. A file decoded whole
+    takes nothing from ``kept``.
+    """
+    head = None
+    records: dict[str, CveRecord] = {}
+    repeats = False
+    try:
+        with open(path, "rb") as file:
+            head = _parse_head(file.readline())
+            if head is None:
+                raise _NotLines
+            lines = 0
+            for line in _record_lines(file):
+                lines += 1
+                cve_id = None if fixed is None else _line_id(line)
+                if cve_id is not None:
+                    pending.pop(cve_id, None)
+                    if fixed(cve_id):
+                        continue
+                record = _decode_line(line, cpes)
+                if cve_id is None and fixed is not None:
+                    pending.pop(record.id, None)
+                    if fixed(record.id):
+                        continue
+                if kept is not None and _same(kept.get(record.id), record):
+                    record = kept[record.id]
+                repeats = repeats or record.id in records
+                records[record.id] = record
+            return head, records, lines, repeats
+    except (_NotLines, KeyError, TypeError, ValueError, RecursionError, ValidationError):
+        pass  # the whole document is decoded, for its records or its error
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        head = _payload_head(payload)
+        built = [CveRecord.from_dict(data, cpes) for data in payload["records"]]
+    except (KeyError, TypeError, ValueError, RecursionError, ValidationError) as exc:
+        where = path if head is None else head.where(path)
+        raise SnapshotIntegrityError(f"corrupt snapshot file {where}: {exc}")
+    records.clear()
+    repeats = False
+    for record in built:
+        pending.pop(record.id, None)
+        if fixed is None or not fixed(record.id):
+            repeats = repeats or record.id in records
+            records[record.id] = record
+    return head, records, len(built), repeats
+
+
+@_gc_paused()
+def load_snapshot(
+    store_root: str | Path,
+    day: date,
+    *,
+    previous: Snapshot | None = None,
+    cpes: dict[str, CpeUri] | None = None,
+) -> Snapshot:
+    """Load the snapshot stored for a date, checking its date stamp, its
+    record count, its ids and, for a delta, its chain.
+
+    A delta is replayed from its own file first, then from the file of the
+    day it is stored against, and so on down to a day stored whole, so
+    each record is decoded once: a line whose id a later file already
+    settled is skipped without being decoded. Each day of the chain must
+    hold the content its successor was stored against. When ``previous``
+    is the day a delta is stored against, the replay stops there and takes
+    the remaining records from it, as the same objects. A day stored whole
+    takes ``previous``'s record for each line that decodes equal to it.
+    ``cpes`` maps raw CPE strings to their parsed names and gains each one
+    parsed here; without it, every CPE string is parsed once per load.
+    """
+    path = snapshot_path(store_root, day)
+    if not path.exists():
+        raise SnapshotNotFoundError(f"no snapshot stored for {day.isoformat()}")
+    cpes = {} if cpes is None else cpes
+    settled: dict[str, CveRecord] = {}  # by the files read so far
+    removed: set[str] = set()  # by those files, and not in settled
+    pending: dict[str, tuple[str, date]] = {}  # removed ids no older file has shown yet
+    fixed = lambda cve_id: cve_id in settled or cve_id in removed  # noqa: E731
+    kept = None if previous is None else previous.records
+    top = top_where = None  # the head of the newest file, and its name for errors
+    while True:
+        newest = top is None
+        head, records, lines, repeats = _read_file(path, cpes, None if newest else fixed, pending,
+                                                   kept if newest else None)
+        where = head.where(path)
+        if head.date != day:
+            raise SnapshotIntegrityError(
+                f"snapshot file {where} is stamped {head.date.isoformat()}")
+        if newest:
+            top, top_where = head, where
+            if head.base is None and head.count != lines:
+                raise SnapshotIntegrityError(
+                    f"snapshot file {where} declares {head.count} records but holds {lines}"
+                )
+            if repeats or len(set(head.removed)) != len(head.removed) or any(
+                    cve_id in records for cve_id in head.removed):
+                raise SnapshotIntegrityError(f"snapshot file {where} repeats a CVE id")
+        for cve_id in head.removed:
+            if cve_id in pending:
+                raise _lacks(*pending[cve_id], cve_id)
+            pending[cve_id] = (where, head.base)
+            if cve_id not in settled:
+                removed.add(cve_id)
+        settled.update(records)
+        if head.base is None:
+            break
+        base_path = snapshot_path(store_root, head.base)
+        if head.base >= head.date or not base_path.exists():
+            raise SnapshotIntegrityError(
+                f"snapshot file {where}: no earlier snapshot stored for {head.base.isoformat()}")
+        if _content_digest(base_path) != head.base_digest:
+            raise SnapshotIntegrityError(
+                f"snapshot file {where}: the content of {head.base.isoformat()} has changed since")
+        if previous is not None and previous.date == head.base:
+            for cve_id, record in previous.records.items():
+                pending.pop(cve_id, None)
+                if not fixed(cve_id):
+                    settled[cve_id] = record
+            break
+        path, day = base_path, head.base
+    if pending:
+        cve_id, (where, base) = next(iter(pending.items()))
+        raise _lacks(where, base, cve_id)
+    if top.base is not None:
+        settled = {cve_id: settled[cve_id] for cve_id in sorted(settled)}
+        if top.count != len(settled):
+            raise SnapshotIntegrityError(
+                f"snapshot file {top_where} declares {top.count} records but holds {len(settled)}"
+            )
+    return Snapshot(date=top.date, records=settled)
+
+
+def _lacks(where: str, base: date, cve_id: str) -> SnapshotIntegrityError:
+    return SnapshotIntegrityError(
+        f"snapshot file {where} removes {cve_id}, which {base.isoformat()} does not hold"
+    )
+
+
+def _chain(store_root: str | Path, day: date) -> list[tuple[Path, _Head]] | None:
+    """The files a stored day is replayed from, its own first and a day
+    stored whole last, each with its head; None when one of them is
+    missing or not in the line layout, or holds other content than the
+    file after it was stored against."""
+    chain: list[tuple[Path, _Head]] = []
+    while day is not None:
+        path = snapshot_path(store_root, day)
+        head = _head_of(path)
+        if head is None or head.date != day or (chain and (
+                day >= chain[-1][1].date or _content_digest(path) != chain[-1][1].base_digest)):
+            return None
+        chain.append((path, head))
+        day = head.base
+    return chain
+
+
+def _sorted_lines(path: Path, rank: int) -> Iterator[tuple[str, int, bytes]]:
+    """(id, rank, line) for each record line of a file in the line layout;
+    raises _NotLines where the ids do not ascend or a line does not begin
+    with its id."""
+    with open(path, "rb") as file:
+        file.readline()
+        last = ""
+        for line in _record_lines(file):
+            cve_id = _line_id(line)
+            if cve_id is None or cve_id <= last:
+                raise _NotLines
+            last = cve_id
+            yield cve_id, rank, line
+            
+
+def _content(chain: list[tuple[Path, _Head]]) -> Iterator[tuple[str, bytes]]:
+    """The (id, line) pairs of the day at the head of ``chain``, in id order,
+    replayed from the lines of its files read side by side, none decoded."""
+    import heapq  # here, not at the top: only a store reads a chain this way
+
+    gone: dict[str, int] = {}  # id -> the rank of the newest file that removes it
+    for rank, (_, head) in enumerate(chain):
+        for cve_id in head.removed:
+            gone.setdefault(cve_id, rank)
+    last = None
+    files = (_sorted_lines(path, rank) for rank, (path, _) in enumerate(chain))
+    for cve_id, rank, line in heapq.merge(*files):
+        if cve_id != last:
+            last = cve_id
+            if gone.get(cve_id, rank + 1) > rank:
+                yield cve_id, line
+
+
+def _line_count(path: Path) -> int:
+    with open(path, "rb") as file:
+        return sum(block.count(b"\n") for block in iter(lambda: file.read(1 << 16), b"")) - 2
+
+
+def _whole_head(day: date, count: int) -> bytes:
+    return b'{"date":"%s","record_count":%d,"records":[' % (day.isoformat().encode(), count)
+
+
+def _write_lines(out: BinaryIO, lines: Iterable[bytes]) -> None:
+    """Record lines in the line layout, after a head without its line break."""
+    separator = b"\n"
+    for line in lines:
+        out.write(separator + line)
+        separator = b",\n"
+    out.write(b"\n" + _TAIL)
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[BinaryIO]:
+    """A temp file that replaces ``path`` once the block completes, and is
+    deleted when it fails, so a crash never leaves a half-written day."""
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    try:
+        with open(tmp, "wb") as out:
+            yield out
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _encode(record: CveRecord) -> bytes:
+    return _RECORD_ENCODER.encode(record.to_dict()).encode()
+
+
+def _write_delta(out: BinaryIO, snapshot: Snapshot, chain: list[tuple[Path, _Head]]) -> bool:
+    """Write ``snapshot`` as its changes to the day at the head of ``chain``;
+    False, with nothing written, when that day's files are not in id
+    order. The new day's lines are compared byte for byte with the earlier
+    day's, read side by side with them, and the lines that differ are kept
+    until the head, which lists the removed ids and the new day's content
+    digest, is written."""
+    records = snapshot.records
+    digest = blake2b(_whole_head(snapshot.date, len(records)), digest_size=_DIGEST_SIZE)
+    changed: list[bytes] = []
+    removed: list[str] = []
+    try:
+        earlier = _content(chain)
+        old_id, old_line = next(earlier, (None, None))
+        separator = b"\n"
+        for cve_id in sorted(records):
+            line = _encode(records[cve_id])
+            digest.update(separator + line)
+            separator = b",\n"
+            while old_id is not None and old_id < cve_id:
+                removed.append(old_id)
+                old_id, old_line = next(earlier, (None, None))
+            if old_id != cve_id or old_line != line:
+                changed.append(line)
+            if old_id == cve_id:
+                old_id, old_line = next(earlier, (None, None))
+        while old_id is not None:
+            removed.append(old_id)
+            old_id, old_line = next(earlier, (None, None))
+    except _NotLines:
+        return False
+    digest.update(b"\n" + _TAIL)
+    base_path, base = chain[0]
+    out.write(b'{"date":"%s","record_count":%d,"base":"%s","base_digest":"%s","digest":"%s",'
+              b'"removed":%s,"records":[' % (
+                  snapshot.date.isoformat().encode(), len(records), base.date.isoformat().encode(),
+                  _content_digest(base_path).encode(), digest.hexdigest().encode(),
+                  _RECORD_ENCODER.encode(removed).encode()))
+    _write_lines(out, changed)
+    return True
+
+
+def store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool = False) -> Path:
+    """Persist a snapshot as one JSON file named by its date.
+
+    The file is in the line layout: a head line, then one compact record
+    per line in id order, so a changed record is one changed line. When
+    the nearest earlier stored day can be replayed from its lines, the
+    file is a delta: its head names that day and its content digest, and
+    lists the removed ids, and its lines are those of the new and changed
+    records only. The day is stored whole when there is no such day, and
+    once the deltas since the last day stored whole, each counting its
+    lines, its removed ids and itself, reach that day's record count. The
+    earlier day is read a line
+    at a time and never decoded; a day stored whole is written a line at a
+    time as it is encoded, and a delta's lines are kept until its head is
+    written.
+
+    Refuses to clobber an existing date unless overwrite is set; a later
+    day stored as changes to the day overwritten is first rewritten whole,
+    with the same content digest. The write goes through a temp file,
+    which replaces the day only once complete and is deleted when the
+    write fails, so a crash never leaves a half-written day.
+    """
+    path = snapshot_path(store_root, snapshot.date)
+    if path.exists():
+        if not overwrite:
+            raise SnapshotExistsError(f"snapshot for {snapshot.date.isoformat()} already stored")
+        for later in list_snapshot_dates(store_root):
+            head = _head_of(snapshot_path(store_root, later)) if later > snapshot.date else None
+            if head is not None and head.base == snapshot.date:
+                _rewrite_whole(store_root, later)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    previous = find_previous_date(store_root, snapshot.date)
+    chain = None if previous is None else _chain(store_root, previous)
+    if chain:  # the whole-day rule, which keeps replays short
+        changes = sum(_line_count(delta) + len(head.removed) + 1 for delta, head in chain[:-1])
+        chain = chain if changes < chain[-1][1].count else None
+    records = snapshot.records
+    with _replacing(path) as out:
+        if chain is None or not _write_delta(out, snapshot, chain):
+            out.write(_whole_head(snapshot.date, len(records)))
+            _write_lines(out, (_encode(records[cve_id]) for cve_id in sorted(records)))
+    return path
+
+
+def _rewrite_whole(store_root: str | Path, day: date) -> None:
+    """Rewrite a delta whole, replayed from its chain's lines."""
+    path = snapshot_path(store_root, day)
+    chain = _chain(store_root, day)
+    try:
+        if chain is None:
+            raise _NotLines
+        with _replacing(path) as out:
+            out.write(_whole_head(day, chain[0][1].count))
+            _write_lines(out, (line for _, line in _content(chain)))
+    except _NotLines:
+        raise SnapshotIntegrityError(
+            f"snapshot file {chain[0][1].where(path) if chain else path} cannot be replayed "
+            "to be rewritten whole") from None
+
+
+def stored_changes(path: str | Path) -> tuple[date, int, int, int] | None:
+    """For a day stored as a delta: the day it is stored against, and its
+    numbers of new, changed and removed records; None for a day stored
+    whole."""
+    path = Path(path)
+    head = _head_of(path)
+    if head is None or head.base is None:
+        return None
+    base = _head_of(path.with_name(head.base.isoformat()))
+    new = head.count - base.count + len(head.removed)
+    return head.base, new, _line_count(path) - new, len(head.removed)
+
+
+def list_snapshot_dates(store_root: str | Path) -> list[date]:
+    """All stored snapshot dates, ascending."""
+    directory = snapshot_dir(store_root)
+    if not directory.is_dir():
+        return []
+    dates = []
+    for entry in directory.iterdir():
+        try:
+            dates.append(date.fromisoformat(entry.name))
+        except ValueError:
+            continue  # temp files etc.
+    return sorted(dates)
+
+
+def find_previous_date(store_root: str | Path, day: date) -> date | None:
+    """Nearest stored date strictly before the given one, if any."""
+    earlier = [d for d in list_snapshot_dates(store_root) if d < day]
+    return max(earlier) if earlier else None

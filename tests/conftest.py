@@ -8,7 +8,7 @@ from typing import Any, Iterable, Sequence
 
 import pytest
 
-from cvesentinel import ingest
+from cvesentinel import store
 from cvesentinel.ingest import CpeDictionary, Snapshot
 from cvesentinel.model import CpeUri, CveRecord
 from cvesentinel.normalize import well_formed_from_cpe
@@ -135,14 +135,23 @@ def inventory_csv() -> bytes:
 
 
 @pytest.fixture
-def digested(monkeypatch) -> list[bytes]:
-    """The stored lines that ``ingest`` digests while the test runs."""
-    lines: list[bytes] = []
-    digest = ingest.blake2b
+def digested(monkeypatch) -> list[bytearray]:
+    """The bytes of each digest that the store computes while the test runs."""
+    digests: list[bytearray] = []
+    digest = store.blake2b
 
-    def spy(line, **kwargs):
-        lines.append(line)
-        return digest(line, **kwargs)
+    class Spy:
+        def __init__(self, data: bytes = b"", **kwargs):
+            self.data = bytearray(data)
+            self.digest = digest(data, **kwargs)
+            digests.append(self.data)
 
-    monkeypatch.setattr(ingest, "blake2b", spy)
-    return lines
+        def update(self, data: bytes) -> None:
+            self.data += data
+            self.digest.update(data)
+
+        def hexdigest(self) -> str:
+            return self.digest.hexdigest()
+
+    monkeypatch.setattr(store, "blake2b", Spy)
+    return digests

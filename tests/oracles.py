@@ -22,6 +22,7 @@ pattern, and standardized without any shortcut.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -363,28 +364,111 @@ def oracle_store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite:
     return path
 
 
-def oracle_load_snapshot(store_root: str | Path, day: date) -> Snapshot:
-    """Load one stored day on its own, building every record from its dict."""
-    path = snapshot_path(store_root, day)
-    if not path.exists():
-        raise SnapshotNotFoundError(f"no snapshot stored for {day.isoformat()}")
+# The head line of a day stored as its changes to an earlier day.
+_ORACLE_DELTA_HEAD = re.compile(
+    r'\{"date":"(\d{4}-\d\d-\d\d)","record_count":(?:0|[1-9]\d{0,17}),"base":"(\d{4}-\d\d-\d\d)",'
+    r'"base_digest":"[0-9a-f]{32}","digest":"([0-9a-f]{32})","removed":(\[[^\n]*\]),"records":\['
+)
+
+
+def _oracle_delta_head(first_line: str) -> tuple[str, str] | None:
+    """The day a delta's head line names and the digest it states, when the
+    line is one: its dates real days and its removed ids all strings."""
+    head = _ORACLE_DELTA_HEAD.fullmatch(first_line)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        date.fromisoformat(head[1]), date.fromisoformat(head[2])
+        if all(isinstance(i, str) for i in json.loads(head[4])):
+            return head[2], head[3]
+    except (TypeError, ValueError):  # no match, a day such as 2021-13-01
+        pass
+    return None
+
+
+def oracle_content_digest(path: Path) -> str:
+    """The digest a delta's head line states, or else the BLAKE2b digest of
+    the whole file's bytes."""
+    data = path.read_bytes()
+    head = _oracle_delta_head(data.split(b"\n", 1)[0].decode("utf-8", "replace"))
+    return head[1] if head else hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def _oracle_file(path: Path, day: date) -> dict[str, Any]:
+    """One stored file decoded whole and checked on its own: its date,
+    count and records, and for a delta its base, digests and removed ids."""
+    text = None
+    try:
+        text = path.read_text(encoding="utf-8")
+        payload = json.loads(text)
         stored_date = date.fromisoformat(payload["date"])
         records = [CveRecord.from_dict(d) for d in payload["records"]]
         count = payload["record_count"]
+        base = None
+        if "base" in payload:
+            removed = payload["removed"]
+            if not (isinstance(payload["base_digest"], str) and isinstance(payload["digest"], str)
+                    and isinstance(removed, list) and all(isinstance(i, str) for i in removed)):
+                raise ValueError("malformed delta head")
+            base = date.fromisoformat(payload["base"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, ValidationError) as exc:
-        raise SnapshotIntegrityError(f"corrupt snapshot file {path}: {exc}")
+        head = _oracle_delta_head(text.split("\n", 1)[0]) if text else None
+        where = f"{path} (changes to {head[0]})" if head else path
+        raise SnapshotIntegrityError(f"corrupt snapshot file {where}: {exc}")
+    where = path if base is None else f"{path} (changes to {base.isoformat()})"
     if stored_date != day:
-        raise SnapshotIntegrityError(f"snapshot file {path} is stamped {stored_date.isoformat()}")
-    if count != len(records):
-        raise SnapshotIntegrityError(
-            f"snapshot file {path} declares {count} records but holds {len(records)}"
-        )
-    record_map = {rec.id: rec for rec in records}
-    if len(record_map) != len(records):
-        raise SnapshotIntegrityError(f"snapshot file {path} repeats a CVE id")
-    return Snapshot(date=day, records=record_map)
+        raise SnapshotIntegrityError(f"snapshot file {where} is stamped {stored_date.isoformat()}")
+    ids = [rec.id for rec in records]
+    if base is None:
+        if count != len(records):
+            raise SnapshotIntegrityError(
+                f"snapshot file {where} declares {count} records but holds {len(records)}"
+            )
+        removed, base_digest = [], None
+    else:
+        ids += removed
+        base_digest = payload["base_digest"]
+    if len(set(ids)) != len(ids):
+        raise SnapshotIntegrityError(f"snapshot file {where} repeats a CVE id")
+    return {"where": where, "count": count, "records": records, "base": base,
+            "base_digest": base_digest, "removed": removed}
+
+
+def oracle_load_snapshot(store_root: str | Path, day: date) -> Snapshot:
+    """Load one stored day on its own, building every record from its dict:
+    each file of its chain is decoded whole and checked, newest first, and
+    the files are then applied in date order."""
+    path = snapshot_path(store_root, day)
+    if not path.exists():
+        raise SnapshotNotFoundError(f"no snapshot stored for {day.isoformat()}")
+    snapshot_day = day
+    chain = [_oracle_file(path, day)]
+    while chain[-1]["base"] is not None:
+        file, base = chain[-1], chain[-1]["base"]
+        base_path = snapshot_path(store_root, base)
+        if base >= day or not base_path.exists():
+            raise SnapshotIntegrityError(
+                f"snapshot file {file['where']}: no earlier snapshot stored for {base.isoformat()}")
+        if oracle_content_digest(base_path) != file["base_digest"]:
+            raise SnapshotIntegrityError(
+                f"snapshot file {file['where']}: the content of {base.isoformat()} has changed since")
+        day = base
+        chain.append(_oracle_file(base_path, day))
+    records: dict[str, CveRecord] = {}
+    for file in reversed(chain):
+        for cve_id in file["removed"]:
+            if cve_id not in records:
+                raise SnapshotIntegrityError(
+                    f"snapshot file {file['where']} removes {cve_id}, which "
+                    f"{file['base'].isoformat()} does not hold")
+            del records[cve_id]
+        records.update((rec.id, rec) for rec in file["records"])
+    top = chain[0]
+    if top["base"] is not None:
+        records = dict(sorted(records.items()))
+        if top["count"] != len(records):
+            raise SnapshotIntegrityError(
+                f"snapshot file {top['where']} declares {top['count']} records but holds {len(records)}"
+            )
+    return Snapshot(date=snapshot_day, records=records)
 
 
 def oracle_diff_snapshots(

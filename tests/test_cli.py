@@ -21,6 +21,7 @@ from cvesentinel import cli, ingest
 from cvesentinel.cli import main
 from cvesentinel.ingest import load_snapshot
 from oracles import oracle_evaluate
+from test_store import BREAKS, break_store
 
 
 @pytest.fixture
@@ -126,6 +127,21 @@ class TestIngest:
         ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001")])
         feed = write(tmp_path, "again.json", feed_bytes([feed_item("CVE-2021-0001")]))
         assert main(["ingest", feed, "--date", "2021-06-01", "--store", store, "--overwrite"]) == 0
+
+    def test_stderr_says_how_the_day_was_stored(self, tmp_path, store, capsys):
+        """Whole, or as its changes to the day before; stdout is the same."""
+        ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001"),
+                                                   feed_item("CVE-2021-0002", summary="two")])
+        first = capsys.readouterr()
+        ingest_day(tmp_path, store, "2021-06-02", [feed_item("CVE-2021-0001", score=5.0),
+                                                   feed_item("CVE-2021-0003")])
+        second = capsys.readouterr()
+        assert first.err.splitlines()[-1] == "stored snapshot 2021-06-01 with 2 records stored whole"
+        assert second.err.splitlines()[-1] == (
+            "stored snapshot 2021-06-02 with 2 records as changes to 2021-06-01 "
+            "(1 new, 1 changed, 1 removed)")
+        assert json.loads(second.out) == {"date": "2021-06-02", "stored": 2,
+                                          "rejects": {"feed-2021-06-02.json": 0}, "rejected_total": 0}
 
     def test_malformed_item_rejected_but_exit_zero(self, tmp_path, store, capsys):
         items = [feed_item("CVE-2021-0001"), feed_item(None)]
@@ -392,20 +408,23 @@ class TestTickets:
         assert len(capsys.readouterr().out.splitlines()) == 1
 
     def test_full_digests_no_line(self, tmp_path, store, capsys, digested):
-        """--full loads its day alone, so no stored line is digested; the
-        daily diff loads the day before first, and digests both days."""
+        """Neither --full, which loads its day alone, nor the daily diff
+        digests a stored line: each checks the delta it loads against the
+        day it is stored against by one digest of that day's file."""
         inventory = self._setup(tmp_path, store)
         items = [feed_item("CVE-2021-0001"),
                  feed_item("CVE-2021-0002", score=7.0, cpes=[cpe23("geotab", "r2d2")])]
         ingest_day(tmp_path, store, "2021-06-02", items)
+        day_before = (Path(store) / "snapshots" / "2021-06-01").read_bytes()
+        digested.clear()
         argv = ["tickets", "--date", "2021-06-02", "--store", store, "--inventory", inventory]
         capsys.readouterr()
         assert main([*argv, "--full"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
-        assert digested == []
+        assert digested == [day_before]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
-        assert len(digested) == 3
+        assert digested == [day_before, day_before]
 
     def _full_tickets_argv(self, tmp_path, store, inventory_rows, summary):
         header = "asset_id,product_name,vendor_name,version,cpe23"
@@ -494,14 +513,20 @@ class TestTickets:
         assert (tmp_path / "run1.jsonl").read_bytes() == (tmp_path / "run2.jsonl").read_bytes()
 
 
-def edit_day(store, day: str, edit, layout: str) -> None:
-    """Apply edit to the stored JSON payload of one day, in place, and write
-    it back in ``layout``: as the store writes it, which the loader reads
-    line by line, or on one line, which it decodes whole."""
-    path = Path(store) / "snapshots" / day
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    edit(payload)
-    path.write_text(DAY_LAYOUTS[layout](payload), encoding="utf-8")
+def edit_days(store, edits, layout: str) -> None:
+    """Apply each (day, edit) to the payload of its day, holding its records
+    in full as they loaded before any edit, and write the day back whole in
+    ``layout``: as the store writes it, which the loader reads line by
+    line, or on one line, which it decodes whole."""
+    payloads = {}
+    for day, _ in edits:
+        records = load_snapshot(store, date.fromisoformat(day)).records.values()
+        payloads[day] = {"date": day, "record_count": len(records),
+                         "records": [record.to_dict() for record in records]}
+    for day, edit in edits:
+        edit(payloads[day])
+        path = Path(store) / "snapshots" / day
+        path.write_text(DAY_LAYOUTS[layout](payloads[day]), encoding="utf-8")
 
 
 def _set_first(**fields):
@@ -635,8 +660,7 @@ class TestStats:
                 feed_item("CVE-2021-0001", score=1.0, cpes=[cpe23("acme", "anvil")]),
                 feed_item("CVE-2021-0002", summary="two"),
             ])
-        for day, edit in edits:
-            edit_day(store, day, edit, layout)
+        edit_days(store, edits, layout)
         capsys.readouterr()
         code = main(["stats", "--report", "daily", "--from", "2021-06-01", "--to", "2021-06-05",
                      "--store", store])
@@ -644,6 +668,16 @@ class TestStats:
         err = capsys.readouterr().err
         assert err.startswith(("error: corrupt snapshot file", "error: snapshot file"))
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", BREAKS)
+    def test_a_broken_chain_exits_4_naming_both_days(self, tmp_path, store, capsys, name):
+        break_store(store, name)
+        code = main(["stats", "--report", "daily", "--from", "2021-06-02", "--to", "2021-06-02",
+                     "--store", store])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert BREAKS[name][1] in err and "2021-06-01" in err and "2021-06-02" in err
 
     @pytest.mark.parametrize("text", UNPARSEABLE_JSON.values(), ids=UNPARSEABLE_JSON.keys())
     def test_unparseable_stored_day_exits_4(self, tmp_path, store, capsys, text):
@@ -1218,13 +1252,13 @@ class TestImports:
             loaded = self.loaded_modules(["ingest", feed, "--date", day, "--store", store])
             assert "cvesentinel.ingest" in loaded
             assert not loaded & {"cvesentinel.analytics", "cvesentinel.matcher",
-                                 "cvesentinel.ticketer", "_hashlib"}
+                                 "cvesentinel.ticketer", "hashlib", "_hashlib"}
         inventory = write(tmp_path, "inv.csv", INVENTORY)
         loaded = self.loaded_modules(["tickets", "--date", "2021-06-02", "--store", store,
                                       "--inventory", inventory])
         assert {"cvesentinel.matcher", "cvesentinel.ticketer"} <= loaded
-        assert not loaded & {"cvesentinel.analytics", "_hashlib"}
+        assert not loaded & {"cvesentinel.analytics", "hashlib", "_hashlib"}
         loaded = self.loaded_modules(["stats", "--report", "daily", "--from", "2021-06-01",
                                       "--to", "2021-06-02", "--store", store])
         assert "cvesentinel.analytics" in loaded
-        assert not loaded & {"cvesentinel.matcher", "cvesentinel.ticketer", "_hashlib"}
+        assert not loaded & {"cvesentinel.matcher", "cvesentinel.ticketer", "hashlib", "_hashlib"}

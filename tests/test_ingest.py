@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DAY_LAYOUTS, compact_day, cpe23, feed_bytes, feed_item, make_record, snapshot_of
-from cvesentinel import ingest
+from cvesentinel import ingest, store
 from cvesentinel.errors import (
     FeedParseError,
     FormatError,
@@ -689,15 +689,15 @@ class TestSnapshotStore:
         before = kept.read_bytes()
         writes = []
 
-        class DiskFull(io.TextIOWrapper):
-            def write(self, text):
-                writes.append(text)
+        class DiskFull(io.BufferedWriter):
+            def write(self, data):
+                writes.append(data)
                 if len(writes) == 2:  # the head is written, then the disk fills
                     raise OSError(errno.ENOSPC, "No space left on device")
-                return super().write(text)
+                return super().write(data)
 
-        monkeypatch.setattr(ingest, "open", lambda file, mode, encoding: DiskFull(
-            open(file, mode + "b"), encoding=encoding), raising=False)
+        monkeypatch.setattr(store, "open", lambda file, mode="r": DiskFull(io.FileIO(file, "w"))
+                            if "w" in mode else open(file, mode), raising=False)
         records = [make_record(f"CVE-2021-{n:04d}") for n in range(1, 4)]
         with pytest.raises(OSError, match="No space left"):
             store_snapshot(tmp_path, snapshot_of(day, records), overwrite=True)
@@ -813,13 +813,16 @@ class TestLoadWithPrevious:
         assert uri_kept is uri_rescored is second.records["CVE-2021-0002"].cpe_list[0]
 
     def test_a_lone_load_digests_no_line(self, tmp_path, digested):
-        """A day loaded on its own lends its lines to no later load, so none
-        is digested; a range digests each line of each day."""
+        """A delta is checked against the day it is stored against by one
+        digest of that day's file, alone or in a range; no stored line is
+        digested."""
         days = _store_three_days(tmp_path)
+        first = (tmp_path / "snapshots" / days[0].isoformat()).read_bytes()
+        digested.clear()
         assert_loads_like_oracle(load_snapshot(tmp_path, days[1]), tmp_path, days[1])
-        assert digested == []
+        assert digested == [first]
         list(load_snapshots(tmp_path, days[:2]))
-        assert len(digested) == 4
+        assert digested == [first, first]
 
     def test_equal_dicts_in_other_text_are_decoded_again(self, tmp_path):
         """1, true and 1.0 are equal dict entries but different lines."""
@@ -924,31 +927,49 @@ class TestLoadWithPrevious:
                 assert gc.isenabled()
                 assert_loads_like_oracle(loaded, root, days[n])
                 if n and layouts[n - 1] == layouts[n] == "compact":
-                    # each record line unchanged from the day before is that day's object
-                    before = set(texts[n - 1].split("\n")[1:-2])
+                    # each record line unchanged from the day before, its comma
+                    # aside, is that day's object
+                    before = {line.rstrip(",") for line in texts[n - 1].split("\n")[1:-2]}
                     for line in texts[n].split("\n")[1:-2]:
-                        cve_id = json.loads(line.rstrip(","))["id"]
+                        line = line.rstrip(",")
+                        cve_id = json.loads(line)["id"]
                         shared = loaded.records[cve_id] is previous.records.get(cve_id)
                         assert shared == (line in before)
                 previous = loaded
 
     @given(stored_histories(), st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_corrupt_days_fail_like_the_oracle(self, history, data):
         """A day with a bad value, or with a comma after its last record,
         fails with the oracle's error; the days before it load like the
-        oracle's."""
+        oracle's. The days are written in drawn layouts, or stored by the
+        store, the later ones mostly as deltas, and one of them then edited."""
         bad_day = data.draw(st.integers(0, len(history) - 1))
-        if history[bad_day] and data.draw(st.booleans()):
-            key = data.draw(st.sampled_from(sorted(BAD_VALUES)))
-            n = data.draw(st.integers(0, len(history[bad_day]) - 1))
-            history[bad_day][n] = {**history[bad_day][n], key: data.draw(st.sampled_from(BAD_VALUES[key]))}
-        layouts = [data.draw(st.sampled_from(["compact", *sorted(WRITTEN_LAYOUTS)])) for _ in history]
+        key = data.draw(st.sampled_from(sorted(BAD_VALUES)))
+        bad = {key: data.draw(st.sampled_from(BAD_VALUES[key]))} if data.draw(st.booleans()) else None
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             days = [date(2021, 6, 1) + timedelta(days=n) for n in range(len(history))]
-            for day, records, layout in zip(days, history, layouts):
-                write_day(root, day, records, layout)
+            if data.draw(st.booleans()):
+                for day, records in zip(days, history):
+                    store_snapshot(root, Snapshot(day, {r["id"]: CveRecord.from_dict(r) for r in records}))
+                path = root / "snapshots" / days[bad_day].isoformat()
+                lines = path.read_text(encoding="utf-8").split("\n")
+                if bad and len(lines) > 3:
+                    n = data.draw(st.integers(1, len(lines) - 3))
+                    comma = "," if lines[n].endswith(",") else ""
+                    record = {**json.loads(lines[n].rstrip(",")), **bad}
+                    lines[n] = json.dumps(record, separators=(",", ":")) + comma
+                else:
+                    lines[-3] += ","
+                path.write_text("\n".join(lines), encoding="utf-8")
+            else:
+                if history[bad_day] and bad:
+                    n = data.draw(st.integers(0, len(history[bad_day]) - 1))
+                    history[bad_day][n] = {**history[bad_day][n], **bad}
+                for day, records in zip(days, history):
+                    write_day(root, day, records,
+                              data.draw(st.sampled_from(["compact", *sorted(WRITTEN_LAYOUTS)])))
             loads = load_snapshots(root, days)
             for day in days:
                 try:
@@ -988,30 +1009,33 @@ def _store_three_days(root: Path) -> list[date]:
 
 class TestLoadMemory:
     def test_a_day_loads_without_its_text(self, tmp_path):
-        """Loading day 2 after day 1 holds at its peak less than a quarter
-        of the day's file size above what it keeps: neither the day's text
-        nor its lines are held whole, and the lines of day 1 are kept as
-        digests."""
+        """Loading day 1, stored whole, and then day 2, stored as its
+        changes to day 1, each holds at its peak less than a quarter of
+        day 1's file size above what it keeps: neither day's text nor its
+        lines are held whole."""
         def records(day: int) -> list[CveRecord]:
             return [make_record(f"CVE-2021-{n:04d}", summary=f"flaw {n} " + "in the widget " * 50,
                                 score=5.0 if n % 50 else day, cpes=[cpe23("acme", f"p{n}")],
                                 refs=[f"https://example.com/advisory/{n}/{r}" for r in range(8)])
                     for n in range(1, 2001)]
         days = [date(2021, 6, 1), date(2021, 6, 2)]
-        for n, day in enumerate(days, 1):
-            path = store_snapshot(tmp_path, snapshot_of(day.isoformat(), records(n)))
-        size = path.stat().st_size
+        paths = [store_snapshot(tmp_path, snapshot_of(day.isoformat(), records(n)))
+                 for n, day in enumerate(days, 1)]
+        size = paths[0].stat().st_size
         assert size > 2 * 10**6
+        assert paths[1].stat().st_size < size / 10
         loads = load_snapshots(tmp_path, days)
-        first = next(loads)
-        tracemalloc.start()
-        try:
-            second = next(loads)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        loaded = []
+        for _ in days:
+            tracemalloc.start()
+            try:
+                loaded.append(next(loads))
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - held < size / 4
+        first, second = loaded
         assert sum(second.records[i] is not first.records[i] for i in first.records) == 40
-        assert peak - held < size / 4
 
 
 class TestCollector:

@@ -1,0 +1,339 @@
+"""The delta snapshot store: days stored as their changes to the day before,
+the chain a load replays, the overwrite and whole-day rules, and the
+errors of a broken chain."""
+
+from __future__ import annotations
+
+import gc
+import hashlib
+import json
+import tempfile
+import tracemalloc
+from datetime import date, timedelta
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import compact_day, cpe23, make_record, snapshot_of
+from cvesentinel.errors import SnapshotIntegrityError
+from cvesentinel.ingest import Snapshot, load_snapshot, load_snapshots, snapshot_path, store_snapshot
+from cvesentinel.model import CveRecord
+from oracles import oracle_content_digest, oracle_load_snapshot, oracle_store_snapshot
+
+DAYS = [date(2021, 6, 1) + timedelta(days=n) for n in range(6)]
+
+
+def whole_text(snapshot: Snapshot) -> bytes:
+    """The bytes of a day stored whole, as the oracle writes them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return oracle_store_snapshot(tmp, snapshot).read_bytes()
+
+
+def blake2b(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def head_of(root, day: date) -> dict:
+    """The head line of a stored day, decoded with its records left out."""
+    line = snapshot_path(root, day).read_text(encoding="utf-8").split("\n", 1)[0]
+    return json.loads(line + "]}")
+
+
+def assert_stored(root, expected: dict[date, Snapshot], by_hand: tuple[date, ...] = ()) -> None:
+    """Each stored day loads equal to ``expected``, alone, in a range of all
+    the days and through the oracle, and the content digest of each day
+    but those written ``by_hand`` is that of its whole text."""
+    days = sorted(expected)
+    assert sorted(p.name for p in (Path(root) / "snapshots").iterdir()) == [d.isoformat() for d in days]
+    ranged = list(load_snapshots(root, days))
+    for day, in_range in zip(days, ranged):
+        alone, oracle = load_snapshot(root, day), oracle_load_snapshot(root, day)
+        assert alone == in_range == oracle == expected[day]
+        assert [repr(r) for r in alone.records.values()] == [repr(r) for r in oracle.records.values()]
+        assert [repr(r) for r in in_range.records.values()] == [repr(r) for r in oracle.records.values()]
+        if day not in by_hand:
+            assert oracle_content_digest(snapshot_path(root, day)) == blake2b(whole_text(expected[day]))
+    assert gc.isenabled()
+
+
+def three_days(root) -> list[Snapshot]:
+    """Day 1 whole; day 2 keeps 0001, rescores 0002, drops 0003 and adds
+    0004; day 3 adds 0005."""
+    anvil = [cpe23("acme", "anvil")]
+    first = snapshot_of("2021-06-01", [make_record("CVE-2021-0001", cpes=anvil),
+                                       make_record("CVE-2021-0002", summary="flaw"),
+                                       make_record("CVE-2021-0003", score=5.0)])
+    second = snapshot_of("2021-06-02", [first.records["CVE-2021-0001"],
+                                        make_record("CVE-2021-0002", summary="flaw", score=9.8),
+                                        make_record("CVE-2021-0004", refs=["https://a"])])
+    third = snapshot_of("2021-06-03", [*second.records.values(), make_record("CVE-2021-0005")])
+    for snapshot in (first, second, third):
+        store_snapshot(root, snapshot)
+    return [first, second, third]
+
+
+class TestLayout:
+    def test_a_later_day_is_stored_as_its_changes(self, tmp_path):
+        first, second, _ = three_days(tmp_path)
+        text = snapshot_path(tmp_path, DAYS[1]).read_text(encoding="utf-8")
+        lines = [json.dumps(second.records[i].to_dict(), separators=(",", ":"))
+                 for i in ("CVE-2021-0002", "CVE-2021-0004")]
+        head = (f'{{"date":"2021-06-02","record_count":3,"base":"2021-06-01",'
+                f'"base_digest":"{blake2b(whole_text(first))}","digest":"{blake2b(whole_text(second))}",'
+                f'"removed":["CVE-2021-0003"],"records":[')
+        assert text == f"{head}\n{lines[0]},\n{lines[1]}\n]}}\n"
+        assert json.loads(text)["records"] == [json.loads(line) for line in lines]
+        assert snapshot_path(tmp_path, DAYS[0]).read_bytes() == whole_text(first)
+        assert_stored(tmp_path, {s.date: s for s in three_days(tmp_path / "again")})
+
+    def test_an_unchanged_day_is_an_empty_delta(self, tmp_path):
+        first = snapshot_of("2021-06-01", [make_record("CVE-2021-0001")])
+        store_snapshot(tmp_path, first)
+        store_snapshot(tmp_path, snapshot_of("2021-06-02", first.records.values()))
+        assert snapshot_path(tmp_path, DAYS[1]).read_text(encoding="utf-8").endswith(
+            '"removed":[],"records":[\n]}\n')
+        assert_stored(tmp_path, {DAYS[0]: first, DAYS[1]: snapshot_of("2021-06-02", first.records.values())})
+
+    @pytest.mark.parametrize("layout", ["indented", "unsorted", "empty"])
+    def test_the_day_after_a_day_no_delta_can_follow_is_stored_whole(self, tmp_path, layout):
+        """Indented days and compact days out of id order load as before,
+        but the next day is stored whole; so is the day after an empty day."""
+        records = [make_record(f"CVE-2021-000{n}", score=float(n)) for n in (2, 1)]
+        payload = {"date": "2021-06-01", "record_count": 2, "records": [r.to_dict() for r in records]}
+        path = snapshot_path(tmp_path, DAYS[0])
+        path.parent.mkdir()
+        if layout == "empty":
+            records = []
+            store_snapshot(tmp_path, snapshot_of("2021-06-01", []))
+        else:
+            path.write_text(json.dumps(payload, indent=1) if layout == "indented" else compact_day(payload),
+                            encoding="utf-8")
+        later = snapshot_of("2021-06-02", [make_record("CVE-2021-0001", score=1.0)])
+        store_snapshot(tmp_path, later)
+        assert snapshot_path(tmp_path, DAYS[1]).read_bytes() == whole_text(later)
+        assert_stored(tmp_path, {DAYS[0]: snapshot_of("2021-06-01", records), DAYS[1]: later},
+                      by_hand=() if layout == "empty" else (DAYS[0],))
+
+    def test_a_hand_written_compact_day_is_a_base(self, tmp_path):
+        """A day written by hand in the compact layout, its scores as ints,
+        is stored against as it stands: a line the new day encodes
+        otherwise is a changed line."""
+        records = [make_record("CVE-2021-0001"), make_record("CVE-2021-0002", score=7.5)]
+        dicts = [{**records[0].to_dict(), "cvss3_base": 5}, records[1].to_dict()]
+        path = snapshot_path(tmp_path, DAYS[0])
+        path.parent.mkdir()
+        path.write_text(compact_day({"date": "2021-06-01", "record_count": 2, "records": dicts}),
+                        encoding="utf-8")
+        later = snapshot_of("2021-06-02", [make_record("CVE-2021-0001", score=5), records[1]])
+        store_snapshot(tmp_path, later)
+        head = head_of(tmp_path, DAYS[1])
+        assert head["base_digest"] == blake2b(path.read_bytes())
+        assert json.loads(snapshot_path(tmp_path, DAYS[1]).read_text())["records"] == [
+            later.records["CVE-2021-0001"].to_dict()]
+        assert_stored(tmp_path, {DAYS[0]: load_snapshot(tmp_path, DAYS[0]), DAYS[1]: later},
+                      by_hand=(DAYS[0],))
+
+    def test_a_day_is_stored_whole_once_the_deltas_reach_the_whole_days_count(self, tmp_path):
+        """Four records and two changed lines a day: the day after two
+        deltas is whole, and the deltas count from it again."""
+        base = [make_record(f"CVE-2021-000{n}") for n in range(1, 5)]
+        days = [date(2021, 6, 1) + timedelta(days=n) for n in range(8)]
+        expected = {}
+        for n, day in enumerate(days):
+            records = list(base)
+            records[n % 4] = make_record(f"CVE-2021-000{n % 4 + 1}", score=float(n))
+            expected[day] = snapshot_of(day.isoformat(), records)
+            store_snapshot(tmp_path, expected[day])
+        bases = [head_of(tmp_path, day).get("base") for day in days]
+        assert bases == [None, "2021-06-01", "2021-06-02", None, "2021-06-04", "2021-06-05", None,
+                         "2021-06-07"]
+        assert_stored(tmp_path, expected)
+
+    def test_days_that_do_not_change_are_stored_whole_now_and_then(self, tmp_path):
+        """An empty delta counts too, so chains stay short."""
+        for day in DAYS:
+            store_snapshot(tmp_path, snapshot_of(day.isoformat(), [make_record("CVE-2021-0001")]))
+        assert [head_of(tmp_path, day).get("base") for day in DAYS] == [
+            None, "2021-06-01", None, "2021-06-03", None, "2021-06-05"]
+
+
+class TestOverwrite:
+    def test_later_deltas_are_rewritten_whole_with_their_digest(self, tmp_path):
+        first, second, third = three_days(tmp_path)
+        stated = head_of(tmp_path, DAYS[1])["digest"]
+        third_bytes = snapshot_path(tmp_path, DAYS[2]).read_bytes()
+        replaced = snapshot_of("2021-06-01", [make_record("CVE-2021-0009")])
+        store_snapshot(tmp_path, replaced, overwrite=True)
+        assert snapshot_path(tmp_path, DAYS[1]).read_bytes() == whole_text(second)
+        assert blake2b(whole_text(second)) == stated
+        assert snapshot_path(tmp_path, DAYS[2]).read_bytes() == third_bytes  # nothing cascades
+        assert_stored(tmp_path, {DAYS[0]: replaced, DAYS[1]: second, DAYS[2]: third})
+
+    def test_a_delta_overwritten_is_stored_against_its_day_before(self, tmp_path):
+        first, second, third = three_days(tmp_path)
+        replaced = snapshot_of("2021-06-02", [*first.records.values(), make_record("CVE-2021-0007")])
+        store_snapshot(tmp_path, replaced, overwrite=True)
+        assert head_of(tmp_path, DAYS[1])["removed"] == []
+        assert "base" not in head_of(tmp_path, DAYS[2])
+        assert_stored(tmp_path, {DAYS[0]: first, DAYS[1]: replaced, DAYS[2]: third})
+
+    def test_days_stored_out_of_order_name_their_own_base(self, tmp_path):
+        """Day 3 is stored against day 1; day 2, stored later, is stored
+        against day 1 too, and overwriting day 1 rewrites both whole."""
+        first, second, third = (snapshot_of(d.isoformat(), [make_record("CVE-2021-0001", score=float(n))])
+                                for n, d in enumerate(DAYS[:3]))
+        for snapshot in (first, third, second):
+            store_snapshot(tmp_path, snapshot)
+        assert [head_of(tmp_path, d).get("base") for d in DAYS[1:3]] == ["2021-06-01", "2021-06-01"]
+        assert_stored(tmp_path, {DAYS[0]: first, DAYS[1]: second, DAYS[2]: third})
+        store_snapshot(tmp_path, first, overwrite=True)
+        assert [head_of(tmp_path, d).get("base") for d in DAYS[1:3]] == [None, None]
+        assert_stored(tmp_path, {DAYS[0]: first, DAYS[1]: second, DAYS[2]: third})
+
+
+class TestStoreMemory:
+    def test_a_delta_is_stored_without_the_earlier_days_text(self, tmp_path):
+        """Storing a day against a large earlier day holds at its peak less
+        than a quarter of that day's file above what it keeps: the earlier
+        day is read a line at a time and never decoded."""
+        def records(day: int) -> dict[str, CveRecord]:
+            return {f"CVE-2021-{n:04d}": make_record(
+                f"CVE-2021-{n:04d}", summary=f"flaw {n} " + "in the widget " * 50,
+                score=5.0 if n % 50 else day, cpes=[cpe23("acme", f"p{n}")],
+                refs=[f"https://example.com/advisory/{n}/{r}" for r in range(8)])
+                for n in range(1, 2001)}
+        size = store_snapshot(tmp_path, Snapshot(DAYS[0], records(1))).stat().st_size
+        assert size > 2 * 10**6
+        later = Snapshot(DAYS[1], records(2))
+        tracemalloc.start()
+        try:
+            path = store_snapshot(tmp_path, later)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < size / 4
+        assert len(json.loads(path.read_text())["records"]) == 40
+
+
+class TestLoads:
+    def test_a_lone_load_decodes_each_record_once(self, tmp_path, monkeypatch):
+        """A day three deltas deep, loaded alone, reads its newest file
+        first and builds each of its records once."""
+        records = {f"CVE-2021-{n:04d}": make_record(f"CVE-2021-{n:04d}") for n in range(1, 11)}
+        for n, day in enumerate(DAYS[:4]):
+            records[f"CVE-2021-{n + 1:04d}"] = make_record(f"CVE-2021-{n + 1:04d}", score=float(n))
+            records[f"CVE-2021-{n + 11:04d}"] = make_record(f"CVE-2021-{n + 11:04d}")
+            store_snapshot(tmp_path, Snapshot(day, records))
+        assert head_of(tmp_path, DAYS[3])["base"] == "2021-06-03"
+        built = []
+        from_dict = CveRecord.from_dict
+
+        def counted(data, cpes=None):
+            built.append(data["id"])
+            return from_dict(data, cpes)
+
+        monkeypatch.setattr(CveRecord, "from_dict", counted)
+        loaded = load_snapshot(tmp_path, DAYS[3])
+        assert sorted(built) == sorted(loaded.records) == sorted(records)
+        assert loaded == Snapshot(DAYS[3], records)
+
+    def test_a_range_shares_the_records_a_delta_leaves_unchanged(self, tmp_path, monkeypatch):
+        first, second, third = three_days(tmp_path)
+        loaded = list(load_snapshots(tmp_path, DAYS[:3]))
+        assert loaded[1].records["CVE-2021-0001"] is loaded[0].records["CVE-2021-0001"]
+        assert loaded[2].records["CVE-2021-0004"] is loaded[1].records["CVE-2021-0004"]
+        assert loaded[1].records["CVE-2021-0002"] is not loaded[0].records["CVE-2021-0002"]
+
+
+# A delta day stored against a whole day, broken in one way each: the
+# edit of its store, and the error that names both days.
+BREAKS = {
+    "missing-base": (lambda root, text: snapshot_path(root, DAYS[0]).unlink(),
+                     "no earlier snapshot stored for 2021-06-01"),
+    "replaced-base": (lambda root, text: snapshot_path(root, DAYS[0]).write_text(compact_day(
+        {"date": "2021-06-01", "record_count": 1, "records": [make_record("CVE-2021-0003").to_dict()]}),
+        encoding="utf-8"), "the content of 2021-06-01 has changed since"),
+    "removed-id-the-base-lacks": (
+        lambda root, text: text.replace('"removed":["CVE-2021-0003"]', '"removed":["CVE-2021-0009"]'),
+        "removes CVE-2021-0009, which 2021-06-01 does not hold"),
+    "repeated-id": (lambda root, text: text.replace("\n", "\n" + text.split("\n")[1] + "\n", 1),
+                    "repeats a CVE id"),
+    "bad-record-line": (lambda root, text: text.replace('"published":"2021-06-01"', '"published":"2021-13-01"', 1),
+                        "corrupt snapshot file "),
+    "record-count": (lambda root, text: text.replace('"record_count":3', '"record_count":4', 1),
+                     "declares 4 records but holds 3"),
+}
+
+
+def break_store(root, name: str) -> None:
+    three_days(root)
+    snapshot_path(root, DAYS[2]).unlink()
+    path = snapshot_path(root, DAYS[1])
+    edited = BREAKS[name][0](root, path.read_text(encoding="utf-8"))
+    if isinstance(edited, str):
+        path.write_text(edited, encoding="utf-8")
+
+
+class TestBrokenChains:
+    @pytest.mark.parametrize("name", BREAKS)
+    def test_each_break_is_an_integrity_error_naming_both_days(self, tmp_path, name):
+        break_store(tmp_path, name)
+        with pytest.raises(SnapshotIntegrityError) as oracle:
+            oracle_load_snapshot(tmp_path, DAYS[1])
+        message = str(oracle.value)
+        assert BREAKS[name][1] in message
+        assert "2021-06-01" in message and "2021-06-02" in message
+        with pytest.raises(SnapshotIntegrityError) as alone:
+            load_snapshot(tmp_path, DAYS[1])
+        assert str(alone.value) == message
+        if name != "missing-base":
+            loads = load_snapshots(tmp_path, DAYS[:2])
+            next(loads)
+            with pytest.raises(SnapshotIntegrityError) as in_range:
+                next(loads)
+            assert str(in_range.value) == message
+        assert gc.isenabled()
+
+
+# --- a model of the store under drawn operations ---------------------------
+
+_IDS = [f"CVE-2021-{n:04d}" for n in range(1, 7)]
+_RECORDS = st.builds(
+    make_record,
+    st.sampled_from(_IDS),
+    summary=st.sampled_from(["", "flaw", "flaw in acme anvil"]),
+    score=st.sampled_from([None, 5.0, 9.8]),
+    cpes=st.lists(st.sampled_from([cpe23("acme", "anvil"), cpe23("px", "x")]), max_size=2, unique=True),
+)
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("store"), st.sampled_from(DAYS), st.lists(_RECORDS, max_size=6)),
+        st.tuples(st.just("delete-newest")),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(_OPERATIONS)
+@settings(max_examples=80, deadline=None)
+def test_the_store_loads_as_its_model_after_every_operation(operations):
+    """Days stored in any order, overwritten while later deltas name them,
+    the newest deleted, records removed and days left empty, with churn
+    enough for whole days: after each step every stored day loads equal to
+    the model, alone, in a range and through the oracle."""
+    model: dict[date, Snapshot] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for operation in operations:
+            if operation[0] == "store":
+                _, day, records = operation
+                model[day] = snapshot_of(day.isoformat(), records)
+                store_snapshot(tmp, model[day], overwrite=True)
+            elif model:
+                newest = max(model)
+                snapshot_path(tmp, newest).unlink()
+                del model[newest]
+            if model:
+                assert_stored(tmp, model)
