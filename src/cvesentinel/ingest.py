@@ -516,9 +516,11 @@ def load_snapshots(store_root: str | Path, days: Iterable[date]) -> Iterator[Sna
     """Load the given days in order, each as it is asked for, each through
     ``load_snapshot`` with the day loaded before it.
 
-    A delta stored against the day loaded before it is read from its own
-    file alone, and its unchanged records are that day's objects. Each
-    CPE string is parsed once per range.
+    The replay of each day stops at the day loaded before it: a delta
+    stored against that day is read from its own file, its unchanged
+    records are that day's objects, and the one digest taken is that
+    day's, which hashes its whole file when it is stored whole. Each CPE
+    string is parsed once per range.
     """
     previous = None
     cpes: dict[str, CpeUri] = {}

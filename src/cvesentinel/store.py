@@ -5,8 +5,9 @@ A day's file is one JSON document of plain lines: a head line, one
 compact record per line in id order, and a tail line. A delta's head names
 the day it is stored against and that day's content digest, its own
 content digest, and the ids it removes; its lines are its new and changed
-records. Days are read a line at a time, and a delta is replayed through
-its chain down to a day stored whole.
+records. A day is replayed from the lines of its chain's files, read side
+by side down to a day stored whole; a day in another layout, or one whose
+replay finds a fault, is loaded by decoding each of those files whole.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, BinaryIO, Container, Iterable, Iterator, Mapping, NamedTuple
 
 # hashlib.blake2b is this very type; importing hashlib would load OpenSSL
 # too, about 3 MB more in every process that loads a day.
@@ -125,7 +126,7 @@ def _parse_head(line: bytes) -> _Head | None:
         if all(isinstance(cve_id, str) for cve_id in removed):
             return _Head(day, count, date.fromisoformat(head[3].decode()), head[4].decode(),
                          head[5].decode(), tuple(removed))
-    except ValueError:  # a day such as 2021-13-01
+    except (ValueError, RecursionError):  # a day such as 2021-13-01, or ids nested too deep
         pass
     return None
 
@@ -169,29 +170,6 @@ def _content_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _record_lines(file: BinaryIO) -> Iterator[bytes]:
-    """The record lines of a day in the line layout, read after its head
-    one at a time, each without its comma and line break. Raises _NotLines
-    where a line lacks the comma the layout puts after every record but
-    the last, or has one after the last, or the tail line is missing."""
-    line = file.readline()
-    for following in file:  # one line ahead: the last record line has no comma
-        comma = following != _TAIL
-        if line.endswith(b",\n") != comma:
-            raise _NotLines
-        yield line[:-2] if comma else line[:-1]
-        line = following
-    if line != _TAIL:
-        raise _NotLines
-
-
-def _line_id(line: bytes) -> str | None:
-    """The id of a record line that begins with it and holds one "id" key,
-    without decoding the line; None for any other line."""
-    match = _LINE_ID.match(line)
-    return match[1].decode() if match and line.count(b'"id":') == 1 else None
-
-
 def _decode_line(line: bytes, cpes: dict[str, CpeUri]) -> CveRecord:
     """The record of one stored line, which must be one JSON value."""
     text = line.decode("utf-8")
@@ -204,75 +182,9 @@ def _decode_line(line: bytes, cpes: dict[str, CpeUri]) -> CveRecord:
 def _same(kept: CveRecord | None, record: CveRecord) -> bool:
     """Whether two records are equal down to how their scores are written:
     1 and 1.0 are equal scores, but not the same stored value."""
-    return kept == record and (
+    return kept is not None and kept == record and (
         record.cvss3_base is None or kept.cvss3_base.as_tuple() == record.cvss3_base.as_tuple()
     )
-
-
-def _read_file(
-    path: Path,
-    cpes: dict[str, CpeUri],
-    fixed: Callable[[str], bool] | None,
-    pending: dict[str, Any],
-    kept: Mapping[str, CveRecord] | None,
-) -> tuple[_Head, dict[str, CveRecord], int, bool]:
-    """One stored file of a day's chain: its head, the records of its lines
-    whose ids ``fixed`` does not hold, in file order, its number of record
-    lines, and whether an id repeats among the records kept. A record
-    equal to the one ``kept`` holds for its id, down to how its score is
-    written, is taken as that one. Each id with a line here is popped from
-    ``pending``.
-
-    A file in the line layout is read a line at a time; given ``fixed``,
-    the id of each line is read up front, and a line whose id ``fixed``
-    holds is not decoded. Any other layout is decoded whole, and so is a
-    file that turns out corrupt, so that its error is the whole
-    document's; that raises SnapshotIntegrityError. A file decoded whole
-    takes nothing from ``kept``.
-    """
-    head = None
-    records: dict[str, CveRecord] = {}
-    repeats = False
-    try:
-        with open(path, "rb") as file:
-            head = _parse_head(file.readline())
-            if head is None:
-                raise _NotLines
-            lines = 0
-            for line in _record_lines(file):
-                lines += 1
-                cve_id = None if fixed is None else _line_id(line)
-                if cve_id is not None:
-                    pending.pop(cve_id, None)
-                    if fixed(cve_id):
-                        continue
-                record = _decode_line(line, cpes)
-                if cve_id is None and fixed is not None:
-                    pending.pop(record.id, None)
-                    if fixed(record.id):
-                        continue
-                if kept is not None and _same(kept.get(record.id), record):
-                    record = kept[record.id]
-                repeats = repeats or record.id in records
-                records[record.id] = record
-            return head, records, lines, repeats
-    except (_NotLines, KeyError, TypeError, ValueError, RecursionError, ValidationError):
-        pass  # the whole document is decoded, for its records or its error
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        head = _payload_head(payload)
-        built = [CveRecord.from_dict(data, cpes) for data in payload["records"]]
-    except (KeyError, TypeError, ValueError, RecursionError, ValidationError) as exc:
-        where = path if head is None else head.where(path)
-        raise SnapshotIntegrityError(f"corrupt snapshot file {where}: {exc}")
-    records.clear()
-    repeats = False
-    for record in built:
-        pending.pop(record.id, None)
-        if fixed is None or not fixed(record.id):
-            repeats = repeats or record.id in records
-            records[record.id] = record
-    return head, records, len(built), repeats
 
 
 @_gc_paused()
@@ -286,90 +198,104 @@ def load_snapshot(
     """Load the snapshot stored for a date, checking its date stamp, its
     record count, its ids and, for a delta, its chain.
 
-    A delta is replayed from its own file first, then from the file of the
-    day it is stored against, and so on down to a day stored whole, so
-    each record is decoded once: a line whose id a later file already
-    settled is skipped without being decoded. Each day of the chain must
-    hold the content its successor was stored against. When ``previous``
-    is the day a delta is stored against, the replay stops there and takes
-    the remaining records from it, as the same objects. A day stored whole
-    takes ``previous``'s record for each line that decodes equal to it.
-    ``cpes`` maps raw CPE strings to their parsed names and gains each one
-    parsed here; without it, every CPE string is parsed once per load.
+    A day is replayed from the lines of its chain's files read side by
+    side, so each record is decoded once. When the chain reaches
+    ``previous``, the files above it are applied to its records, whose
+    unchanged records are then the same objects. A line that decodes equal
+    to ``previous``'s record for its id is taken as that one. Any other
+    layout, and any fault, is left to a load of each file decoded whole,
+    which names the fault. ``cpes`` maps raw CPE strings to their parsed
+    names and gains each one parsed here; without it, every CPE string is
+    parsed once per load.
     """
     path = snapshot_path(store_root, day)
     if not path.exists():
         raise SnapshotNotFoundError(f"no snapshot stored for {day.isoformat()}")
     cpes = {} if cpes is None else cpes
-    settled: dict[str, CveRecord] = {}  # by the files read so far
-    removed: set[str] = set()  # by those files, and not in settled
-    pending: dict[str, tuple[str, date]] = {}  # removed ids no older file has shown yet
-    fixed = lambda cve_id: cve_id in settled or cve_id in removed  # noqa: E731
-    kept = None if previous is None else previous.records
-    top = top_where = None  # the head of the newest file, and its name for errors
+    kept = {} if previous is None else previous.records
+    try:
+        chain = _chain(store_root, day, None if previous is None else previous.date)
+        if chain is None:
+            raise _NotLines
+        below = kept if chain[-1][1].base is not None else {}
+        gone = {cve_id for _, head in chain for cve_id in head.removed}
+        records = {cve_id: record for cve_id, record in below.items() if cve_id not in gone}
+        for cve_id, line in _content(chain, below):
+            record = _decode_line(line, cpes)
+            if record.id != cve_id:
+                raise _NotLines
+            if _same(kept.get(cve_id), record):
+                record = kept[cve_id]
+            records[record.id] = record  # keyed by the record's own id, not a copy of it
+        if below:
+            records = {cve_id: records[cve_id] for cve_id in sorted(records)}
+        if len(records) != chain[0][1].count:
+            raise _NotLines
+        return Snapshot(date=day, records=records)
+    except (_NotLines, KeyError, TypeError, ValueError, RecursionError, ValidationError):
+        return _load_whole(store_root, day, cpes)
+
+
+def _load_whole(store_root: str | Path, day: date, cpes: dict[str, CpeUri]) -> Snapshot:
+    """Load a stored day by decoding each file of its chain whole and
+    checking it, newest first, then applying the files in date order: the
+    load of a day in any JSON layout, and the one that names a fault."""
+    path = snapshot_path(store_root, day)
+    files: list[tuple[str, _Head, list[CveRecord]]] = []
     while True:
-        newest = top is None
-        head, records, lines, repeats = _read_file(path, cpes, None if newest else fixed, pending,
-                                                   kept if newest else None)
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            date.fromisoformat(payload["date"])  # a bad date is named before a bad record
+            built = [CveRecord.from_dict(data, cpes) for data in payload["records"]]
+            head = _payload_head(payload)
+        except (KeyError, TypeError, ValueError, RecursionError, ValidationError) as exc:
+            head = _head_of(path)
+            raise SnapshotIntegrityError(
+                f"corrupt snapshot file {path if head is None else head.where(path)}: {exc}")
         where = head.where(path)
         if head.date != day:
+            raise SnapshotIntegrityError(f"snapshot file {where} is stamped {head.date.isoformat()}")
+        if head.base is None and head.count != len(built):
             raise SnapshotIntegrityError(
-                f"snapshot file {where} is stamped {head.date.isoformat()}")
-        if newest:
-            top, top_where = head, where
-            if head.base is None and head.count != lines:
-                raise SnapshotIntegrityError(
-                    f"snapshot file {where} declares {head.count} records but holds {lines}"
-                )
-            if repeats or len(set(head.removed)) != len(head.removed) or any(
-                    cve_id in records for cve_id in head.removed):
-                raise SnapshotIntegrityError(f"snapshot file {where} repeats a CVE id")
-        for cve_id in head.removed:
-            if cve_id in pending:
-                raise _lacks(*pending[cve_id], cve_id)
-            pending[cve_id] = (where, head.base)
-            if cve_id not in settled:
-                removed.add(cve_id)
-        settled.update(records)
+                f"snapshot file {where} declares {head.count} records but holds {len(built)}")
+        ids = [record.id for record in built] + list(head.removed)
+        if len(set(ids)) != len(ids):
+            raise SnapshotIntegrityError(f"snapshot file {where} repeats a CVE id")
+        files.append((where, head, built))
         if head.base is None:
             break
         base_path = snapshot_path(store_root, head.base)
-        if head.base >= head.date or not base_path.exists():
+        if head.base >= day or not base_path.exists():
             raise SnapshotIntegrityError(
                 f"snapshot file {where}: no earlier snapshot stored for {head.base.isoformat()}")
         if _content_digest(base_path) != head.base_digest:
             raise SnapshotIntegrityError(
                 f"snapshot file {where}: the content of {head.base.isoformat()} has changed since")
-        if previous is not None and previous.date == head.base:
-            for cve_id, record in previous.records.items():
-                pending.pop(cve_id, None)
-                if not fixed(cve_id):
-                    settled[cve_id] = record
-            break
         path, day = base_path, head.base
-    if pending:
-        cve_id, (where, base) = next(iter(pending.items()))
-        raise _lacks(where, base, cve_id)
+    records: dict[str, CveRecord] = {}
+    for where, head, built in reversed(files):
+        for cve_id in head.removed:
+            if records.pop(cve_id, None) is None:
+                raise SnapshotIntegrityError(f"snapshot file {where} removes {cve_id}, "
+                                             f"which {head.base.isoformat()} does not hold")
+        records.update((record.id, record) for record in built)
+    where, top, _ = files[0]
     if top.base is not None:
-        settled = {cve_id: settled[cve_id] for cve_id in sorted(settled)}
-        if top.count != len(settled):
+        records = {cve_id: records[cve_id] for cve_id in sorted(records)}
+        if top.count != len(records):
             raise SnapshotIntegrityError(
-                f"snapshot file {top_where} declares {top.count} records but holds {len(settled)}"
-            )
-    return Snapshot(date=top.date, records=settled)
+                f"snapshot file {where} declares {top.count} records but holds {len(records)}")
+    return Snapshot(date=top.date, records=records)
 
 
-def _lacks(where: str, base: date, cve_id: str) -> SnapshotIntegrityError:
-    return SnapshotIntegrityError(
-        f"snapshot file {where} removes {cve_id}, which {base.isoformat()} does not hold"
-    )
-
-
-def _chain(store_root: str | Path, day: date) -> list[tuple[Path, _Head]] | None:
-    """The files a stored day is replayed from, its own first and a day
-    stored whole last, each with its head; None when one of them is
-    missing or not in the line layout, or holds other content than the
-    file after it was stored against."""
+def _chain(
+    store_root: str | Path, day: date, stop: date | None = None
+) -> list[tuple[Path, _Head]] | None:
+    """The files a stored day is replayed from, its own first, each with
+    its head: down to a day stored whole, or to the file stored against
+    ``stop``, whose content is checked but whose chain is not read. None
+    when one of them is missing or not in the line layout, or holds other
+    content than the file after it was stored against."""
     chain: list[tuple[Path, _Head]] = []
     while day is not None:
         path = snapshot_path(store_root, day)
@@ -377,42 +303,71 @@ def _chain(store_root: str | Path, day: date) -> list[tuple[Path, _Head]] | None
         if head is None or head.date != day or (chain and (
                 day >= chain[-1][1].date or _content_digest(path) != chain[-1][1].base_digest)):
             return None
+        if chain and day == stop:
+            break
         chain.append((path, head))
         day = head.base
     return chain
 
 
-def _sorted_lines(path: Path, rank: int) -> Iterator[tuple[str, int, bytes]]:
-    """(id, rank, line) for each record line of a file in the line layout;
-    raises _NotLines where the ids do not ascend or a line does not begin
-    with its id."""
+def _sorted_lines(path: Path, head: _Head, rank: int) -> Iterator[tuple[str, int, bytes]]:
+    """(id, rank, line) for each record line of a file in the line layout,
+    read after its head one at a time, each line without its comma and
+    line break. Raises _NotLines where a line lacks the comma the layout
+    puts after every record but the last, or has one after the last, or
+    the tail line is missing; where a line does not begin with its id and
+    hold one "id" key, or the ids do not ascend; and where a day stored
+    whole holds other than its count of lines."""
     with open(path, "rb") as file:
         file.readline()
-        last = ""
-        for line in _record_lines(file):
-            cve_id = _line_id(line)
-            if cve_id is None or cve_id <= last:
+        last, lines = "", 0
+        line = file.readline()
+        for following in file:  # one line ahead: the last record line has no comma
+            comma = following != _TAIL
+            if line.endswith(b",\n") != comma:
                 raise _NotLines
-            last = cve_id
-            yield cve_id, rank, line
-            
+            record = line[:-2] if comma else line[:-1]
+            match = _LINE_ID.match(record)
+            cve_id = match[1].decode() if match else ""
+            if cve_id <= last or record.count(b'"id":') != 1:
+                raise _NotLines
+            last, lines = cve_id, lines + 1
+            yield cve_id, rank, record
+            line = following
+        if line != _TAIL:
+            raise _NotLines
+    if head.base is None and lines != head.count:
+        raise _NotLines
 
-def _content(chain: list[tuple[Path, _Head]]) -> Iterator[tuple[str, bytes]]:
+
+def _content(
+    chain: list[tuple[Path, _Head]], below: Container[str] = ()
+) -> Iterator[tuple[str, bytes]]:
     """The (id, line) pairs of the day at the head of ``chain``, in id order,
-    replayed from the lines of its files read side by side, none decoded."""
-    import heapq  # here, not at the top: only a store reads a chain this way
+    replayed from the lines of its files read side by side, none decoded.
+    ``below`` holds the ids of the day the last file is stored against,
+    when that file is a delta. Raises _NotLines where a file is not in the
+    line layout in id order, and where a file removes an id that the day
+    below it does not hold, that it holds itself or that it removes twice;
+    the removals are checked as the lines run out, so a replay reads them all."""
+    import heapq  # here, not at the top: only a replay reads a chain this way
 
-    gone: dict[str, int] = {}  # id -> the rank of the newest file that removes it
-    for rank, (_, head) in enumerate(chain):
-        for cve_id in head.removed:
-            gone.setdefault(cve_id, rank)
-    last = None
-    files = (_sorted_lines(path, rank) for rank, (path, _) in enumerate(chain))
-    for cve_id, rank, line in heapq.merge(*files):
-        if cve_id != last:
-            last = cve_id
-            if gone.get(cve_id, rank + 1) > rank:
-                yield cve_id, line
+    # A removal is an event of its file's rank with no line, so it sorts
+    # before a line of the same id and rank.
+    removals = sorted((cve_id, rank, b"") for rank, (_, head) in enumerate(chain)
+                      for cve_id in head.removed)
+    files = (_sorted_lines(path, head, rank) for rank, (path, head) in enumerate(chain))
+    last, gone_at = None, None  # the id of the event before, and its rank if it was a removal
+    for cve_id, rank, line in heapq.merge(removals, *files):
+        if gone_at is not None:  # the next event must show that the day below held ``last``
+            held = line and rank > gone_at if cve_id == last else last in below
+            if not held:
+                raise _NotLines
+        if cve_id != last and line:
+            yield cve_id, line
+        last, gone_at = cve_id, None if line else rank
+    if gone_at is not None and last not in below:
+        raise _NotLines
 
 
 def _line_count(path: Path) -> int:
@@ -453,8 +408,8 @@ def _encode(record: CveRecord) -> bytes:
 
 def _write_delta(out: BinaryIO, snapshot: Snapshot, chain: list[tuple[Path, _Head]]) -> bool:
     """Write ``snapshot`` as its changes to the day at the head of ``chain``;
-    False, with nothing written, when that day's files are not in id
-    order. The new day's lines are compared byte for byte with the earlier
+    False, with nothing written, when that day cannot be replayed from its
+    files' lines. The new day's lines are compared byte for byte with the earlier
     day's, read side by side with them, and the lines that differ are kept
     until the head, which lists the removed ids and the new day's content
     digest, is written."""

@@ -693,6 +693,30 @@ class TestStats:
         assert err.startswith("error: corrupt snapshot file")
         assert gc.isenabled()
 
+    def test_removed_ids_nested_too_deep(self, tmp_path, store, capsys):
+        """A delta whose head nests its removed ids deeper than the decoder
+        goes: the next day is stored whole, and a load of the day exits 4."""
+        items = [feed_item("CVE-2021-0001"), feed_item("CVE-2021-0002")]
+        for day in ("2021-06-01", "2021-06-02"):
+            ingest_day(tmp_path, store, day, items)
+        path = Path(store) / "snapshots" / "2021-06-02"
+        text = path.read_text(encoding="utf-8")
+        assert '"removed":[]' in text
+        path.write_text(text.replace('"removed":[]', '"removed":' + "[" * 100_000 + "]" * 100_000),
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert ingest_day(tmp_path, store, "2021-06-03", items) == 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.endswith("stored snapshot 2021-06-03 with 2 records stored whole\n")
+        code = main(["stats", "--report", "daily", "--from", "2021-06-02", "--to", "2021-06-03",
+                     "--store", store])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert err.startswith("error: corrupt snapshot file")
+        assert gc.isenabled()
+
     def test_vendor_that_standardizes_to_nothing_is_skipped(self, tmp_path, store, capsys):
         ingest_day(tmp_path, store, "2021-06-01", [
             feed_item("CVE-2021-0001", cpes=[cpe23("acme", "anvil")]),

@@ -42,17 +42,24 @@ def head_of(root, day: date) -> dict:
 
 
 def assert_stored(root, expected: dict[date, Snapshot], by_hand: tuple[date, ...] = ()) -> None:
-    """Each stored day loads equal to ``expected``, alone, in a range of all
-    the days and through the oracle, and the content digest of each day
-    but those written ``by_hand`` is that of its whole text."""
+    """Each stored day loads equal to ``expected`` and to the oracle's load:
+    alone, in every range that starts at a stored day, which loads each day
+    after its nearest earlier stored day as ``tickets`` does, and after each
+    earlier stored day, so that a chain may reach the day before at any
+    depth. The content digest of each day but those written ``by_hand`` is
+    that of its whole text."""
     days = sorted(expected)
     assert sorted(p.name for p in (Path(root) / "snapshots").iterdir()) == [d.isoformat() for d in days]
-    ranged = list(load_snapshots(root, days))
-    for day, in_range in zip(days, ranged):
-        alone, oracle = load_snapshot(root, day), oracle_load_snapshot(root, day)
-        assert alone == in_range == oracle == expected[day]
-        assert [repr(r) for r in alone.records.values()] == [repr(r) for r in oracle.records.values()]
-        assert [repr(r) for r in in_range.records.values()] == [repr(r) for r in oracle.records.values()]
+    oracle = {day: oracle_load_snapshot(root, day) for day in days}
+    loads = [(day, load_snapshot(root, day)) for day in days]
+    for start, first in enumerate(days):
+        loads += zip(days[start:], load_snapshots(root, days[start:]))
+        loads += ((later, list(load_snapshots(root, [first, later]))[1]) for later in days[start + 1:])
+    for day, loaded in loads:
+        assert loaded == oracle[day] == expected[day]
+        assert [repr(r) for r in loaded.records.values()] == [
+            repr(r) for r in oracle[day].records.values()]
+    for day in days:
         if day not in by_hand:
             assert oracle_content_digest(snapshot_path(root, day)) == blake2b(whole_text(expected[day]))
     assert gc.isenabled()
@@ -239,6 +246,38 @@ class TestLoads:
         assert sorted(built) == sorted(loaded.records) == sorted(records)
         assert loaded == Snapshot(DAYS[3], records)
 
+    def test_a_load_after_a_day_deeper_in_the_chain_stops_there(self, tmp_path, monkeypatch):
+        """A day three deltas above the day loaded before it builds only the
+        records of those three files' lines, one removed and added again
+        among them, and takes the others from the day before, in id order."""
+        records = {f"CVE-2021-{n:04d}": make_record(f"CVE-2021-{n:04d}") for n in range(1, 11)}
+        for n, day in enumerate(DAYS[:4]):
+            records[f"CVE-2021-{n + 1:04d}"] = make_record(f"CVE-2021-{n + 1:04d}", score=float(n))
+            if n == 1:
+                del records["CVE-2021-0005"]
+            if n == 3:
+                records["CVE-2021-0005"] = make_record("CVE-2021-0005", summary="again")
+            store_snapshot(tmp_path, Snapshot(day, records))
+        assert [head_of(tmp_path, day).get("base") for day in DAYS[:4]] == [
+            None, "2021-06-01", "2021-06-02", "2021-06-03"]
+        first = load_snapshot(tmp_path, DAYS[0])
+        built = []
+        from_dict = CveRecord.from_dict
+
+        def counted(data, cpes=None):
+            built.append(data["id"])
+            return from_dict(data, cpes)
+
+        monkeypatch.setattr(CveRecord, "from_dict", counted)
+        loaded = load_snapshot(tmp_path, DAYS[3], previous=first)
+        assert sorted(built) == ["CVE-2021-0002", "CVE-2021-0003", "CVE-2021-0004", "CVE-2021-0005"]
+        monkeypatch.setattr(CveRecord, "from_dict", from_dict)
+        oracle = oracle_load_snapshot(tmp_path, DAYS[3])
+        assert loaded == oracle == Snapshot(DAYS[3], records)
+        assert [repr(r) for r in loaded.records.values()] == [repr(r) for r in oracle.records.values()]
+        assert [i for i in loaded.records if loaded.records[i] is first.records.get(i)] == [
+            "CVE-2021-0001", *(f"CVE-2021-{n:04d}" for n in range(6, 11))]
+
     def test_a_range_shares_the_records_a_delta_leaves_unchanged(self, tmp_path, monkeypatch):
         first, second, third = three_days(tmp_path)
         loaded = list(load_snapshots(tmp_path, DAYS[:3]))
@@ -258,6 +297,19 @@ BREAKS = {
     "removed-id-the-base-lacks": (
         lambda root, text: text.replace('"removed":["CVE-2021-0003"]', '"removed":["CVE-2021-0009"]'),
         "removes CVE-2021-0009, which 2021-06-01 does not hold"),
+    # three removals that a check of the replayed record count alone lets through
+    "removed-id-added-beside": (
+        lambda root, text: text.replace('"removed":["CVE-2021-0003"]',
+                                        '"removed":["CVE-2021-0003","CVE-2021-0009"]'),
+        "removes CVE-2021-0009, which 2021-06-01 does not hold"),
+    "removed-id-it-holds": (  # the count the replay reaches when the removal wins
+        lambda root, text: text.replace('"record_count":3', '"record_count":2', 1).replace(
+            '"removed":["CVE-2021-0003"]', '"removed":["CVE-2021-0002","CVE-2021-0003"]'),
+        "repeats a CVE id"),
+    "removed-twice": (
+        lambda root, text: text.replace('"removed":["CVE-2021-0003"]',
+                                        '"removed":["CVE-2021-0003","CVE-2021-0003"]'),
+        "repeats a CVE id"),
     "repeated-id": (lambda root, text: text.replace("\n", "\n" + text.split("\n")[1] + "\n", 1),
                     "repeats a CVE id"),
     "bad-record-line": (lambda root, text: text.replace('"published":"2021-06-01"', '"published":"2021-13-01"', 1),
