@@ -35,25 +35,6 @@ class SeverityLevel(Enum):
     CRITICAL = "CRITICAL"
     UNSCORED = "UNSCORED"
 
-    @property
-    def ticket_priority(self) -> int:
-        """Output ordering for tickets: CRITICAL first, UNSCORED right after.
-
-        Unscored CVEs are statistically indistinguishable from scored ones
-        in severity, so they must not sink to the bottom of the queue.
-        """
-        return _TICKET_PRIORITY[self]
-
-
-_TICKET_PRIORITY = {
-    SeverityLevel.CRITICAL: 0,
-    SeverityLevel.UNSCORED: 1,
-    SeverityLevel.HIGH: 2,
-    SeverityLevel.MEDIUM: 3,
-    SeverityLevel.LOW: 4,
-    SeverityLevel.NONE: 5,
-}
-
 
 def severity_bucket(score: Decimal | float | int | None) -> SeverityLevel:
     """Map a CVSS v3 base score onto its qualitative severity.

@@ -14,7 +14,13 @@ from typing import Iterable, Mapping, TextIO
 
 from .errors import EmitError, MatchIntegrityError
 from .matcher import AssetIndex, MatchResult
-from .model import CveRecord, MatchVia, Ticket, severity_bucket
+from .model import CveRecord, MatchVia, SeverityLevel, Ticket, severity_bucket
+
+# The order tickets are queued in, by the severity of their worst CVE.
+# UNSCORED comes right after CRITICAL: an unscored CVE is no evidence of low
+# severity, so its ticket must not sink to the bottom of the queue.
+_PRIORITY = (SeverityLevel.CRITICAL, SeverityLevel.UNSCORED, SeverityLevel.HIGH,
+             SeverityLevel.MEDIUM, SeverityLevel.LOW, SeverityLevel.NONE)
 
 
 def group_matches(
@@ -30,9 +36,8 @@ def group_matches(
     references to unknown asset or CVE ids, or on contradictory via tags
     for one CVE.
     """
-    cve_sets: dict[tuple[str, str], set[str]] = {}
-    asset_sets: dict[tuple[str, str], set[str]] = {}
-    via_maps: dict[tuple[str, str], dict[str, MatchVia]] = {}
+    # Each key's via map, whose keys are the ticket's CVE ids, and asset ids.
+    groups: dict[tuple[str, str], tuple[dict[str, MatchVia], set[str]]] = {}
 
     for match in matches:
         if match.cve_id not in cve_records:
@@ -42,19 +47,16 @@ def group_matches(
             if asset is None:
                 raise MatchIntegrityError(f"match references unknown asset id {asset_id!r}")
             key = asset.wfn.key
-            cve_sets.setdefault(key, set()).add(match.cve_id)
-            asset_sets.setdefault(key, set()).add(asset_id)
-            via = via_maps.setdefault(key, {})
-            if via.get(match.cve_id, match.via) is not match.via:
+            via, asset_ids = groups.setdefault(key, ({}, set()))
+            if via.setdefault(match.cve_id, match.via) is not match.via:
                 raise MatchIntegrityError(
                     f"conflicting via tags for {match.cve_id} in group {key}"
                 )
-            via[match.cve_id] = match.via
+            asset_ids.add(asset_id)
 
     tickets = []
-    for key in cve_sets:
-        vendor, name = key
-        cve_ids = tuple(sorted(cve_sets[key]))
+    for (vendor, name), (via, asset_ids) in groups.items():
+        cve_ids = tuple(sorted(via))
         scores = (cve_records[cve_id].cvss3_base for cve_id in cve_ids)
         top_score = max((s for s in scores if s is not None), default=None)
         tickets.append(
@@ -62,13 +64,13 @@ def group_matches(
                 vendor=vendor,
                 name=name,
                 cve_ids=cve_ids,
-                matched_assets=tuple(sorted(asset_sets[key])),
+                matched_assets=tuple(sorted(asset_ids)),
                 max_severity=severity_bucket(top_score),
                 created=created,
-                via=via_maps[key],
+                via=via,
             )
         )
-    tickets.sort(key=lambda t: (t.max_severity.ticket_priority, t.key))
+    tickets.sort(key=lambda t: (_PRIORITY.index(t.max_severity), t.key))
     return tickets
 
 

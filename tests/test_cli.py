@@ -19,8 +19,9 @@ import pytest
 from conftest import DAY_LAYOUTS, cpe23, feed_bytes, feed_item
 from cvesentinel import cli, ingest
 from cvesentinel.cli import main
+from cvesentinel.errors import SnapshotIntegrityError
 from cvesentinel.ingest import load_snapshot
-from oracles import oracle_evaluate
+from oracles import oracle_evaluate, oracle_load_snapshot
 from test_store import BREAKS, break_store
 
 
@@ -858,6 +859,102 @@ class TestStats:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "vendor,total,initially_unscored,pct_unscored"
         assert lines[1].startswith("acme,1,1,")
+
+
+def _rescored_chain(tmp_path, store) -> list[Path]:
+    """Five CVEs over three days, CVE-2021-0001 rescored on days 2 and 3:
+    day 1 is stored whole, day 2 as its changes to day 1 and day 3 as its
+    changes to day 2. Returns the three days' files."""
+    for day, score in (("2021-06-01", None), ("2021-06-02", 5.0), ("2021-06-03", 9.8)):
+        ingest_day(tmp_path, store, day, [feed_item("CVE-2021-0001", score=score),
+                                          *(feed_item(f"CVE-2021-000{n}") for n in range(2, 6))])
+    paths = [Path(store) / "snapshots" / f"2021-06-0{n}" for n in (1, 2, 3)]
+    assert [json.loads(path.read_text(encoding="utf-8")).get("base") for path in paths] == [
+        None, "2021-06-01", "2021-06-02"]
+    return paths
+
+
+def _edit(path: Path, old: str, new: str) -> None:
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+class TestStoreFaults:
+    """A store edited by hand: each fault exits 4 with one error line that
+    names the file, the same line as the oracle's where it loads the day."""
+
+    @pytest.mark.parametrize("edit, where", [
+        pytest.param(lambda paths: paths[0].unlink(), "", id="base-deleted"),
+        pytest.param(lambda paths: _edit(paths[2], '"removed":[]', '"removed":["CVE-2021-0009"]'),
+                     " (changes to 2021-06-02)", id="removes-an-id-the-day-before-lacks"),
+    ])
+    def test_an_overwrite_whose_later_day_cannot_be_rewritten_whole(
+            self, tmp_path, store, capsys, edit, where):
+        """Day 3, stored as changes to day 2, is rewritten whole before day 2
+        is overwritten; where it cannot be, neither day changes and no temp
+        file is left."""
+        paths = _rescored_chain(tmp_path, store)
+        edit(paths)
+        stored = {path.name: path.read_bytes() for path in paths[0].parent.iterdir()}
+        feed = write(tmp_path, "again.json", feed_bytes([feed_item("CVE-2021-0001")]))
+        capsys.readouterr()
+        assert main(["ingest", feed, "--date", "2021-06-02", "--store", store, "--overwrite"]) == 4
+        err = capsys.readouterr().err
+        assert err == (f"again.json: 0 rejected item(s)\nerror: snapshot file {paths[2]}{where} "
+                       "cannot be replayed to be rewritten whole\n")
+        assert {path.name: path.read_bytes() for path in paths[0].parent.iterdir()} == stored
+
+    def _assert_load_error(self, capsys, store, day: str, message: str) -> None:
+        code = main(["stats", "--report", "daily", "--from", day, "--to", day, "--store", store])
+        assert code == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(SnapshotIntegrityError) as oracle:
+            oracle_load_snapshot(store, date.fromisoformat(day))
+        assert str(oracle.value) == message
+
+    def test_a_day_stamped_with_another_date(self, tmp_path, store, capsys):
+        paths = _rescored_chain(tmp_path, store)
+        copy = paths[0].with_name("2021-06-05")
+        copy.write_bytes(paths[0].read_bytes())
+        capsys.readouterr()
+        self._assert_load_error(capsys, store, "2021-06-05",
+                                f"snapshot file {copy} is stamped 2021-06-01")
+
+    def test_a_delta_head_with_an_id_that_is_not_a_string(self, tmp_path, store, capsys):
+        paths = _rescored_chain(tmp_path, store)
+        payload = json.loads(paths[1].read_text(encoding="utf-8"))
+        payload["removed"] = [1]
+        paths[1].write_text(DAY_LAYOUTS["indented"](payload), encoding="utf-8")
+        capsys.readouterr()
+        self._assert_load_error(capsys, store, "2021-06-02",
+                                f"corrupt snapshot file {paths[1]}: malformed delta head")
+
+    def test_a_corrupt_line_a_later_day_supersedes(self, tmp_path, store, capsys):
+        """A load of day 3 decodes only the newest line of each id, so it
+        never meets day 2's corrupt line for the CVE that day 3 rescores;
+        the oracle decodes every file whole and does. Each load of day 2
+        itself names the fault."""
+        paths = _rescored_chain(tmp_path, store)
+        _edit(paths[1], '"published":"2021-06-01"', '"published":"x2021-06-01"')
+        assert len(load_snapshot(store, date(2021, 6, 3)).records) == 5
+        with pytest.raises(SnapshotIntegrityError):
+            oracle_load_snapshot(store, date(2021, 6, 3))
+        with pytest.raises(SnapshotIntegrityError) as day_2:
+            load_snapshot(store, date(2021, 6, 2))
+        message = str(day_2.value)
+        assert message.startswith(f"corrupt snapshot file {paths[1]} (changes to 2021-06-01): ")
+        assert "x2021-06-01" in message
+        inventory = write(tmp_path, "inv.csv", INVENTORY)
+        tickets = ["tickets", "--date", "2021-06-03", "--store", store, "--inventory", inventory]
+        stats = ["stats", "--report", "daily", "--to", "2021-06-03", "--store", store]
+        capsys.readouterr()
+        assert main([*stats, "--from", "2021-06-03"]) == 0
+        assert main([*tickets, "--full"]) == 0
+        capsys.readouterr()
+        for argv in ([*stats, "--from", "2021-06-02"], tickets):
+            assert main(argv) == 4
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # stdout of every stats report on _stats_history, as JSON and as CSV

@@ -199,13 +199,6 @@ class TestTicket:
             self._ticket(via={"CVE-2021-0001": MatchVia.CPE})
 
 
-class TestSeverityLevel:
-    def test_unscored_sorts_right_after_critical(self):
-        order = sorted(SeverityLevel, key=lambda s: s.ticket_priority)
-        assert order[:2] == [SeverityLevel.CRITICAL, SeverityLevel.UNSCORED]
-        assert order[-1] == SeverityLevel.NONE
-
-
 @st.composite
 def cve_records(draw):
     seq = draw(st.integers(min_value=1000, max_value=99999))

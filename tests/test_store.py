@@ -316,6 +316,9 @@ BREAKS = {
                         "corrupt snapshot file "),
     "record-count": (lambda root, text: text.replace('"record_count":3', '"record_count":4', 1),
                      "declares 4 records but holds 3"),
+    "stamped-another-day": (
+        lambda root, text: text.replace('"date":"2021-06-02"', '"date":"2021-06-04"', 1),
+        "(changes to 2021-06-01) is stamped 2021-06-04"),
 }
 
 

@@ -134,6 +134,8 @@ class TestGroupMatches:
                 make_asset("A2", "rocket", "acme"),
                 make_asset("A3", "widget", "cog"),
                 make_asset("A4", "gadget", "cog"),
+                make_asset("A5", "sprocket", "cog"),
+                make_asset("A6", "bolt", "acme"),
             ]
         )
         records = {
@@ -141,13 +143,17 @@ class TestGroupMatches:
             "CVE-2021-0002": make_record("CVE-2021-0002"),
             "CVE-2021-0003": make_record("CVE-2021-0003", score=5.0),
             "CVE-2021-0004": make_record("CVE-2021-0004", score=0.0),
+            "CVE-2021-0005": make_record("CVE-2021-0005", score=7.5),
+            "CVE-2021-0006": make_record("CVE-2021-0006", score=2.0),
         }
         tickets = group_matches(
             [
                 summary_match("CVE-2021-0003", "A2"),
+                summary_match("CVE-2021-0006", "A6"),
                 summary_match("CVE-2021-0001", "A1"),
                 summary_match("CVE-2021-0002", "A3"),
                 summary_match("CVE-2021-0004", "A4"),
+                summary_match("CVE-2021-0005", "A5"),
             ],
             index,
             records,
@@ -156,7 +162,9 @@ class TestGroupMatches:
         assert [t.max_severity for t in tickets] == [
             SeverityLevel.CRITICAL,
             SeverityLevel.UNSCORED,
+            SeverityLevel.HIGH,
             SeverityLevel.MEDIUM,
+            SeverityLevel.LOW,
             SeverityLevel.NONE,
         ]
 
