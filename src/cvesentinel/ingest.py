@@ -487,26 +487,15 @@ def parse_asset_inventory(
         raw_cpe = (row.get("cpe23") or "").strip()
         try:
             if raw_cpe:
-                cpe = CpeUri.parse(raw_cpe)
-                wfn = well_formed_from_cpe(cpe, stop_words)
+                wfn = well_formed_from_cpe(CpeUri.parse(raw_cpe), stop_words)
             else:
-                cpe = None
                 wfn = well_formed_from_raw(
                     row.get("product_name") or "",
                     row.get("vendor_name") or "",
                     row.get("version") or "",
                     stop_words,
                 )
-            assets.append(
-                AssetRecord(
-                    asset_id=row.get("asset_id") or "",
-                    raw_product=row.get("product_name") or "",
-                    raw_vendor=row.get("vendor_name") or "",
-                    raw_version=row.get("version") or "",
-                    cpe=cpe,
-                    wfn=wfn,
-                )
-            )
+            assets.append(AssetRecord(asset_id=row.get("asset_id") or "", wfn=wfn))
         except ValidationError as exc:
             rejects.append(RowReject(row=row_number, reason=str(exc)))
     return InventoryParseResult(assets=tuple(assets), rejects=tuple(rejects))

@@ -262,14 +262,10 @@ class WellFormedName:
 
 @dataclass(frozen=True)
 class AssetRecord:
-    """One inventory row plus its derived well-formed name."""
+    """One inventory asset: its id and the well-formed name its tickets group under."""
 
     asset_id: str
-    raw_product: str
-    raw_vendor: str
-    raw_version: str
     wfn: WellFormedName
-    cpe: CpeUri | None = None
 
     def __post_init__(self) -> None:
         if not self.asset_id:

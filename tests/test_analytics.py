@@ -26,6 +26,7 @@ from cvesentinel.analytics import (
 )
 from cvesentinel.errors import DomainError, OrderingError
 from cvesentinel.model import SeverityLevel
+from cvesentinel.normalize import StopWordList
 from oracles import (
     oracle_assemble_vendor_corpus,
     oracle_completion_delays,
@@ -398,6 +399,13 @@ class TestVendorCompleteness:
         ]
         ordered = [s.vendor for s in vendor_completeness(records)]
         assert ordered == ["alpha1", "foxtrot5", "bravo2", "delta3", "echo4", "golf6"]
+
+    def test_custom_stop_words_standardize_vendors(self):
+        records = [make_record("CVE-2021-0001", cpes=[cpe23("acme_server", "anvil"), cpe23("inc", "x")])]
+        assert [s.vendor for s in vendor_completeness(records)] == ["acme server"]
+        # the list replaces the default one, so "inc" is a vendor again
+        stats = vendor_completeness(records, StopWordList(frozenset({"server"})))
+        assert [s.vendor for s in stats] == ["acme", "inc"]
 
     def test_record_without_vendor_rejected(self):
         with pytest.raises(DomainError):

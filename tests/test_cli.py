@@ -446,6 +446,27 @@ class TestTickets:
         assert json.loads(line)["key"] == {"vendor": "zulu", "name": "kilo bravo charlie delta echo"}
         assert out.err.startswith("1 ticket(s)")
 
+    def test_stop_words_reach_the_inventory_and_the_cpe_names(self, tmp_path, store, capsys):
+        """Under a list holding "server", the asset is named "widget": the CPE
+        acme:widget_server names it, and so does a summary that says "Widget"."""
+        inventory = write(tmp_path, "inv.csv", "asset_id,product_name,vendor_name,version,cpe23\n"
+                                               "A1,Widget Server,Acme,1.0,\n")
+        ingest_day(tmp_path, store, "2021-06-01", [
+            feed_item("CVE-2021-0001", summary="Overflow in Widget before 2.0"),
+            feed_item("CVE-2021-0002", score=7.0, cpes=[cpe23("acme", "widget_server")]),
+        ])
+        argv = ["tickets", "--date", "2021-06-01", "--store", store, "--full", "--inventory", inventory]
+        stop_words = write(tmp_path, "stop.txt", "server\n")
+        capsys.readouterr()
+        tickets = {}
+        for extra in ([], ["--stopwords", stop_words]):
+            assert main([*argv, *extra]) == 0
+            (line,) = capsys.readouterr().out.splitlines()
+            ticket = json.loads(line)
+            tickets[bool(extra)] = (ticket["key"]["name"], ticket["cve_ids"])
+        assert tickets == {False: ("widget server", ["CVE-2021-0002"]),
+                           True: ("widget", ["CVE-2021-0001", "CVE-2021-0002"])}
+
     def test_oversized_inventory_field_exits_2(self, tmp_path, store, capsys):
         argv = self._full_tickets_argv(
             tmp_path, store, ["A1,Anvil,Acme,1.0,", f"A2,{'x' * 200_000},Acme,1.0,"], "anvil flaw"
@@ -621,6 +642,26 @@ class TestStats:
         assert vendors["acme"]["initially_unscored"] == 1
         assert vendors["microsoft"]["initially_unscored"] == 0
         assert payload["skipped_no_vendor"] == 2  # CVE-0002 and CVE-0004 never get a CPE
+
+    def test_vendors_report_with_stop_words(self, tmp_path, store, capsys):
+        """A vendor the list empties skips its CVE; the list replaces the
+        default one, so "inc" is a vendor under it."""
+        ingest_day(tmp_path, store, "2021-06-01", [
+            feed_item("CVE-2021-0001", cpes=[cpe23("acme_server", "anvil")]),
+            feed_item("CVE-2021-0002", cpes=[cpe23("server", "widget")]),
+            feed_item("CVE-2021-0003", cpes=[cpe23("inc", "gadget")]),
+        ])
+        argv = ["stats", "--report", "vendors", "--from", "2021-06-01", "--to", "2021-06-01",
+                "--store", store]
+        stop_words = write(tmp_path, "stop.txt", "server\n")
+        capsys.readouterr()
+        reports = {}
+        for extra in ([], ["--stopwords", stop_words]):
+            assert main([*argv, *extra]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            vendors = [v["vendor"] for v in payload["vendors"]]
+            reports[bool(extra)] = (vendors, payload["skipped_no_vendor"])
+        assert reports == {False: (["acme server", "server"], 1), True: (["acme", "inc"], 1)}
 
     def test_table_report(self, tmp_path, store, capsys):
         _stats_history(tmp_path, store)
@@ -1203,6 +1244,45 @@ class TestBuildFilterAndEvaluate:
         assert_one_line_error(err)
         assert err == "error: source year '2020\\nx' is not one line\n"
         assert not out_v.exists() and not out_p.exists()
+
+    def _corpus(self, tmp_path, items, entries) -> list[str]:
+        """A corpus feed of the given items and a dictionary of the given CPE
+        names, as command arguments."""
+        feed = write(tmp_path, "corpus.json", feed_bytes(items))
+        dictionary = write(tmp_path, "dict.json", json.dumps([{"cpe23": raw} for raw in entries]))
+        return [feed, "--dictionary", dictionary]
+
+    def test_build_filter_with_stop_words(self, tmp_path, capsys):
+        """The list reaches the dictionary's names and the corpus's own CPE
+        names: "widget" joins the filter, and "gadget" is the record's own."""
+        item = feed_item("CVE-2020-0001", summary="Widget Server and Gadget flaw",
+                         cpes=[cpe23("acme", "gadget_server")])
+        entries = [cpe23("acme", "widget_server"), cpe23("acme", "gadget")]
+        corpus = self._corpus(tmp_path, [item], entries)
+        products = tmp_path / "p.txt"
+        argv = ["build-filter", *corpus, "--out-vendors", str(tmp_path / "v.txt"),
+                "--out-products", str(products)]
+        stop_words = write(tmp_path, "stop.txt", "server\n")
+        names = {}
+        for extra in ([], ["--stopwords", stop_words]):
+            assert main([*argv, *extra]) == 0
+            names[bool(extra)] = products.read_text(encoding="utf-8").splitlines()[1:]
+        assert names == {False: ["gadget", "widget server"], True: ["widget"]}
+
+    def test_evaluate_with_stop_words(self, tmp_path, capsys):
+        """The list reaches the record's own names, which the summary then
+        holds (tp), and the dictionary's, whose foreign pair it holds (fp)."""
+        item = feed_item("CVE-2020-0001", summary="Zenith Gizmo flaw in Widget",
+                         cpes=[cpe23("acme", "widget_server")])
+        argv = ["evaluate", *self._corpus(tmp_path, [item], [cpe23("zenith", "gizmo_server")])]
+        stop_words = write(tmp_path, "stop.txt", "server\n")
+        capsys.readouterr()
+        scores = {}
+        for extra in ([], ["--stopwords", stop_words]):
+            assert main([*argv, *extra]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            scores[bool(extra)] = (payload["tp"], payload["fp"])
+        assert scores == {False: (0, 0), True: (1, 1)}
 
     def test_evaluate_matches_oracle(self, tmp_path, capsys):
         feed = self._feeds(tmp_path)

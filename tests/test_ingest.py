@@ -43,6 +43,7 @@ from cvesentinel.ingest import (
     store_snapshot,
 )
 from cvesentinel.model import CveRecord
+from cvesentinel.normalize import StopWordList
 from oracles import (
     oracle_diff_snapshots,
     oracle_gather_cpe_uris,
@@ -537,6 +538,12 @@ class TestParseCpeDictionary:
         with pytest.raises(FormatError):
             parse_cpe_dictionary(b"[\xff]")
 
+    def test_custom_stop_words_standardize_each_entry(self):
+        data = json.dumps([{"cpe23": cpe23("acme_server", "widget_server")}])
+        assert parse_cpe_dictionary(data).pairs == {("acme server", "widget server")}
+        assert parse_cpe_dictionary(data, StopWordList(frozenset({"server"}))).pairs == {
+            ("acme", "widget")}
+
     def test_unrecognized_format(self):
         with pytest.raises(FormatError):
             parse_cpe_dictionary(b"name,vendor\n")
@@ -569,6 +576,20 @@ class TestParseAssetInventory:
     def test_missing_column_is_file_level(self):
         with pytest.raises(FormatError):
             parse_asset_inventory(b"asset_id,product_name,vendor_name,version\nA1,x,y,1\n")
+
+    def test_custom_stop_words_standardize_both_kinds_of_row(self):
+        """A row's name comes from its cpe23 column or from its raw columns,
+        and the list given reaches both."""
+        csv_data = ("asset_id,product_name,vendor_name,version,cpe23\n"
+                    "A1,Widget Server,Acme Inc.,1.0,\n"
+                    f"A2,anything,ignored,,{cpe23('acme_server', 'gadget_server', '2.0')}\n")
+
+        def keys(stop_words):
+            return [asset.wfn.key for asset in parse_asset_inventory(csv_data, stop_words).assets]
+
+        assert keys(None) == [("acme", "widget server"), ("acme server", "gadget server")]
+        # the list replaces the default one, so "inc" is no longer dropped
+        assert keys(StopWordList(frozenset({"server"}))) == [("acme inc", "widget"), ("acme", "gadget")]
 
     def test_byte_order_mark_tolerated(self, inventory_csv):
         result = parse_asset_inventory(b"\xef\xbb\xbf" + inventory_csv)

@@ -21,7 +21,7 @@ from cvesentinel.matcher import (
     match_cve,
 )
 from cvesentinel.model import AssetRecord, MatchVia, WellFormedName
-from cvesentinel.normalize import standardize
+from cvesentinel.normalize import StopWordList, standardize
 from oracles import (
     contains_name,
     oracle_build_filter,
@@ -30,15 +30,11 @@ from oracles import (
     summary_tokens,
 )
 
+SERVER = StopWordList(frozenset({"server"}))
+
 
 def make_asset(asset_id: str, name: str, vendor: str, version: str = "") -> AssetRecord:
-    return AssetRecord(
-        asset_id=asset_id,
-        raw_product=name,
-        raw_vendor=vendor,
-        raw_version=version,
-        wfn=WellFormedName(name=name, vendor=vendor, version=version),
-    )
+    return AssetRecord(asset_id=asset_id, wfn=WellFormedName(name=name, vendor=vendor, version=version))
 
 
 # Names drawn from a small vocabulary overlap and contain one another. "for"
@@ -111,6 +107,17 @@ class TestBuildFpFilter:
     def test_record_without_cpe_rejected(self):
         with pytest.raises(ValidationError):
             build_fp_filter([make_record("CVE-2021-0001")], make_dictionary([]))
+
+    def test_custom_stop_words_standardize_the_records_own_names(self):
+        # the dictionary holds names already standardized, so only the
+        # record's own CPE names are left for the list to change
+        record = make_record("CVE-2021-0001", summary="Acme Widget Server flaw",
+                             cpes=[cpe23("acme_server", "widget_server")])
+        dictionary = make_dictionary([cpe23("acme", "gizmo"), cpe23("zenith", "widget")])
+        fp = build_fp_filter([record], dictionary)
+        assert (fp.vendor_names, fp.product_names) == ({"acme"}, {"widget"})
+        fp = build_fp_filter([record], dictionary, stop_words=SERVER)
+        assert (fp.vendor_names, fp.product_names) == (frozenset(), frozenset())
 
     def test_short_names_never_considered(self):
         record = make_record(
@@ -249,6 +256,13 @@ class TestMatchCve:
         assert result.via is MatchVia.CPE
         assert result.asset_ids == ("A1",)
         assert result.matched_phrase is None
+
+    def test_custom_stop_words_standardize_cpe_names(self):
+        cve = make_record("CVE-2021-0001", cpes=[cpe23("acme", "widget_server")])
+        index = AssetIndex([make_asset("A1", "widget", "acme")])
+        assert match_corpus([cve], index) == []
+        (result,) = match_corpus([cve], index, stop_words=SERVER)
+        assert (result.via, result.asset_ids) == (MatchVia.CPE, ("A1",))
 
     def test_short_name_elided(self):
         cve = make_record("CVE-2021-0001", summary="x is vulnerable to takeover")
@@ -519,6 +533,13 @@ class TestEvaluateCorpus:
         report = evaluate_corpus([record], dictionary)
         assert report.tp == 1  # own names present too
         assert report.fp == 1  # (microsoft, hyper) pair not in own CPE
+
+    def test_custom_stop_words_standardize_the_records_own_names(self):
+        record = make_record("CVE-2021-0001", summary="Flaw in Widget",
+                             cpes=[cpe23("acme", "widget_server")])
+        dictionary = make_dictionary([cpe23("acme", "anvil")])
+        assert evaluate_corpus([record], dictionary).tp == 0
+        assert evaluate_corpus([record], dictionary, stop_words=SERVER).tp == 1
 
     def test_empty_cpe_record_rejected(self):
         with pytest.raises(ValidationError):

@@ -156,13 +156,7 @@ class TestWellFormedName:
 class TestAssetRecord:
     def test_empty_asset_id_rejected(self):
         with pytest.raises(ValidationError):
-            AssetRecord(
-                asset_id="",
-                raw_product="x",
-                raw_vendor="y",
-                raw_version="",
-                wfn=WellFormedName(name="x", vendor="y"),
-            )
+            AssetRecord(asset_id="", wfn=WellFormedName(name="x", vendor="y"))
 
 
 class TestTicket:
