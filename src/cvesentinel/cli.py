@@ -44,10 +44,14 @@ EXIT_INTEGRITY = 4
 
 
 def _date_arg(value: str) -> date:
+    """A YYYY-MM-DD date only: Python 3.11 and later read other ISO forms too."""
     try:
-        return date.fromisoformat(value)
+        day = date.fromisoformat(value)
+        if day.isoformat() == value:
+            return day
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {value!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {value!r}")
 
 
 def _positive_int(value: str) -> int:
@@ -215,7 +219,7 @@ def _read_score_file(path: str) -> list[float]:
 Report = tuple[dict, list[dict], dict]
 
 
-def _daily_report(args: argparse.Namespace, stop_words: StopWordList | None) -> Report:
+def _daily_report(args: argparse.Namespace) -> Report:
     from . import analytics
     rows = [day.to_dict() for day in analytics.daily_completeness(_snapshots(args))]
     summary = {
@@ -225,7 +229,7 @@ def _daily_report(args: argparse.Namespace, stop_words: StopWordList | None) -> 
     return {"report": "daily", "days": rows, **summary}, rows, summary
 
 
-def _delays_report(args: argparse.Namespace, stop_words: StopWordList | None) -> Report:
+def _delays_report(args: argparse.Namespace) -> Report:
     from . import analytics
     snapshots = _snapshots(args)
     if not args.field:
@@ -247,8 +251,9 @@ def _delays_report(args: argparse.Namespace, stop_words: StopWordList | None) ->
     return payload, rows, summary
 
 
-def _vendors_report(args: argparse.Namespace, stop_words: StopWordList | None) -> Report:
+def _vendors_report(args: argparse.Namespace) -> Report:
     from . import analytics
+    stop_words = _stop_words(args)
     corpus = analytics.assemble_vendor_corpus(_snapshots(args))
     # A CVE without a CPE vendor that standardizes to a name is skipped, not an error.
     usable = [r for r in corpus if any(standardize(uri.vendor, stop_words) for uri in r.cpe_list)]
@@ -258,7 +263,7 @@ def _vendors_report(args: argparse.Namespace, stop_words: StopWordList | None) -
     return {"report": "vendors", **summary, "vendors": rows}, rows, summary
 
 
-def _table_report(args: argparse.Namespace, stop_words: StopWordList | None) -> Report:
+def _table_report(args: argparse.Namespace) -> Report:
     from . import analytics
     initial, later = analytics.split_scores(_snapshots(args))
     zeros = sum(1 for s in initial if s == 0) + sum(1 for s in later if s == 0)
@@ -268,7 +273,7 @@ def _table_report(args: argparse.Namespace, stop_words: StopWordList | None) -> 
     return payload, payload["rows"], summary
 
 
-def _ranktest_report(args: argparse.Namespace, stop_words: StopWordList | None) -> Report:
+def _ranktest_report(args: argparse.Namespace) -> Report:
     from . import analytics
     if not (args.scores_a and args.scores_b):
         raise FormatError("ranktest needs --scores-a and --scores-b")
@@ -290,9 +295,10 @@ STATS_REPORTS = {
 
 def cmd_stats(args: argparse.Namespace) -> int:
     from . import analytics
-    stop_words = _stop_words(args)
+    if args.stopwords and args.report != "vendors":
+        raise FormatError(f"--stopwords is read only by --report vendors, not {args.report}")
     row_type, report = STATS_REPORTS[args.report]
-    payload, rows, summary = report(args, stop_words)
+    payload, rows, summary = report(args)
     if not args.csv:
         _emit_json(args, payload)
         return EXIT_OK

@@ -8,6 +8,8 @@ content digest, and the ids it removes; its lines are its new and changed
 records. A day is replayed from the lines of its chain's files, read side
 by side down to a day stored whole; a day in another layout, or one whose
 replay finds a fault, is loaded by decoding each of those files whole.
+A head has one form, the compact one store_snapshot writes, keys in order:
+a day with a head in any other form is loaded whole, and the next day is stored whole.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Any, BinaryIO, Container, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, BinaryIO, Callable, Container, Iterable, Iterator, Mapping, NamedTuple
 
 # hashlib.blake2b is this very type; importing hashlib would load OpenSSL
 # too, about 3 MB more in every process that loads a day.
@@ -79,13 +81,6 @@ def snapshot_path(store_root: str | Path, day: date) -> Path:
     return snapshot_dir(store_root) / day.isoformat()
 
 
-# The first line of a day in the line layout, stored whole or, with the
-# optional fields, as its changes to an earlier day (a delta); and the last
-# line of both.
-_HEAD = re.compile(
-    rb'\{"date":"(\d{4}-\d\d-\d\d)","record_count":(0|[1-9]\d{0,17}),(?:"base":"(\d{4}-\d\d-\d\d)",'
-    rb'"base_digest":"([0-9a-f]{32})","digest":"([0-9a-f]{32})","removed":(\[[^\n]*\]),)?"records":\[\n'
-)
 _TAIL = b"]}\n"
 # A record line as store_snapshot writes it, which begins with its id.
 _LINE_ID = re.compile(rb'\{"id":"(CVE-\d{4}-\d{4,})"[,}]')
@@ -93,16 +88,23 @@ _DIGEST_SIZE = 16
 
 
 class _Head(NamedTuple):
-    """What a stored day's first line says: its date and record count, and
-    for a delta the day it is stored against, the content digests of that
-    day and of this one, and the ids it removes."""
+    """What a stored day's first line says, by its keys in order: its date and
+    record count, and for a delta the day it is stored against, the content
+    digests of that day and of this one, and the ids it removes."""
 
     date: date
-    count: Any
+    record_count: int
     base: date | None = None
-    base_digest: Any = None
-    digest: Any = None
-    removed: Any = ()
+    base_digest: str | None = None
+    digest: str | None = None
+    removed: tuple[str, ...] = ()
+
+    def line(self) -> bytes:
+        """The head's line, without its break: the compact JSON of its fields (a day stored
+        whole's first two), the closing brace replaced by the records' opening."""
+        head = self._replace(date=self.date.isoformat(), base=self.base and self.base.isoformat())
+        fields = dict(zip(self._fields, head if self.base else head[:2]))
+        return _RECORD_ENCODER.encode(fields).encode()[:-1] + b',"records":['
 
     def where(self, path: Path) -> str:
         """The file, as errors name it: a delta with the day it is stored against."""
@@ -114,26 +116,19 @@ class _NotLines(Exception):
 
 
 def _parse_head(line: bytes) -> _Head | None:
-    """The head of a day in the line layout; None for any other first line."""
-    head = _HEAD.fullmatch(line)
-    if head is None:
+    """The head of a day in the line layout: a first line that is the line() of the
+    head it decodes to, its count an int of 0 or more, its digests lowercase hex."""
+    try:  # a line that does not open the records, such as a whole day on one line, is not decoded
+        head = _payload_head(json.loads(line + b"]}")) if line.endswith(b"[\n") else None
+    except (KeyError, TypeError, ValueError, RecursionError):
         return None
-    try:
-        day, count = date.fromisoformat(head[1].decode()), int(head[2])
-        if not head[3]:
-            return _Head(day, count)
-        removed = json.loads(head[6])
-        if all(isinstance(cve_id, str) for cve_id in removed):
-            return _Head(day, count, date.fromisoformat(head[3].decode()), head[4].decode(),
-                         head[5].decode(), tuple(removed))
-    except (ValueError, RecursionError):  # a day such as 2021-13-01, or ids nested too deep
-        pass
-    return None
+    ok = head and type(head.record_count) is int and head.record_count >= 0
+    ok = ok and all(re.fullmatch("[0-9a-f]{32}", digest) for digest in head[3:5] if head.base)
+    return head if ok and head.line() + b"\n" == line else None
 
 
 def _head_of(path: Path) -> _Head | None:
-    """The head of a stored file in the line layout; None for any other
-    layout or a missing file."""
+    """The head of a stored file in the line layout; None for another layout or no file."""
     try:
         with open(path, "rb") as file:
             return _parse_head(file.readline())
@@ -142,16 +137,16 @@ def _head_of(path: Path) -> _Head | None:
 
 
 def _payload_head(payload: Any) -> _Head:
-    """The head of a stored day decoded whole; raises KeyError, TypeError or
-    ValueError where a field is missing or of the wrong type."""
-    stored_date, count = date.fromisoformat(payload["date"]), payload["record_count"]
+    """The head of a stored day decoded whole, whose keys are _Head's field names; raises
+    KeyError, TypeError or ValueError where a field is missing or of the wrong type."""
+    stored_date, count = (payload[key] for key in _Head._fields[:2])
     if "base" not in payload:
-        return _Head(stored_date, count)
+        return _Head(date.fromisoformat(stored_date), count)
     removed = payload["removed"]
     if not (isinstance(payload["base_digest"], str) and isinstance(payload["digest"], str)
             and isinstance(removed, list) and all(isinstance(i, str) for i in removed)):
         raise ValueError("malformed delta head")
-    return _Head(stored_date, count, date.fromisoformat(payload["base"]),
+    return _Head(date.fromisoformat(stored_date), count, date.fromisoformat(payload["base"]),
                  payload["base_digest"], payload["digest"], tuple(removed))
 
 
@@ -229,7 +224,7 @@ def load_snapshot(
             records[record.id] = record  # keyed by the record's own id, not a copy of it
         if below:
             records = {cve_id: records[cve_id] for cve_id in sorted(records)}
-        if len(records) != chain[0][1].count:
+        if len(records) != chain[0][1].record_count:
             raise _NotLines
         return Snapshot(date=day, records=records)
     except (_NotLines, KeyError, TypeError, ValueError, RecursionError, ValidationError):
@@ -255,9 +250,9 @@ def _load_whole(store_root: str | Path, day: date, cpes: dict[str, CpeUri]) -> S
         where = head.where(path)
         if head.date != day:
             raise SnapshotIntegrityError(f"snapshot file {where} is stamped {head.date.isoformat()}")
-        if head.base is None and head.count != len(built):
+        if head.base is None and head.record_count != len(built):
             raise SnapshotIntegrityError(
-                f"snapshot file {where} declares {head.count} records but holds {len(built)}")
+                f"snapshot file {where} declares {head.record_count} records but holds {len(built)}")
         ids = [record.id for record in built] + list(head.removed)
         if len(set(ids)) != len(ids):
             raise SnapshotIntegrityError(f"snapshot file {where} repeats a CVE id")
@@ -282,9 +277,9 @@ def _load_whole(store_root: str | Path, day: date, cpes: dict[str, CpeUri]) -> S
     where, top, _ = files[0]
     if top.base is not None:
         records = {cve_id: records[cve_id] for cve_id in sorted(records)}
-        if top.count != len(records):
+        if top.record_count != len(records):
             raise SnapshotIntegrityError(
-                f"snapshot file {where} declares {top.count} records but holds {len(records)}")
+                f"snapshot file {where} declares {top.record_count} records but holds {len(records)}")
     return Snapshot(date=top.date, records=records)
 
 
@@ -336,7 +331,7 @@ def _sorted_lines(path: Path, head: _Head, rank: int) -> Iterator[tuple[str, int
             line = following
         if line != _TAIL:
             raise _NotLines
-    if head.base is None and lines != head.count:
+    if head.base is None and lines != head.record_count:
         raise _NotLines
 
 
@@ -375,17 +370,15 @@ def _line_count(path: Path) -> int:
         return sum(block.count(b"\n") for block in iter(lambda: file.read(1 << 16), b"")) - 2
 
 
-def _whole_head(day: date, count: int) -> bytes:
-    return b'{"date":"%s","record_count":%d,"records":[' % (day.isoformat().encode(), count)
-
-
-def _write_lines(out: BinaryIO, lines: Iterable[bytes]) -> None:
-    """Record lines in the line layout, after a head without its line break."""
+def _write_day(write: Callable[[bytes], object], head: _Head, lines: Iterable[bytes]) -> None:
+    """A day in the line layout, a piece at a time: its head, its record
+    lines, each but the last followed by a comma, and its tail."""
+    write(head.line())
     separator = b"\n"
     for line in lines:
-        out.write(separator + line)
+        write(separator + line)
         separator = b",\n"
-    out.write(b"\n" + _TAIL)
+    write(b"\n" + _TAIL)
 
 
 @contextmanager
@@ -409,42 +402,38 @@ def _encode(record: CveRecord) -> bytes:
 def _write_delta(out: BinaryIO, snapshot: Snapshot, chain: list[tuple[Path, _Head]]) -> bool:
     """Write ``snapshot`` as its changes to the day at the head of ``chain``;
     False, with nothing written, when that day cannot be replayed from its
-    files' lines. The new day's lines are compared byte for byte with the earlier
-    day's, read side by side with them, and the lines that differ are kept
-    until the head, which lists the removed ids and the new day's content
-    digest, is written."""
+    files' lines. The new day is written whole into its content digest, its lines
+    compared byte for byte with the earlier day's, read side by side; the lines
+    that differ are kept until the head, with the removed ids and that digest, is written."""
     records = snapshot.records
-    digest = blake2b(_whole_head(snapshot.date, len(records)), digest_size=_DIGEST_SIZE)
     changed: list[bytes] = []
     removed: list[str] = []
-    try:
+
+    def compared() -> Iterator[bytes]:
         earlier = _content(chain)
-        old_id, old_line = next(earlier, (None, None))
-        separator = b"\n"
+        old = next(earlier, None)  # the earlier day's (id, line) not yet passed
         for cve_id in sorted(records):
             line = _encode(records[cve_id])
-            digest.update(separator + line)
-            separator = b",\n"
-            while old_id is not None and old_id < cve_id:
-                removed.append(old_id)
-                old_id, old_line = next(earlier, (None, None))
-            if old_id != cve_id or old_line != line:
+            while old and old[0] < cve_id:
+                removed.append(old[0])
+                old = next(earlier, None)
+            if old != (cve_id, line):
                 changed.append(line)
-            if old_id == cve_id:
-                old_id, old_line = next(earlier, (None, None))
-        while old_id is not None:
-            removed.append(old_id)
-            old_id, old_line = next(earlier, (None, None))
+            if old and old[0] == cve_id:
+                old = next(earlier, None)
+            yield line
+        while old:
+            removed.append(old[0])
+            old = next(earlier, None)
+
+    digest = blake2b(digest_size=_DIGEST_SIZE)
+    try:
+        _write_day(digest.update, _Head(snapshot.date, len(records)), compared())
     except _NotLines:
         return False
-    digest.update(b"\n" + _TAIL)
     base_path, base = chain[0]
-    out.write(b'{"date":"%s","record_count":%d,"base":"%s","base_digest":"%s","digest":"%s",'
-              b'"removed":%s,"records":[' % (
-                  snapshot.date.isoformat().encode(), len(records), base.date.isoformat().encode(),
-                  _content_digest(base_path).encode(), digest.hexdigest().encode(),
-                  _RECORD_ENCODER.encode(removed).encode()))
-    _write_lines(out, changed)
+    _write_day(out.write, _Head(snapshot.date, len(records), base.date, _content_digest(base_path),
+                                digest.hexdigest(), tuple(removed)), changed)
     return True
 
 
@@ -459,10 +448,9 @@ def store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool =
     records only. The day is stored whole when there is no such day, and
     once the deltas since the last day stored whole, each counting its
     lines, its removed ids and itself, reach that day's record count. The
-    earlier day is read a line
-    at a time and never decoded; a day stored whole is written a line at a
-    time as it is encoded, and a delta's lines are kept until its head is
-    written.
+    earlier day is read a line at a time and never decoded; a day stored
+    whole is written a line at a time as it is encoded, and a delta's lines
+    are kept until its head is written.
 
     Refuses to clobber an existing date unless overwrite is set; a later
     day stored as changes to the day overwritten is first rewritten whole,
@@ -483,12 +471,12 @@ def store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool =
     chain = None if previous is None else _chain(store_root, previous)
     if chain:  # the whole-day rule, which keeps replays short
         changes = sum(_line_count(delta) + len(head.removed) + 1 for delta, head in chain[:-1])
-        chain = chain if changes < chain[-1][1].count else None
+        chain = chain if changes < chain[-1][1].record_count else None
     records = snapshot.records
     with _replacing(path) as out:
         if chain is None or not _write_delta(out, snapshot, chain):
-            out.write(_whole_head(snapshot.date, len(records)))
-            _write_lines(out, (_encode(records[cve_id]) for cve_id in sorted(records)))
+            _write_day(out.write, _Head(snapshot.date, len(records)),
+                       (_encode(records[cve_id]) for cve_id in sorted(records)))
     return path
 
 
@@ -500,8 +488,8 @@ def _rewrite_whole(store_root: str | Path, day: date) -> None:
         if chain is None:
             raise _NotLines
         with _replacing(path) as out:
-            out.write(_whole_head(day, chain[0][1].count))
-            _write_lines(out, (line for _, line in _content(chain)))
+            _write_day(out.write, _Head(day, chain[0][1].record_count),
+                       (line for _, line in _content(chain)))
     except _NotLines:
         raise SnapshotIntegrityError(
             f"snapshot file {chain[0][1].where(path) if chain else path} cannot be replayed "
@@ -517,7 +505,7 @@ def stored_changes(path: str | Path) -> tuple[date, int, int, int] | None:
     if head is None or head.base is None:
         return None
     base = _head_of(path.with_name(head.base.isoformat()))
-    new = head.count - base.count + len(head.removed)
+    new = head.record_count - base.record_count + len(head.removed)
     return head.base, new, _line_count(path) - new, len(head.removed)
 
 
@@ -529,10 +517,10 @@ def list_snapshot_dates(store_root: str | Path) -> list[date]:
     dates = []
     for entry in directory.iterdir():
         try:
-            dates.append(date.fromisoformat(entry.name))
+            dates.append((date.fromisoformat(entry.name), entry.name))
         except ValueError:
             continue  # temp files etc.
-    return sorted(dates)
+    return sorted(day for day, name in dates if day.isoformat() == name)  # 3.11 reads 20210601 too
 
 
 def find_previous_date(store_root: str | Path, day: date) -> date | None:

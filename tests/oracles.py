@@ -364,10 +364,12 @@ def oracle_store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite:
     return path
 
 
-# The head line of a day stored as its changes to an earlier day.
+# The head line of a day stored as its changes to an earlier day, in the
+# one form the store writes: compact, its removed ids a compact list.
 _ORACLE_DELTA_HEAD = re.compile(
     r'\{"date":"(\d{4}-\d\d-\d\d)","record_count":(?:0|[1-9]\d{0,17}),"base":"(\d{4}-\d\d-\d\d)",'
-    r'"base_digest":"[0-9a-f]{32}","digest":"([0-9a-f]{32})","removed":(\[[^\n]*\]),"records":\['
+    r'"base_digest":"[0-9a-f]{32}","digest":"([0-9a-f]{32})",'
+    r'"removed":(\[(?:"[^"\\\n]*"(?:,"[^"\\\n]*")*)?\]),"records":\['
 )
 
 

@@ -115,6 +115,26 @@ class TestIngest:
             main([command, "--help"])
         assert flag not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["20210601", "2021-W22-2"])
+    @pytest.mark.parametrize("command, flag", [("ingest", "--date"), ("tickets", "--date"),
+                                               ("stats", "--from"), ("stats", "--to")])
+    def test_date_in_another_iso_form_exits_2(self, tmp_path, store, capsys, command, flag, value):
+        """Python 3.11 and later read both forms as 2021-06-01; 3.10 reads
+        neither, and the CLI reads neither on any version."""
+        feed = write(tmp_path, "f.json", feed_bytes([feed_item("CVE-2021-0001")]))
+        argv = {
+            "ingest": ["ingest", feed, "--date", "2021-06-01"],
+            "tickets": ["tickets", "--full", "--inventory", "inv.csv", "--date", "2021-06-01"],
+            "stats": ["stats", "--report", "daily", "--from", "2021-06-01", "--to", "2021-06-01"],
+        }[command]
+        argv[argv.index(flag) + 1] = value
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--store", store])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"not a YYYY-MM-DD date: '{value}'" in err and "Traceback" not in err
+        assert not (Path(store) / "snapshots").exists()
+
     def test_same_date_twice_without_overwrite(self, tmp_path, store):
         assert ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001")]) == 0
         assert (
@@ -642,6 +662,16 @@ class TestStats:
         assert vendors["acme"]["initially_unscored"] == 1
         assert vendors["microsoft"]["initially_unscored"] == 0
         assert payload["skipped_no_vendor"] == 2  # CVE-0002 and CVE-0004 never get a CPE
+
+    @pytest.mark.parametrize("report", ["daily", "delays", "table", "ranktest"])
+    def test_stop_words_with_a_report_but_vendors_exit_2(self, tmp_path, store, capsys, report):
+        """Only vendors standardizes a name. The list file and the store do
+        not exist, so any read before the check would name one of them."""
+        argv = ["stats", "--report", report, "--from", "2021-06-01", "--to", "2021-06-01",
+                "--field", "cvss", "--scores-a", "a.txt", "--scores-b", "b.txt", "--store", store]
+        assert main([*argv, "--stopwords", str(tmp_path / "stop.txt")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --stopwords is read only by --report vendors, not {report}\n")
 
     def test_vendors_report_with_stop_words(self, tmp_path, store, capsys):
         """A vendor the list empties skips its CVE; the list replaces the
@@ -1371,7 +1401,8 @@ class TestTextFiles:
         elif kind == "score-file":
             argv = [*ranktest, "--scores-a", bad]
         elif kind == "stop-words":
-            argv = [*ranktest, "--scores-a", good, "--stopwords", bad]
+            argv = ["stats", "--report", "vendors", "--from", "2021-06-01", "--to", "2021-06-01",
+                    "--store", store, "--stopwords", bad]
         else:
             for day in ("2021-06-01", "2021-06-02"):
                 ingest_day(tmp_path, store, day, [feed_item("CVE-2021-0001")])
@@ -1383,20 +1414,25 @@ class TestTextFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad} is not UTF-8 text") and err.count("\n") == 1
 
-    def test_byte_order_mark_ignored(self, tmp_path, capsys):
+    def test_byte_order_mark_ignored(self, tmp_path, store, capsys):
         a = write(tmp_path, "a.txt", "\ufeff1\n2\n".encode("utf-8"))
         b = write(tmp_path, "b.txt", "3\n4\n")
-        stop_words = write(tmp_path, "stop.txt", "\ufeffinc\n".encode("utf-8"))
-        argv = ["stats", "--report", "ranktest", "--scores-a", a, "--scores-b", b]
-        assert main([*argv, "--stopwords", stop_words]) == 0
+        assert main(["stats", "--report", "ranktest", "--scores-a", a, "--scores-b", b]) == 0
         assert json.loads(capsys.readouterr().out)["u_statistic"] == 0.0
+        ingest_day(tmp_path, store, "2021-06-01", [
+            feed_item("CVE-2021-0001", cpes=[cpe23("acme_server", "anvil")])])
+        stop_words = write(tmp_path, "stop.txt", "\ufeffserver\n".encode("utf-8"))
+        capsys.readouterr()
+        assert main(["stats", "--report", "vendors", "--from", "2021-06-01", "--to", "2021-06-01",
+                     "--store", store, "--stopwords", stop_words]) == 0
+        assert [v["vendor"] for v in json.loads(capsys.readouterr().out)["vendors"]] == ["acme"]
 
 
 class TestStopWordFile:
-    def test_line_that_is_not_one_token_exits_2(self, tmp_path, capsys):
-        scores = write(tmp_path, "scores.txt", "1\n2\n")
+    def test_line_that_is_not_one_token_exits_2(self, tmp_path, store, capsys):
         stop_words = write(tmp_path, "stop.txt", "inc\ne-commerce\n")
-        argv = ["stats", "--report", "ranktest", "--scores-a", scores, "--scores-b", scores]
+        argv = ["stats", "--report", "vendors", "--from", "2021-06-01", "--to", "2021-06-01",
+                "--store", store]
         assert main([*argv, "--stopwords", stop_words]) == 2
         err = capsys.readouterr().err
         assert err == "error: stop-word line 2 is not exactly one token: 'e-commerce'\n"

@@ -636,6 +636,14 @@ class TestSnapshotStore:
         store_snapshot(tmp_path, snapshot_of("2021-06-01", [make_record("CVE-2021-0001")]))
         assert list_snapshot_dates(tmp_path) == [date(2021, 6, 1), date(2021, 6, 2)]
 
+    def test_only_files_named_yyyy_mm_dd_are_days(self, tmp_path):
+        """Python 3.11 and later read 20210602 and 2021-W22-3 as 2021-06-02."""
+        store_snapshot(tmp_path, snapshot_of("2021-06-01", [make_record("CVE-2021-0001")]))
+        for name in ("20210602", "2021-W22-3", "2021-06-01.tmp.1"):
+            (tmp_path / "snapshots" / name).write_text("{}", encoding="utf-8")
+        assert list_snapshot_dates(tmp_path) == [date(2021, 6, 1)]
+        assert find_previous_date(tmp_path, date(2021, 6, 3)) == date(2021, 6, 1)
+
     def test_find_previous(self, tmp_path):
         for day in ("2021-06-01", "2021-06-03"):
             store_snapshot(tmp_path, snapshot_of(day, [make_record("CVE-2021-0001")]))

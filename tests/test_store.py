@@ -7,6 +7,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import re
 import tempfile
 import tracemalloc
 from datetime import date, timedelta
@@ -16,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compact_day, cpe23, make_record, snapshot_of
+from conftest import compact_day, cpe23, feed_bytes, feed_item, make_record, snapshot_of
+from cvesentinel.cli import main
 from cvesentinel.errors import SnapshotIntegrityError
 from cvesentinel.ingest import Snapshot, load_snapshot, load_snapshots, snapshot_path, store_snapshot
 from cvesentinel.model import CveRecord
+from cvesentinel.store import _Head, _parse_head
 from oracles import oracle_content_digest, oracle_load_snapshot, oracle_store_snapshot
 
 DAYS = [date(2021, 6, 1) + timedelta(days=n) for n in range(6)]
@@ -284,6 +287,105 @@ class TestLoads:
         assert loaded[1].records["CVE-2021-0001"] is loaded[0].records["CVE-2021-0001"]
         assert loaded[2].records["CVE-2021-0004"] is loaded[1].records["CVE-2021-0004"]
         assert loaded[1].records["CVE-2021-0002"] is not loaded[0].records["CVE-2021-0002"]
+
+
+_DIGESTS = st.binary(min_size=16, max_size=16).map(bytes.hex)
+_COUNTS = st.integers(min_value=0, max_value=10**18)
+_HEADS = st.one_of(
+    st.tuples(st.dates(), _COUNTS),
+    st.tuples(st.dates(), _COUNTS, st.dates(), _DIGESTS, _DIGESTS, st.lists(st.text()).map(tuple)),
+).map(lambda fields: _Head(*fields))
+
+
+@given(_HEADS)
+def test_a_head_reads_back_as_its_line(head):
+    assert _parse_head(head.line() + b"\n") == head
+
+
+# Hand edits of a stored day's head line that keep what it says, or give
+# its count another type or its digest another case: each takes the line,
+# the day's date and its record count. "as-written" changes nothing; the
+# last two edit what only a delta's head holds.
+HEAD_FORMS = {
+    "as-written": lambda head, day, n: head,
+    "keys-reordered": lambda head, day, n: head.replace(
+        f'{{"date":"{day}","record_count":{n},', f'{{"record_count":{n},"date":"{day}",'),
+    "space-after-colon": lambda head, day, n: head.replace(f'"date":"{day}"', f'"date": "{day}"'),
+    "count-float": lambda head, day, n: head.replace(f'"record_count":{n},', f'"record_count":{n}.0,'),
+    "count-string": lambda head, day, n: head.replace(f'"record_count":{n},', f'"record_count":"{n}",'),
+    "count-true": lambda head, day, n: head.replace(f'"record_count":{n},', '"record_count":true,'),
+    "count-negative": lambda head, day, n: head.replace(f'"record_count":{n},', '"record_count":-1,'),
+    "date-without-hyphens": lambda head, day, n: head.replace(
+        f'"date":"{day}"', f'"date":"{day.replace("-", "")}"'),
+    "digest-uppercase": lambda head, day, n: re.sub(
+        '("digest":")([0-9a-f]{32})', lambda m: m[1] + m[2].upper(), head),
+    "removed-spaced": lambda head, day, n: head.replace('"removed":[', '"removed":[ '),
+}
+DELTA_ONLY = ("digest-uppercase", "removed-spaced")
+
+
+def loaded_or_error(load, root, day: date):
+    """A day's records by id with their reprs, or the integrity error's message."""
+    try:
+        return {cve_id: repr(record) for cve_id, record in load(root, day).records.items()}
+    except SnapshotIntegrityError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("form, edited", [
+    (form, edited) for form in HEAD_FORMS for edited in ("whole", "delta")
+    if edited == "delta" or form not in DELTA_ONLY])
+def test_a_head_in_another_form_loads_whole_and_the_next_day_is_stored_whole(
+        tmp_path, capsys, form, edited):
+    """The edited day loads as the oracle loads it, records or error; the
+    next ingest exits 0 and stores its day whole, where after an unedited
+    day it stores a delta. Five records keep the whole-day rule away."""
+    records = {f"CVE-2021-000{n}": make_record(f"CVE-2021-000{n}") for n in range(1, 6)}
+    store_snapshot(tmp_path, Snapshot(DAYS[0], records))
+    day = DAYS[0]
+    if edited == "delta":
+        records["CVE-2021-0002"] = make_record("CVE-2021-0002", score=9.8)
+        day = DAYS[1]
+        store_snapshot(tmp_path, Snapshot(day, records))
+    path = snapshot_path(tmp_path, day)
+    head, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    assert ("base" in json.loads(head + "]}")) == (edited == "delta")
+    edited_head = HEAD_FORMS[form](head, day.isoformat(), 5)
+    assert (edited_head == head) == (form == "as-written")
+    path.write_text(edited_head + "\n" + rest, encoding="utf-8")
+    following = day + timedelta(days=1)
+    feed = tmp_path / "feed.json"
+    feed.write_bytes(feed_bytes([feed_item(f"CVE-2021-000{n}", score=7.5 if n == 3 else None)
+                                 for n in range(1, 6)]))
+    assert main(["ingest", str(feed), "--date", following.isoformat(), "--store", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert ("base" in head_of(tmp_path, following)) == (form == "as-written")
+    for loaded in (day, following):
+        assert loaded_or_error(load_snapshot, tmp_path, loaded) == loaded_or_error(
+            oracle_load_snapshot, tmp_path, loaded)
+
+
+@pytest.mark.parametrize("form", HEAD_FORMS)
+def test_a_delta_whose_base_head_is_edited_into_another_form(tmp_path, form):
+    """A head in another form states no digest, so its day's content is
+    digested from its bytes, which no longer match what the day stored
+    against it names: that day exits 4, as through the oracle."""
+    records = {f"CVE-2021-000{n}": make_record(f"CVE-2021-000{n}") for n in range(1, 6)}
+    store_snapshot(tmp_path, Snapshot(DAYS[0], records))
+    del records["CVE-2021-0005"]
+    store_snapshot(tmp_path, Snapshot(DAYS[1], records))
+    third = Snapshot(DAYS[2], {**records, "CVE-2021-0001": make_record("CVE-2021-0001", score=1.0)})
+    store_snapshot(tmp_path, third)
+    assert head_of(tmp_path, DAYS[2])["base"] == "2021-06-02"
+    path = snapshot_path(tmp_path, DAYS[1])
+    head, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    path.write_text(HEAD_FORMS[form](head, "2021-06-02", 4) + "\n" + rest, encoding="utf-8")
+    loaded = loaded_or_error(load_snapshot, tmp_path, DAYS[2])
+    assert loaded == loaded_or_error(oracle_load_snapshot, tmp_path, DAYS[2])
+    assert loaded == ({cve_id: repr(record) for cve_id, record in third.records.items()}
+                      if form == "as-written" else
+                      f"snapshot file {snapshot_path(tmp_path, DAYS[2])} (changes to 2021-06-02): "
+                      "the content of 2021-06-02 has changed since")
 
 
 # A delta day stored against a whole day, broken in one way each: the
