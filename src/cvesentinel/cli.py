@@ -164,10 +164,16 @@ def cmd_tickets(args: argparse.Namespace) -> int:
             f"{len(index.unreachable_names)} asset name(s) hold a function word and can never "
             f"match a summary, only a CPE: {examples}"
         )
+    fp_filter = _load_filter(args)
+    digests = (fp_filter.stop_words_digest, stop_words.digest() if stop_words else None)
+    if args.filter_vendors and digests[0] != digests[1]:
+        built, given = (f"stop-word list {d}" if d else "the built-in list" for d in digests)
+        raise FormatError(f"filter lists {args.filter_vendors} and {args.filter_products} were "
+                          f"built under {built}, but tickets is given {given}")
     matches = matcher.match_corpus(
         cves,
         index,
-        _load_filter(args),
+        fp_filter,
         min_name_len=args.min_name_len,
         stop_words=stop_words,
     )
@@ -191,8 +197,6 @@ def cmd_tickets(args: argparse.Namespace) -> int:
 def _snapshots(args: argparse.Namespace) -> Iterator[Snapshot]:
     """The stored snapshots of every day from --from to --to, loaded as
     they are consumed. The range is checked at once."""
-    if not (args.date_from and args.date_to):
-        raise FormatError(f"report {args.report!r} needs --from and --to")
     if args.date_from > args.date_to:
         raise FormatError(f"--from {args.date_from} is after --to {args.date_to}")
     days = (args.date_to - args.date_from).days + 1
@@ -232,8 +236,6 @@ def _daily_report(args: argparse.Namespace) -> Report:
 def _delays_report(args: argparse.Namespace) -> Report:
     from . import analytics
     snapshots = _snapshots(args)
-    if not args.field:
-        raise FormatError("report 'delays' needs --field cvss|cpe")
     report = analytics.completion_delays(snapshots, analytics.CompletionField(args.field.upper()))
     if report.rejected:
         _note(
@@ -275,29 +277,35 @@ def _table_report(args: argparse.Namespace) -> Report:
 
 def _ranktest_report(args: argparse.Namespace) -> Report:
     from . import analytics
-    if not (args.scores_a and args.scores_b):
-        raise FormatError("ranktest needs --scores-a and --scores-b")
-    result = analytics.mann_whitney_u(
-        _read_score_file(args.scores_a), _read_score_file(args.scores_b), method=args.method
-    )
+    scores = [_read_score_file(path) for path in (args.scores_a, args.scores_b)]
+    result = analytics.mann_whitney_u(*scores, method=args.method or "auto")
     return {"report": "ranktest", **result.to_dict()}, [result.to_dict()], {}
 
 
-# report name -> (the analytics row type whose fields are the CSV header; the report)
+# name -> (the analytics row type naming the CSV header, report, options needed, options taken)
 STATS_REPORTS = {
-    "daily": ("DailyCompleteness", _daily_report),
-    "delays": ("CompletionDelay", _delays_report),
-    "vendors": ("VendorStats", _vendors_report),
-    "table": ("ScoreTableRow", _table_report),
-    "ranktest": ("RankTestResult", _ranktest_report),
+    "daily": ("DailyCompleteness", _daily_report, ("--from", "--to"), ()),
+    "delays": ("CompletionDelay", _delays_report, ("--from", "--to", "--field"), ()),
+    "vendors": ("VendorStats", _vendors_report, ("--from", "--to"), ("--stopwords",)),
+    "table": ("ScoreTableRow", _table_report, ("--from", "--to"), ()),
+    "ranktest": ("RankTestResult", _ranktest_report, ("--scores-a", "--scores-b"), ("--method",)),
 }
+# Every report option in the parser's order, with the name argparse stores it under.
+REPORT_OPTIONS = {"--stopwords": "stopwords", "--from": "date_from", "--to": "date_to",
+                  "--field": "field", "--scores-a": "scores_a", "--scores-b": "scores_b",
+                  "--method": "method"}
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     from . import analytics
-    if args.stopwords and args.report != "vendors":
-        raise FormatError(f"--stopwords is read only by --report vendors, not {args.report}")
-    row_type, report = STATS_REPORTS[args.report]
+    row_type, report, needs, takes = STATS_REPORTS[args.report]
+    given = [option for option, dest in REPORT_OPTIONS.items() if getattr(args, dest)]
+    if foreign := next((option for option in given if option not in needs + takes), None):
+        readers = ", ".join(name for name, (*_, n, t) in STATS_REPORTS.items() if foreign in n + t)
+        raise FormatError(f"{foreign} is read only by --report {readers}, not {args.report}")
+    if missing := [option for option in needs if option not in given]:
+        names = " and ".join(", ".join(missing).rsplit(", ", 1))
+        raise FormatError(f"--report {args.report} needs {names}")
     payload, rows, summary = report(args)
     if not args.csv:
         _emit_json(args, payload)
@@ -416,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--scores-a", help="score file for --report ranktest")
     p_stats.add_argument("--scores-b", help="score file for --report ranktest")
     p_stats.add_argument(
-        "--method", choices=["auto", "exact", "normal"], default="auto",
+        "--method", choices=["auto", "exact", "normal"],
         help="rank test p-value method (default auto)",
     )
     p_stats.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")

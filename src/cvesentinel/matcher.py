@@ -26,7 +26,11 @@ from .model import AssetRecord, CveRecord, MatchVia, Row
 from .normalize import (DEFAULT_MIN_NAME_LEN, StopWordList, read_text_file, standardize, tokenize,
                         well_formed_from_cpe)
 
-_LABEL = "#source_year="  # the first line of a filter list, before its label
+# The header lines of a filter list, before their labels: the source year
+# always, the digest of the stop-word list only when one was given.
+_LABEL = "#source_year="
+_STOP_WORDS_LABEL = "#stopwords="
+_LABELS = {_LABEL: "source year", _STOP_WORDS_LABEL: "stop-word list"}
 
 # Closed-class English words: articles, prepositions, conjunctions,
 # pronouns, auxiliaries. Product names are open-class, so dropping these
@@ -55,6 +59,7 @@ class FpFilter:
     vendor_names: frozenset[str]
     product_names: frozenset[str]
     source_year: str = ""
+    stop_words_digest: str | None = None  # of the list the names were standardized under
 
     @classmethod
     def empty(cls) -> "FpFilter":
@@ -69,33 +74,35 @@ class FpFilter:
         return header
 
     def save(self, vendors_path: str | Path, products_path: str | Path) -> None:
-        header = self.header(self.source_year)
+        header = [self.header(self.source_year)]
+        if self.stop_words_digest is not None:
+            header.append(f"{_STOP_WORDS_LABEL}{self.stop_words_digest}")
         for path, names in ((vendors_path, self.vendor_names), (products_path, self.product_names)):
-            lines = [header]
-            lines.extend(sorted(names))
+            lines = header + sorted(names)
             Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, vendors_path: str | Path, products_path: str | Path) -> "FpFilter":
         """Read both lists; a label is kept exactly as written, and a list
         without one takes the other's, but two different labels are an error."""
-        def read(path: str | Path) -> tuple[frozenset[str], str | None]:
+        def read(path: str | Path) -> tuple[frozenset[str], dict[str, str]]:
             names = set()
-            year = None
+            labels = {}
             for line in read_text_file(path).splitlines():
-                if line.startswith(_LABEL):
-                    year = line[len(_LABEL) :]
+                if label := next((k for k in _LABELS if line.startswith(k)), ""):
+                    labels[label] = line[len(label) :]
                 elif (name := line.strip()) and not name.startswith("#"):
                     names.add(name)
-            return frozenset(names), year
+            return frozenset(names), labels
 
-        vendors, year_v = read(vendors_path)
-        products, year_p = read(products_path)
-        labels = {year_v, year_p} - {None}
-        if len(labels) > 1:
-            raise FormatError(f"{vendors_path} and {products_path} disagree on the source year: "
-                              f"{year_v!r} against {year_p!r}")
-        return cls(vendors, products, source_year=labels.pop() if labels else "")
+        vendors, labels_v = read(vendors_path)
+        products, labels_p = read(products_path)
+        for label, what in _LABELS.items():
+            if label in labels_v and label in labels_p and labels_v[label] != labels_p[label]:
+                raise FormatError(f"{vendors_path} and {products_path} disagree on the {what}: "
+                                  f"{labels_v[label]!r} against {labels_p[label]!r}")
+        labels = {**labels_p, **labels_v}  # a list without a label takes the other's
+        return cls(vendors, products, labels.get(_LABEL, ""), labels.get(_STOP_WORDS_LABEL))
 
 
 @dataclass(frozen=True)
@@ -243,6 +250,7 @@ def build_fp_filter(
         vendor_names=frozenset(filter_vendors),
         product_names=frozenset(filter_products),
         source_year=source_year,
+        stop_words_digest=stop_words.digest() if stop_words else None,
     )
 
 

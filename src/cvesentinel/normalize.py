@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from _blake2 import blake2b  # as in store.py: hashlib would load OpenSSL too
+
 from .errors import FormatError, ValidationError
 from .model import CpeUri, WellFormedName
 
@@ -94,6 +96,10 @@ class StopWordList:
     @classmethod
     def from_file(cls, path: str | Path) -> "StopWordList":
         return cls.from_lines(read_text_file(path).splitlines())
+
+    def digest(self) -> str:
+        """The 16-byte BLAKE2b digest, in hex, of the sorted words one per line."""
+        return blake2b("\n".join(sorted(self.words)).encode(), digest_size=16).hexdigest()
 
 
 def as_text(data: bytes | str, source: str = "input", *, keep_bom: bool = False) -> str:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
 import gzip
+import hashlib
 import json
 import os
 import subprocess
@@ -487,6 +489,75 @@ class TestTickets:
         assert tickets == {False: ("widget server", ["CVE-2021-0002"]),
                            True: ("widget", ["CVE-2021-0001", "CVE-2021-0002"])}
 
+    def _filter_under_stop_words(self, tmp_path, store, build_extra) -> list[str]:
+        """A filter built with ``build_extra`` from a corpus whose summary names
+        "Widget Server" under a foreign CPE; the tickets argv for day 2, whose
+        one CPE-less CVE names "Widget Server", with those filter lists."""
+        feed = write(tmp_path, "corpus.json", feed_bytes([feed_item(
+            "CVE-2020-0001", summary="A flaw in Widget Server", cpes=[cpe23("other", "thing")])]))
+        dictionary = write(tmp_path, "dict.json",
+                           json.dumps([{"cpe23": cpe23("acme", "widget_server")}]))
+        vendors, products = str(tmp_path / "fv.txt"), str(tmp_path / "fp.txt")
+        assert main(["build-filter", feed, "--dictionary", dictionary, "--out-vendors", vendors,
+                     "--out-products", products, *build_extra]) == 0
+        inventory = write(tmp_path, "inv.csv", "asset_id,product_name,vendor_name,version,cpe23\n"
+                                               "A1,Widget Server,Acme,1.0,\n")
+        ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001")])
+        ingest_day(tmp_path, store, "2021-06-02", [
+            feed_item("CVE-2021-0001"),
+            feed_item("CVE-2021-0002", summary="Overflow in Widget Server"),
+        ])
+        return ["tickets", "--date", "2021-06-02", "--store", store, "--inventory", inventory,
+                "--filter-vendors", vendors, "--filter-products", products]
+
+    @pytest.mark.parametrize("built_custom", [True, False], ids=["build-filter", "tickets"])
+    def test_filter_built_under_another_stop_word_list_exits_2(self, tmp_path, store, capsys,
+                                                               built_custom):
+        """Before the lists recorded their stop-word list, either order gave
+        one ticket and exit 0: "widget" filtered nothing from "widget server"."""
+        stop_words = write(tmp_path, "stop.txt", "server\n")
+        custom = ["--stopwords", stop_words]
+        argv = self._filter_under_stop_words(tmp_path, store, custom if built_custom else [])
+        capsys.readouterr()
+        assert main([*argv, *([] if built_custom else custom)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_line_error(err)
+        digest = f"stop-word list {hashlib.blake2b(b'server', digest_size=16).hexdigest()}"
+        built, given = ((digest, "the built-in list") if built_custom
+                        else ("the built-in list", digest))
+        assert err.endswith(f"error: filter lists {argv[-3]} and {argv[-1]} were built under "
+                            f"{built}, but tickets is given {given}\n")
+
+    def test_filter_built_under_the_same_stop_word_list_filters(self, tmp_path, store, capsys):
+        stop_words = write(tmp_path, "stop.txt", "# the one word\nserver\n")
+        argv = self._filter_under_stop_words(tmp_path, store, ["--stopwords", stop_words])
+        # the same words, written otherwise, are the same list
+        other = write(tmp_path, "other.txt", "SERVER\n\n")
+        for stop in (stop_words, other):
+            capsys.readouterr()
+            assert main([*argv, "--stopwords", stop]) == 0
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.endswith("0 ticket(s) from 1 CVE(s); matched via CPE=0 SUMMARY=0\n")
+
+    def test_filter_lists_with_different_stop_word_lists_exit_2(self, tmp_path, store, capsys):
+        inventory = self._setup(tmp_path, store)
+        filter_vendors = write(tmp_path, "fv.txt", f"#source_year=2020\n#stopwords={'a' * 32}\n")
+        filter_products = write(tmp_path, "fp.txt", f"#source_year=2020\n#stopwords={'b' * 32}\n")
+        capsys.readouterr()
+        code = main(
+            ["tickets", "--full", "--date", "2021-06-01", "--store", store, "--inventory", inventory,
+             "--filter-vendors", filter_vendors, "--filter-products", filter_products]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {filter_vendors} and {filter_products} disagree on the stop-word list: "
+            f"'{'a' * 32}' against '{'b' * 32}'\n"
+        )
+
     def test_oversized_inventory_field_exits_2(self, tmp_path, store, capsys):
         argv = self._full_tickets_argv(
             tmp_path, store, ["A1,Anvil,Acme,1.0,", f"A2,{'x' * 200_000},Acme,1.0,"], "anvil flaw"
@@ -616,6 +687,16 @@ def _stats_history(tmp_path, store):
     )
 
 
+# Each stats report's own options, naming files that do not exist.
+REPORT_ARGS = {
+    "daily": ["--from", "2021-06-01", "--to", "2021-06-01"],
+    "delays": ["--from", "2021-06-01", "--to", "2021-06-01", "--field", "cvss"],
+    "vendors": ["--from", "2021-06-01", "--to", "2021-06-01"],
+    "table": ["--from", "2021-06-01", "--to", "2021-06-01"],
+    "ranktest": ["--scores-a", "a.txt", "--scores-b", "b.txt"],
+}
+
+
 class TestStats:
     def test_daily_report(self, tmp_path, store, capsys):
         _stats_history(tmp_path, store)
@@ -667,8 +748,7 @@ class TestStats:
     def test_stop_words_with_a_report_but_vendors_exit_2(self, tmp_path, store, capsys, report):
         """Only vendors standardizes a name. The list file and the store do
         not exist, so any read before the check would name one of them."""
-        argv = ["stats", "--report", report, "--from", "2021-06-01", "--to", "2021-06-01",
-                "--field", "cvss", "--scores-a", "a.txt", "--scores-b", "b.txt", "--store", store]
+        argv = ["stats", "--report", report, *REPORT_ARGS[report], "--store", store]
         assert main([*argv, "--stopwords", str(tmp_path / "stop.txt")]) == 2
         assert capsys.readouterr().err == (
             f"error: --stopwords is read only by --report vendors, not {report}\n")
@@ -714,8 +794,9 @@ class TestStats:
         ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001")])
         ingest_day(tmp_path, store, "2021-06-03", [feed_item("CVE-2021-0001")])
         capsys.readouterr()
+        field = ["--field", "cvss"] if report == "delays" else []
         code = main(
-            ["stats", "--report", report, "--field", "cvss", "--from", "2021-06-01",
+            ["stats", "--report", report, *field, "--from", "2021-06-01",
              "--to", "2021-06-03", "--store", store]
         )
         assert code == 2
@@ -1161,6 +1242,134 @@ GOLDEN_STATS = {
 }
 
 
+# What each stats report needs and may take besides, in the README's table order.
+NEEDS = {
+    "daily": ("--from", "--to"),
+    "delays": ("--from", "--to", "--field"),
+    "vendors": ("--from", "--to"),
+    "table": ("--from", "--to"),
+    "ranktest": ("--scores-a", "--scores-b"),
+}
+TAKES = {"daily": (), "delays": (), "vendors": ("--stopwords",), "table": (),
+         "ranktest": ("--method",)}
+READS = {report: NEEDS[report] + TAKES[report] for report in NEEDS}
+# The report options in the parser's order.
+REPORT_OPTIONS = ("--stopwords", "--from", "--to", "--field", "--scores-a", "--scores-b",
+                  "--method")
+
+
+def option_values(root: Path) -> dict[str, str]:
+    """A value for each report option; the files are named under ``root``."""
+    return {"--stopwords": str(root / "stop.txt"), "--from": "2021-06-01", "--to": "2021-06-01",
+            "--field": "cvss", "--scores-a": str(root / "a.txt"),
+            "--scores-b": str(root / "b.txt"), "--method": "exact"}
+
+
+def stats_argv(report: str, options, values: dict[str, str], store: str) -> list[str]:
+    return ["stats", "--report", report,
+            *(part for option in options for part in (option, values[option])), "--store", store]
+
+
+class TestStatsReportOptions:
+    """Each report takes only the options it reads, and needs its own: one
+    check refuses the rest before anything is read."""
+
+    @pytest.mark.parametrize("report, option", [
+        (report, option) for report in READS for option in READS[report]])
+    def test_an_option_the_report_reads_is_accepted(self, tmp_path, store, capsys, report,
+                                                    option):
+        ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001", score=5.0)])
+        for name, text in (("stop.txt", "server\n"), ("a.txt", "1\n2\n5\n"),
+                           ("b.txt", "3\n4\n9\n")):
+            write(tmp_path, name, text)
+        capsys.readouterr()
+        options = dict.fromkeys([*NEEDS[report], option])
+        assert main(stats_argv(report, options, option_values(tmp_path), store)) == 0
+        assert json.loads(capsys.readouterr().out)["report"] == report
+
+    @pytest.mark.parametrize("report, option", [
+        (report, option) for report in READS for option in REPORT_OPTIONS
+        if option not in READS[report]])
+    def test_a_foreign_option_exits_2(self, tmp_path, capsys, report, option):
+        """The store and every file named do not exist, so any read before
+        the check would name one of them."""
+        missing = tmp_path / "missing"
+        argv = stats_argv(report, [*NEEDS[report], option], option_values(missing),
+                          str(missing / "store"))
+        assert main(argv) == 2
+        readers = ", ".join(name for name in READS if option in READS[name])
+        assert capsys.readouterr() == (
+            "", f"error: {option} is read only by --report {readers}, not {report}\n")
+        assert not missing.exists()
+
+    def test_the_first_foreign_option_in_the_parser_order_is_named(self, tmp_path, capsys):
+        values = option_values(tmp_path / "missing")
+        argv = stats_argv("ranktest", ["--method", "--field", "--to"], values, str(tmp_path))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --to is read only by --report daily, delays, vendors, table, not ranktest\n")
+
+    @pytest.mark.parametrize("report, option", [
+        (report, option) for report in NEEDS for option in NEEDS[report]])
+    def test_each_missing_needed_option_exits_2(self, tmp_path, capsys, report, option):
+        missing = tmp_path / "missing"
+        options = [other for other in READS[report] if other != option]
+        assert main(stats_argv(report, options, option_values(missing), str(missing))) == 2
+        assert capsys.readouterr() == ("", f"error: --report {report} needs {option}\n")
+
+    @pytest.mark.parametrize("report, names", [
+        ("daily", "--from and --to"),
+        ("delays", "--from, --to and --field"),
+        ("vendors", "--from and --to"),
+        ("table", "--from and --to"),
+        ("ranktest", "--scores-a and --scores-b"),
+    ])
+    def test_every_missing_needed_option_is_named(self, tmp_path, capsys, report, names):
+        assert main(["stats", "--report", report, "--store", str(tmp_path / "missing")]) == 2
+        assert capsys.readouterr() == ("", f"error: --report {report} needs {names}\n")
+
+    def test_a_foreign_option_is_named_before_a_missing_one(self, capsys):
+        assert main(["stats", "--report", "ranktest", "--field", "cvss"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --field is read only by --report delays, not ranktest\n")
+
+    def test_ranktest_method_is_auto_when_left_out(self, tmp_path, capsys):
+        a, b = write(tmp_path, "a.txt", "1\n2\n5\n"), write(tmp_path, "b.txt", "3\n4\n9\n")
+        argv = ["stats", "--report", "ranktest", "--scores-a", a, "--scores-b", b]
+        outputs = []
+        for extra in ([], ["--method", "auto"]):
+            assert main([*argv, *extra]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out.startswith("{")
+
+    def test_foreign_options_that_used_to_be_ignored_exit_2(self, tmp_path, store, capsys):
+        """Both commands exited 0, each dropping the options its report does not read."""
+        ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001")])
+        a, b = write(tmp_path, "a.txt", "1\n2\n5\n"), write(tmp_path, "b.txt", "3\n4\n9\n")
+        capsys.readouterr()
+        assert main(["stats", "--report", "ranktest", "--scores-a", a, "--scores-b", b,
+                     "--from", "2021-06-01", "--to", "2021-06-09", "--field", "cvss",
+                     "--store", str(tmp_path / "nonexistent")]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --from is read only by --report daily, delays, vendors, table, "
+                "not ranktest\n")
+        assert main(["stats", "--report", "daily", "--from", "2021-06-01", "--to", "2021-06-01",
+                     "--field", "cvss", "--scores-a", str(tmp_path / "missing.txt"),
+                     "--method", "exact", "--store", store]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --field is read only by --report delays, not daily\n")
+
+    def test_report_options_follow_the_parser(self):
+        """The check names the first foreign option in the parser's order, and
+        finds each option where argparse stores it."""
+        (subcommands,) = [action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction)]
+        dests = {action.option_strings[0]: action.dest
+                 for action in subcommands.choices["stats"]._actions if action.option_strings}
+        assert [option for option in dests if option in REPORT_OPTIONS] == list(REPORT_OPTIONS)
+        assert cli.REPORT_OPTIONS == {option: dests[option] for option in REPORT_OPTIONS}
+
+
 class TestStatsGolden:
     """Whole stdout of each report, so a change of format shows byte for byte."""
 
@@ -1296,7 +1505,8 @@ class TestBuildFilterAndEvaluate:
         names = {}
         for extra in ([], ["--stopwords", stop_words]):
             assert main([*argv, *extra]) == 0
-            names[bool(extra)] = products.read_text(encoding="utf-8").splitlines()[1:]
+            lines = products.read_text(encoding="utf-8").splitlines()
+            names[bool(extra)] = [line for line in lines if not line.startswith("#")]
         assert names == {False: ["gadget", "widget server"], True: ["widget"]}
 
     def test_evaluate_with_stop_words(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -228,6 +229,40 @@ class TestBuildFpFilter:
         for kind, path in paths.items():
             path.write_text(("" if kind == unlabeled else "#source_year=2020\n") + "acme\n")
         assert FpFilter.load(paths["vendors"], paths["products"]).source_year == "2020"
+
+    def test_stop_word_digest_round_trips(self, tmp_path):
+        digest = StopWordList(frozenset({"server", "widget"})).digest()
+        fp = FpFilter(frozenset({"acme"}), frozenset({"hyper"}), "2020", stop_words_digest=digest)
+        fp.save(tmp_path / "vendors.txt", tmp_path / "products.txt")
+        assert (tmp_path / "vendors.txt").read_text(encoding="utf-8") == (
+            f"#source_year=2020\n#stopwords={digest}\nacme\n")
+        assert FpFilter.load(tmp_path / "vendors.txt", tmp_path / "products.txt") == fp
+
+    def test_stop_word_digest_is_of_the_sorted_words(self):
+        digest = StopWordList(frozenset({"widget", "server"})).digest()
+        assert digest == hashlib.blake2b(b"server\nwidget", digest_size=16).hexdigest()
+
+    def test_lists_with_different_stop_word_lists_rejected(self, tmp_path):
+        vendors, products = tmp_path / "vendors.txt", tmp_path / "products.txt"
+        vendors.write_text("#source_year=2020\n#stopwords=aa\nacme\n", encoding="utf-8")
+        products.write_text("#source_year=2020\n#stopwords=bb\nhyper\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="disagree on the stop-word list: 'aa' against 'bb'"):
+            FpFilter.load(vendors, products)
+
+    @pytest.mark.parametrize("unlabeled", ["vendors", "products"])
+    def test_list_without_stop_word_line_takes_the_other_one(self, tmp_path, unlabeled):
+        paths = {kind: tmp_path / f"{kind}.txt" for kind in ("vendors", "products")}
+        for kind, path in paths.items():
+            path.write_text(("" if kind == unlabeled else "#stopwords=aa\n") + "acme\n")
+        assert FpFilter.load(paths["vendors"], paths["products"]).stop_words_digest == "aa"
+
+    def test_built_in_list_writes_no_stop_word_line(self, tmp_path):
+        corpus = [make_record("CVE-2020-0001", summary="hyper flaw", cpes=[cpe23("acme", "anvil")])]
+        dictionary = make_dictionary([cpe23("microsoft", "hyper")])
+        build_fp_filter(corpus, dictionary, source_year="2020").save(
+            tmp_path / "vendors.txt", tmp_path / "products.txt")
+        assert (tmp_path / "vendors.txt").read_bytes() == b"#source_year=2020\n"
+        assert (tmp_path / "products.txt").read_bytes() == b"#source_year=2020\nhyper\n"
 
     @pytest.mark.parametrize("brk", ["\n", "\r", "\x85", "\u2028"], ids=["lf", "cr", "nel", "ls"])
     def test_source_year_with_line_break_rejected_before_writing(self, tmp_path, brk):
