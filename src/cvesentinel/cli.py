@@ -137,6 +137,14 @@ def _load_filter(args: argparse.Namespace) -> matcher.FpFilter:
 def cmd_tickets(args: argparse.Namespace) -> int:
     from . import matcher, ticketer
     stop_words = _stop_words(args)
+    # The lists are checked before the store is read, so that lists that
+    # cannot be used cost no load.
+    fp_filter = _load_filter(args)
+    digests = (fp_filter.stop_words_digest, stop_words.digest() if stop_words else None)
+    if args.filter_vendors and digests[0] != digests[1]:
+        built, given = (f"stop-word list {d}" if d else "the built-in list" for d in digests)
+        raise FormatError(f"filter lists {args.filter_vendors} and {args.filter_products} were "
+                          f"built under {built}, but tickets is given {given}")
     previous_date = None if args.full else ingest.find_previous_date(args.store, args.date)
     # The day before is loaded first, so that today, stored as its changes
     # to it, is applied to it; a missing today is still the error reported.
@@ -164,12 +172,6 @@ def cmd_tickets(args: argparse.Namespace) -> int:
             f"{len(index.unreachable_names)} asset name(s) hold a function word and can never "
             f"match a summary, only a CPE: {examples}"
         )
-    fp_filter = _load_filter(args)
-    digests = (fp_filter.stop_words_digest, stop_words.digest() if stop_words else None)
-    if args.filter_vendors and digests[0] != digests[1]:
-        built, given = (f"stop-word list {d}" if d else "the built-in list" for d in digests)
-        raise FormatError(f"filter lists {args.filter_vendors} and {args.filter_products} were "
-                          f"built under {built}, but tickets is given {given}")
     matches = matcher.match_corpus(
         cves,
         index,

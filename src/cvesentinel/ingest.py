@@ -27,7 +27,7 @@ from .errors import (
     OrderingError,
     ValidationError,
 )
-from .model import AssetRecord, CpeUri, CveRecord, SnapshotDiff
+from .model import AssetRecord, CpeUri, CveRecord, FieldMemo, SnapshotDiff
 from .normalize import StopWordList, as_text, well_formed_from_cpe, well_formed_from_raw
 
 # The snapshot store, whose public names this module gives too.
@@ -102,12 +102,12 @@ class InventoryParseResult:
     rejects: tuple[RowReject, ...]
 
 
-def _item_date(item: Mapping[str, Any], key: str) -> date | None:
+def _item_date(item: Mapping[str, Any], key: str, memo: FieldMemo) -> date | None:
     value = item.get(key)
     if not isinstance(value, str) or len(value) < 10:
         return None
     try:
-        return date.fromisoformat(value[:10])
+        return memo.day(value[:10])
     except ValueError:
         return None
 
@@ -133,12 +133,10 @@ def _objects(parent: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
     return value
 
 
-def _gather_cpe_uris(
-    configurations: Mapping[str, Any], cpes: dict[str, CpeUri]
-) -> tuple[CpeUri, ...]:
+def _gather_cpe_uris(configurations: Mapping[str, Any], memo: FieldMemo) -> tuple[CpeUri, ...]:
     """The distinct CPE names of an item's configuration tree, in document
-    order (each node's own names before its children's). ``cpes`` maps raw
-    strings to their parsed names, so a feed parses each string once."""
+    order (each node's own names before its children's), through the
+    feed's ``memo``, so a feed parses each string once."""
     uris: dict[str, CpeUri] = {}
     stack = _objects(configurations, "nodes")[::-1]
     while stack:  # a stack, not recursion: a recursive closure is a cycle per item
@@ -150,10 +148,7 @@ def _gather_cpe_uris(
             if not isinstance(raw, str):
                 raise ValidationError(f"CPE name must be a string, got {raw!r}")
             if raw not in uris:
-                uri = cpes.get(raw)
-                if uri is None:
-                    uri = cpes[raw] = CpeUri.parse(raw)
-                uris[raw] = uri
+                uris[raw] = memo.cpe(raw)
         stack.extend(reversed(_objects(node, "children")))
     return tuple(uris.values())
 
@@ -165,15 +160,15 @@ def _item_id(item: Mapping[str, Any]) -> Any:
     return meta.get("ID") if isinstance(meta, dict) else None
 
 
-def _parse_feed_item(item: Mapping[str, Any], cpes: dict[str, CpeUri]) -> CveRecord:
+def _parse_feed_item(item: Mapping[str, Any], memo: FieldMemo) -> CveRecord:
     cve = _object(item, "cve")
     cve_id = _object(cve, "CVE_data_meta").get("ID")
     if not cve_id:
         raise ValidationError("item lacks a CVE id")
-    published = _item_date(item, "publishedDate")
+    published = _item_date(item, "publishedDate", memo)
     if published is None:
         raise ValidationError("item lacks a publishedDate")
-    last_modified = _item_date(item, "lastModifiedDate") or published
+    last_modified = _item_date(item, "lastModifiedDate", memo) or published
 
     summary = ""
     for desc in _objects(_object(cve, "description"), "description_data"):
@@ -191,14 +186,15 @@ def _parse_feed_item(item: Mapping[str, Any], cpes: dict[str, CpeUri]) -> CveRec
         for ref in _objects(_object(cve, "references"), "reference_data")
         if ref.get("url")
     )
+    cpe_list = _gather_cpe_uris(_object(item, "configurations"), memo)
 
     return CveRecord(
         id=cve_id,
         published=published,
         last_modified=last_modified,
         summary=summary,
-        cvss3_base=score,
-        cpe_list=_gather_cpe_uris(_object(item, "configurations"), cpes),
+        cvss3_base=memo.score(score),  # after the CPE names, whose faults are named first
+        cpe_list=cpe_list,
         references=references,
     )
 
@@ -350,7 +346,7 @@ def _feed_result(items: Iterable[Any]) -> FeedParseResult:
     """The records and rejects of the items a feed walk yields."""
     records: list[CveRecord] | None = None
     rejects: list[FeedReject] = []
-    cpes: dict[str, CpeUri] = {}
+    memo = FieldMemo()
     for item in items:
         if item is _ARRAY:
             records, rejects = [], []
@@ -360,7 +356,7 @@ def _feed_result(items: Iterable[Any]) -> FeedParseResult:
             rejects.append(FeedReject(index=len(records) + len(rejects), reason="item is not an object"))
         else:
             try:
-                records.append(_parse_feed_item(item, cpes))
+                records.append(_parse_feed_item(item, memo))
             except ValidationError as exc:
                 index = len(records) + len(rejects)
                 rejects.append(FeedReject(index=index, reason=str(exc), cve_id=_item_id(item)))
@@ -382,7 +378,8 @@ def parse_feed(data: bytes | str | BinaryIO) -> FeedParseResult:
     keys wins. A feed that turns out malformed, not UTF-8 or not gzip is
     decoded whole once, for the error a whole read gives only; a malformed
     feed's error gives the UTF-8 byte offset of the fault, a byte-order
-    mark included. Each distinct CPE string of the feed is parsed once."""
+    mark included. Each distinct CPE string, date and score notation of
+    the feed is parsed once, and its records share the one object."""
     if isinstance(data, bytes):
         data = io.BytesIO(data)
     text, stream = (data, None) if isinstance(data, str) else ("", data)
@@ -509,12 +506,13 @@ def load_snapshots(store_root: str | Path, days: Iterable[date]) -> Iterator[Sna
     stored against that day is read from its own file, its unchanged
     records are that day's objects, and the one digest taken is that
     day's, which hashes its whole file when it is stored whole. Each CPE
-    string is parsed once per range.
+    string, date and score notation is parsed once per range, and the
+    range's records share the one object.
     """
     previous = None
-    cpes: dict[str, CpeUri] = {}
+    memo = FieldMemo()
     for day in days:
-        previous = load_snapshot(store_root, day, previous=previous, cpes=cpes)
+        previous = load_snapshot(store_root, day, previous=previous, memo=memo)
         yield previous
 
 

@@ -1,10 +1,13 @@
 """Core domain types: CVE records, CPE names, assets, tickets, diffs.
 
 All types are immutable after construction and validate their invariants
-in ``__post_init__``; invalid values are rejected, never repaired. The two
-forms that are stored or emitted round-trip through ``to_dict`` /
-``from_dict``: ``CveRecord`` (the snapshot store) and ``Ticket`` (the
-ticket stream). Flat report rows share the ``to_dict`` of ``Row``.
+in ``__post_init__``; invalid values are rejected, never repaired. The
+types built by the thousand (``CpeUri``, ``CveRecord``, ``WellFormedName``
+and ``AssetRecord``) are slotted: their instances have no ``__dict__`` and
+take no weak references. The two forms that are stored or emitted
+round-trip through ``to_dict`` / ``from_dict``: ``CveRecord`` (the
+snapshot store) and ``Ticket`` (the ticket stream). Flat report rows share
+the ``to_dict`` of ``Row``.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ def _split_cpe_components(text: str) -> list[str]:
     return parts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CpeUri:
     """One parsed CPE 2.3 formatted-string name."""
 
@@ -152,7 +155,7 @@ def _coerce_score(value: Any) -> Decimal | None:
     return score
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CveRecord:
     """One CVE entry as captured on a given day.
 
@@ -200,38 +203,86 @@ class CveRecord:
 
     @classmethod
     def from_dict(
-        cls, data: dict[str, Any], cpes: dict[str, CpeUri] | None = None
+        cls, data: dict[str, Any], memo: FieldMemo | None = None, earlier: CveRecord | None = None
     ) -> "CveRecord":
         """Build a record from its ``to_dict`` form, which must be a dict.
 
-        ``cpes`` maps raw CPE strings to their parsed names; a string found
-        there is not parsed again, and every string parsed here is added.
+        ``memo`` gives the CPE names, dates and scores parsed for the
+        records built before this one, and gains each one parsed here.
+        ``earlier``, a record of the same CVE, lends its id, summary and
+        references where this record's are equal, so that a changed record
+        holds no second copy of the text that did not change.
         """
         if not isinstance(data, dict):
             raise ValidationError(f"stored record is not an object but {type(data).__name__}")
-        cpes = {} if cpes is None else cpes
+        memo = FieldMemo() if memo is None else memo
         raws, references = data.get("cpe_list", []), data.get("references", [])
         for label, value in (("cpe_list", raws), ("references", references)):
             if not isinstance(value, list):
                 raise ValidationError(f"{label} is not a list but {type(value).__name__}")
-        cpe_list = []
-        for raw in raws:
-            uri = cpes.get(raw)
-            if uri is None:
-                uri = cpes[raw] = CpeUri.parse(raw)
-            cpe_list.append(uri)
+        cpe_list = tuple([memo.cpe(raw) for raw in raws])
+        cve_id = data["id"]
+        published = memo.day(data["published"])
+        last_modified = memo.day(data["last_modified"])
+        summary, references = data["summary"], tuple(references)
+        if earlier is not None:
+            cve_id = earlier.id if cve_id == earlier.id else cve_id
+            summary = earlier.summary if summary == earlier.summary else summary
+            references = earlier.references if references == earlier.references else references
         return cls(
-            id=data["id"],
-            published=date.fromisoformat(data["published"]),
-            last_modified=date.fromisoformat(data["last_modified"]),
-            summary=data["summary"],
-            cvss3_base=data.get("cvss3_base"),
-            cpe_list=tuple(cpe_list),
-            references=tuple(references),
+            id=cve_id,
+            published=published,
+            last_modified=last_modified,
+            summary=summary,
+            cvss3_base=memo.score(data.get("cvss3_base")),
+            cpe_list=cpe_list,
+            references=references,
         )
 
 
-@dataclass(frozen=True)
+class FieldMemo:
+    """The field values parsed for the records of one feed or one range of
+    stored days, so that equal values are one object: a CPE name per raw
+    string, a date per ISO string and a score per type and notation, each
+    parsed and checked once, as a record's own parse would."""
+
+    __slots__ = ("_cpes", "_days", "_scores")
+
+    def __init__(self) -> None:
+        self._cpes: dict[str, CpeUri] = {}
+        self._days: dict[str, date] = {}
+        self._scores: dict[tuple[type, str], Decimal] = {}
+
+    def cpe(self, raw: str) -> CpeUri:
+        """``CpeUri.parse(raw)``."""
+        uri = self._cpes.get(raw)
+        if uri is None:
+            uri = self._cpes[raw] = CpeUri.parse(raw)
+        return uri
+
+    def day(self, text: str) -> date:
+        """``date.fromisoformat(text)``; only a string is looked up."""
+        if not isinstance(text, str):
+            return date.fromisoformat(text)
+        day = self._days.get(text)
+        if day is None:
+            day = self._days[text] = date.fromisoformat(text)
+        return day
+
+    def score(self, value: Any) -> Decimal | None:
+        """The score of a JSON value, as ``CveRecord`` coerces it. Only an
+        int or a float is looked up, keyed by its type and notation, so that
+        1 and 1.0, or -0.0 and 0.0, keep the notation they are stored in."""
+        if type(value) not in (int, float):  # None, a Decimal, and what is rejected
+            return _coerce_score(value)
+        key = (type(value), str(value))
+        score = self._scores.get(key)
+        if score is None:
+            score = self._scores[key] = _coerce_score(value)
+        return score
+
+
+@dataclass(frozen=True, slots=True)
 class WellFormedName:
     """Canonical {name, vendor, version} identity for a product.
 
@@ -260,7 +311,7 @@ class WellFormedName:
         return (self.vendor, self.name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssetRecord:
     """One inventory asset: its id and the well-formed name its tickets group under."""
 

@@ -34,7 +34,7 @@ from .errors import (
     SnapshotNotFoundError,
     ValidationError,
 )
-from .model import CpeUri, CveRecord
+from .model import CveRecord, FieldMemo
 
 # The C encoder; any indent would force the pure-Python one.
 _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -165,13 +165,13 @@ def _content_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _decode_line(line: bytes, cpes: dict[str, CpeUri]) -> CveRecord:
+def _decode_line(line: bytes, memo: FieldMemo, earlier: CveRecord | None) -> CveRecord:
     """The record of one stored line, which must be one JSON value."""
     text = line.decode("utf-8")
     data, end = _DECODER.raw_decode(text)
     if end != len(text):
         raise _NotLines
-    return CveRecord.from_dict(data, cpes)
+    return CveRecord.from_dict(data, memo, earlier)
 
 
 def _same(kept: CveRecord | None, record: CveRecord) -> bool:
@@ -188,7 +188,7 @@ def load_snapshot(
     day: date,
     *,
     previous: Snapshot | None = None,
-    cpes: dict[str, CpeUri] | None = None,
+    memo: FieldMemo | None = None,
 ) -> Snapshot:
     """Load the snapshot stored for a date, checking its date stamp, its
     record count, its ids and, for a delta, its chain.
@@ -197,16 +197,18 @@ def load_snapshot(
     side, so each record is decoded once. When the chain reaches
     ``previous``, the files above it are applied to its records, whose
     unchanged records are then the same objects. A line that decodes equal
-    to ``previous``'s record for its id is taken as that one. Any other
-    layout, and any fault, is left to a load of each file decoded whole,
-    which names the fault. ``cpes`` maps raw CPE strings to their parsed
-    names and gains each one parsed here; without it, every CPE string is
-    parsed once per load.
+    to ``previous``'s record for its id is taken as that one; any other
+    line of that id is built with the id, summary and references of that
+    record where they are equal, each line built once. Any other layout,
+    and any fault, is left to a load of each file decoded whole, which
+    names the fault. ``memo`` holds the CPE names, dates and scores parsed
+    before and gains each one parsed here; without it, each is parsed once
+    per load.
     """
     path = snapshot_path(store_root, day)
     if not path.exists():
         raise SnapshotNotFoundError(f"no snapshot stored for {day.isoformat()}")
-    cpes = {} if cpes is None else cpes
+    memo = FieldMemo() if memo is None else memo
     kept = {} if previous is None else previous.records
     try:
         chain = _chain(store_root, day, None if previous is None else previous.date)
@@ -216,11 +218,12 @@ def load_snapshot(
         gone = {cve_id for _, head in chain for cve_id in head.removed}
         records = {cve_id: record for cve_id, record in below.items() if cve_id not in gone}
         for cve_id, line in _content(chain, below):
-            record = _decode_line(line, cpes)
+            earlier = kept.get(cve_id)
+            record = _decode_line(line, memo, earlier)
             if record.id != cve_id:
                 raise _NotLines
-            if _same(kept.get(cve_id), record):
-                record = kept[cve_id]
+            if _same(earlier, record):
+                record = earlier
             records[record.id] = record  # keyed by the record's own id, not a copy of it
         if below:
             records = {cve_id: records[cve_id] for cve_id in sorted(records)}
@@ -228,10 +231,10 @@ def load_snapshot(
             raise _NotLines
         return Snapshot(date=day, records=records)
     except (_NotLines, KeyError, TypeError, ValueError, RecursionError, ValidationError):
-        return _load_whole(store_root, day, cpes)
+        return _load_whole(store_root, day, memo)
 
 
-def _load_whole(store_root: str | Path, day: date, cpes: dict[str, CpeUri]) -> Snapshot:
+def _load_whole(store_root: str | Path, day: date, memo: FieldMemo) -> Snapshot:
     """Load a stored day by decoding each file of its chain whole and
     checking it, newest first, then applying the files in date order: the
     load of a day in any JSON layout, and the one that names a fault."""
@@ -241,7 +244,7 @@ def _load_whole(store_root: str | Path, day: date, cpes: dict[str, CpeUri]) -> S
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
             date.fromisoformat(payload["date"])  # a bad date is named before a bad record
-            built = [CveRecord.from_dict(data, cpes) for data in payload["records"]]
+            built = [CveRecord.from_dict(data, memo) for data in payload["records"]]
             head = _payload_head(payload)
         except (KeyError, TypeError, ValueError, RecursionError, ValidationError) as exc:
             head = _head_of(path)

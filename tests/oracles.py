@@ -53,7 +53,7 @@ from cvesentinel.ingest import (
     snapshot_path,
 )
 from cvesentinel.matcher import FUNCTION_WORDS, FpFilter, MatchResult
-from cvesentinel.model import AssetRecord, CpeUri, CveRecord, MatchVia
+from cvesentinel.model import AssetRecord, CpeUri, CveRecord, FieldMemo, MatchVia
 from cvesentinel.normalize import DEFAULT_STOP_WORDS, StopWordList, as_text, standardize
 
 _SEPARATORS = re.compile(r"[\s,;:/\\_-]+")
@@ -334,13 +334,12 @@ def oracle_parse_feed(data: bytes | str) -> FeedParseResult:
 
     records: list[CveRecord] = []
     rejects: list[FeedReject] = []
-    cpes: dict[str, CpeUri] = {}
     for index, item in enumerate(document["CVE_Items"]):
         if not isinstance(item, dict):
             rejects.append(FeedReject(index=index, reason="item is not an object"))
             continue
         try:
-            records.append(_parse_feed_item(item, cpes))
+            records.append(_parse_feed_item(item, FieldMemo()))  # nothing shared between items
         except ValidationError as exc:
             rejects.append(FeedReject(index=index, reason=str(exc), cve_id=_item_id(item)))
     return FeedParseResult(records=tuple(records), rejects=tuple(rejects))

@@ -529,6 +529,33 @@ class TestTickets:
         assert err.endswith(f"error: filter lists {argv[-3]} and {argv[-1]} were built under "
                             f"{built}, but tickets is given {given}\n")
 
+    @pytest.mark.parametrize("fault", ["stop-word-list", "labels", "missing-list"])
+    def test_unusable_filter_lists_exit_2_before_the_store_is_read(
+            self, tmp_path, store, capsys, monkeypatch, fault):
+        """No day is loaded, and with today missing from the store too, the
+        lists' error is still the one reported."""
+        argv = self._filter_under_stop_words(tmp_path, store, [])
+        if fault == "stop-word-list":
+            argv += ["--stopwords", write(tmp_path, "stop.txt", "server\n")]
+        elif fault == "labels":
+            Path(argv[-3]).write_text("#source_year=1999\n", encoding="utf-8")
+        else:
+            argv[-1] = str(tmp_path / "absent.txt")
+        loads = []
+        monkeypatch.setattr(ingest, "load_snapshots", lambda *a, **k: loads.append(a))
+        monkeypatch.setattr(ingest, "load_snapshot", lambda *a, **k: loads.append(a))
+        errors = []
+        for day in ("2021-06-02", "2021-06-09"):
+            capsys.readouterr()
+            assert main([*argv[:2], day, *argv[3:]]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert_one_line_error(err)
+            errors.append(err)
+        assert loads == []
+        assert errors[0] == errors[1]
+        assert ("filter lists" in errors[0]) == (fault == "stop-word-list")
+
     def test_filter_built_under_the_same_stop_word_list_filters(self, tmp_path, store, capsys):
         stop_words = write(tmp_path, "stop.txt", "# the one word\nserver\n")
         argv = self._filter_under_stop_words(tmp_path, store, ["--stopwords", stop_words])

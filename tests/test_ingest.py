@@ -11,6 +11,7 @@ import tempfile
 import tracemalloc
 from dataclasses import replace
 from datetime import date, timedelta
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -74,6 +75,23 @@ class TestParseFeed:
         result = parse_feed(feed_bytes([feed_item("CVE-2021-0001", score=9.8)]))
         assert len(result.records) == 1
         assert float(result.records[0].cvss3_base) == 9.8
+
+    def test_records_of_one_feed_share_their_dates_scores_and_cpe_names(self):
+        """One object per distinct date, score notation and CPE string; a
+        score of 1 and one of 1.0 stay apart."""
+        anvil = [cpe23("acme", "anvil")]
+        result = parse_feed(feed_bytes([
+            feed_item("CVE-2021-0001", published="2021-06-01T03:15Z", score=7.5, cpes=anvil),
+            feed_item("CVE-2021-0002", published="2021-06-01T09:00Z", modified="2021-06-01T10:00Z",
+                      score=7.5, cpes=anvil),
+            feed_item("CVE-2021-0003", score=1),
+            feed_item("CVE-2021-0004", score=1.0),
+        ]))
+        one, two, three, four = result.records
+        assert one.published is two.published is two.last_modified is three.published
+        assert one.cvss3_base is two.cvss3_base and one.cpe_list[0] is two.cpe_list[0]
+        assert three.cvss3_base.as_tuple() == Decimal("1").as_tuple()
+        assert four.cvss3_base.as_tuple() == Decimal("1.0").as_tuple()
 
     def test_empty_nodes_give_empty_cpe_list(self):
         result = parse_feed(feed_bytes([feed_item("CVE-2021-0001", cpes=[])]))

@@ -3,6 +3,10 @@ and emitted forms (CveRecord, Ticket)."""
 
 from __future__ import annotations
 
+import copy
+import pickle
+import weakref
+from dataclasses import FrozenInstanceError, fields
 from datetime import date
 from decimal import Decimal
 
@@ -157,6 +161,45 @@ class TestAssetRecord:
     def test_empty_asset_id_rejected(self):
         with pytest.raises(ValidationError):
             AssetRecord(asset_id="", wfn=WellFormedName(name="x", vendor="y"))
+
+
+# One value of each slotted type: a record with every field set, and an asset.
+SLOTTED = {
+    "CpeUri": CpeUri.parse("cpe:2.3:a:vendor:product\\:pro:1.0:*:*:*:*:*:*:*"),
+    "CveRecord": make_record("CVE-2021-0001", modified="2021-06-03", summary="flaw", score=7.5,
+                             cpes=[cpe23("acme", "anvil")], refs=["https://a"]),
+    "WellFormedName": WellFormedName(name="r2d2", vendor="geotab", version="3.0"),
+    "AssetRecord": AssetRecord(asset_id="A1", wfn=WellFormedName(name="x", vendor="y")),
+}
+
+
+class TestSlottedTypes:
+    @pytest.mark.parametrize("name", SLOTTED)
+    def test_no_dict_and_no_weak_reference(self, name):
+        value = SLOTTED[name]
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(value)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("name", SLOTTED)
+    def test_pickle_round_trip(self, name, protocol):
+        value = SLOTTED[name]
+        copied = pickle.loads(pickle.dumps(value, protocol))
+        assert type(copied) is type(value) and copied == value and repr(copied) == repr(value)
+
+    @pytest.mark.parametrize("name", SLOTTED)
+    def test_deepcopy_round_trip(self, name):
+        value = SLOTTED[name]
+        copied = copy.deepcopy(value)
+        assert copied is not value
+        assert type(copied) is type(value) and copied == value and repr(copied) == repr(value)
+
+    @pytest.mark.parametrize("name", SLOTTED)
+    def test_a_copy_stays_frozen(self, name):
+        for copied in (copy.deepcopy(SLOTTED[name]), pickle.loads(pickle.dumps(SLOTTED[name]))):
+            with pytest.raises(FrozenInstanceError):
+                setattr(copied, fields(copied)[0].name, None)
 
 
 class TestTicket:

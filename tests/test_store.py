@@ -11,7 +11,9 @@ import re
 import tempfile
 import tracemalloc
 from datetime import date, timedelta
+from decimal import Decimal
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from cvesentinel.cli import main
 from cvesentinel.errors import SnapshotIntegrityError
 from cvesentinel.ingest import Snapshot, load_snapshot, load_snapshots, snapshot_path, store_snapshot
 from cvesentinel.model import CveRecord
-from cvesentinel.store import _Head, _parse_head
+from cvesentinel.store import _encode, _Head, _parse_head
 from oracles import oracle_content_digest, oracle_load_snapshot, oracle_store_snapshot
 
 DAYS = [date(2021, 6, 1) + timedelta(days=n) for n in range(6)]
@@ -240,9 +242,9 @@ class TestLoads:
         built = []
         from_dict = CveRecord.from_dict
 
-        def counted(data, cpes=None):
+        def counted(data, *args):
             built.append(data["id"])
-            return from_dict(data, cpes)
+            return from_dict(data, *args)
 
         monkeypatch.setattr(CveRecord, "from_dict", counted)
         loaded = load_snapshot(tmp_path, DAYS[3])
@@ -267,9 +269,9 @@ class TestLoads:
         built = []
         from_dict = CveRecord.from_dict
 
-        def counted(data, cpes=None):
+        def counted(data, *args):
             built.append(data["id"])
-            return from_dict(data, cpes)
+            return from_dict(data, *args)
 
         monkeypatch.setattr(CveRecord, "from_dict", counted)
         loaded = load_snapshot(tmp_path, DAYS[3], previous=first)
@@ -287,6 +289,126 @@ class TestLoads:
         assert loaded[1].records["CVE-2021-0001"] is loaded[0].records["CVE-2021-0001"]
         assert loaded[2].records["CVE-2021-0004"] is loaded[1].records["CVE-2021-0004"]
         assert loaded[1].records["CVE-2021-0002"] is not loaded[0].records["CVE-2021-0002"]
+
+
+def stored_lines(snapshot: Snapshot) -> list[bytes]:
+    """The record lines of a day stored whole, without their commas."""
+    return [line.rstrip(b",") for line in whole_text(snapshot).split(b"\n")[1:-2]]
+
+
+class TestSharedValues:
+    """A load, and a range of loads, hold one object per distinct date and
+    score, and a changed record holds the text of the day before that it
+    did not change; no value changes its notation by being shared."""
+
+    def test_records_of_one_load_share_their_dates_and_scores(self, tmp_path):
+        store_snapshot(tmp_path, snapshot_of("2021-06-01", [
+            make_record("CVE-2021-0001", published="2021-05-01", score=7.5),
+            make_record("CVE-2021-0002", published="2021-05-01", modified="2021-05-02", score=7.5),
+            make_record("CVE-2021-0003", published="2021-05-02", score=5.0)]))
+        store_snapshot(tmp_path, snapshot_of("2021-06-02", [
+            make_record("CVE-2021-0001", published="2021-05-01", score=7.5),
+            make_record("CVE-2021-0004", published="2021-05-02", score=5.0)]))
+        first, second = load_snapshots(tmp_path, DAYS[:2])
+        one, two, three = first.records.values()
+        assert one.published is two.published is one.last_modified
+        assert two.last_modified is three.published is three.last_modified
+        assert one.cvss3_base is two.cvss3_base
+        new = second.records["CVE-2021-0004"]
+        assert new.published is three.published and new.cvss3_base is three.cvss3_base
+
+    def test_a_changed_record_keeps_the_text_it_did_not_change(self, tmp_path):
+        refs = ["https://a", "https://b"]
+        first = snapshot_of("2021-06-01", [
+            make_record("CVE-2021-0001", summary="flaw in anvil", refs=refs),
+            make_record("CVE-2021-0002", summary="flaw in widget", refs=refs)])
+        store_snapshot(tmp_path, first)
+        store_snapshot(tmp_path, snapshot_of("2021-06-02", [
+            make_record("CVE-2021-0001", summary="flaw in anvil", score=9.8, refs=refs),
+            make_record("CVE-2021-0002", summary="overflow in widget", refs=refs[:1])]))
+        alone = load_snapshot(tmp_path, DAYS[0])
+        for before, after in ((alone, load_snapshot(tmp_path, DAYS[1], previous=alone)),
+                              tuple(load_snapshots(tmp_path, DAYS[:2]))):
+            rescored, rewritten = (after.records[i] for i in ("CVE-2021-0001", "CVE-2021-0002"))
+            kept = before.records["CVE-2021-0001"]
+            assert rescored != kept
+            assert rescored.id is kept.id
+            assert rescored.summary is kept.summary and rescored.references is kept.references
+            assert rewritten.id is before.records["CVE-2021-0002"].id
+            assert rewritten.summary == "overflow in widget" and rewritten.references == ("https://a",)
+            assert after == oracle_load_snapshot(tmp_path, DAYS[1])
+
+    def test_a_delta_load_builds_one_record_per_decoded_line(self, tmp_path, monkeypatch):
+        """Each line of the files above the day loaded before is built into
+        one record, once: a changed record, a new one and a line equal to
+        the day before's record alike."""
+        records = {f"CVE-2021-{n:04d}": make_record(f"CVE-2021-{n:04d}", summary=f"flaw {n}",
+                                                     refs=[f"https://{n}"]) for n in range(1, 11)}
+        store_snapshot(tmp_path, Snapshot(DAYS[0], records))
+        records["CVE-2021-0001"] = make_record("CVE-2021-0001", summary="flaw 1", score=5.0,
+                                               refs=["https://1"])
+        records["CVE-2021-0002"] = make_record("CVE-2021-0002", summary="changed")
+        records["CVE-2021-0011"] = make_record("CVE-2021-0011")
+        del records["CVE-2021-0003"]
+        store_snapshot(tmp_path, Snapshot(DAYS[1], records))
+        records["CVE-2021-0001"] = make_record("CVE-2021-0001", summary="flaw 1", refs=["https://1"])
+        store_snapshot(tmp_path, Snapshot(DAYS[2], records))  # 0001 as on the first day again
+        assert head_of(tmp_path, DAYS[2])["base"] == "2021-06-02"
+        # the replay decodes the newest line of each id its files hold
+        lines = {record["id"] for day in DAYS[1:3]
+                 for record in json.loads(snapshot_path(tmp_path, day).read_text())["records"]}
+        assert lines == {"CVE-2021-0001", "CVE-2021-0002", "CVE-2021-0011"}
+        first = load_snapshot(tmp_path, DAYS[0])
+        built = []
+        post_init = CveRecord.__post_init__
+
+        def counted(record):
+            built.append(record.id)
+            post_init(record)
+
+        monkeypatch.setattr(CveRecord, "__post_init__", counted)
+        loaded = load_snapshot(tmp_path, DAYS[2], previous=first)
+        assert sorted(built) == sorted(lines)
+        assert loaded.records["CVE-2021-0001"] is first.records["CVE-2021-0001"]
+        assert loaded == Snapshot(DAYS[2], records)
+
+    def test_a_score_keeps_its_type_and_notation(self, tmp_path):
+        """-0.0, 0.0, a hand-written 1 and 1.0 each load as their own
+        Decimal, and the day stored again from them writes each one as the
+        store writes it: only the hand-written 1 becomes 1.0."""
+        values = [-0.0, 0.0, 1, 1.0]
+        dicts = [{**make_record(f"CVE-2021-000{n}").to_dict(), "cvss3_base": value}
+                 for n, value in enumerate(values, 1)]
+        path = snapshot_path(tmp_path, DAYS[0])
+        path.parent.mkdir()
+        path.write_text(compact_day({"date": "2021-06-01", "record_count": 4, "records": dicts}),
+                        encoding="utf-8")
+        expected = [Decimal(str(value)).as_tuple() for value in values]
+        for loaded in (load_snapshot(tmp_path, DAYS[0]), *load_snapshots(tmp_path, DAYS[:1])):
+            assert [r.cvss3_base.as_tuple() for r in loaded.records.values()] == expected
+            assert whole_text(loaded).decode() == compact_day({
+                "date": "2021-06-01", "record_count": 4,
+                "records": [{**d, "cvss3_base": float(d["cvss3_base"])} for d in dicts]})
+        store_snapshot(tmp_path, Snapshot(DAYS[1], loaded.records))
+        assert [r["id"] for r in json.loads(snapshot_path(tmp_path, DAYS[1]).read_text())["records"]] == [
+            "CVE-2021-0003"]
+        assert [r.cvss3_base.as_tuple() for r in load_snapshot(tmp_path, DAYS[1]).records.values()] == [
+            *expected[:2], Decimal("1.0").as_tuple(), expected[3]]
+
+    def test_a_date_that_is_not_a_string_finds_no_score(self, tmp_path, capsys):
+        """A score of 7.5 parsed before a "published" of 7.5 leaves that
+        record as corrupt as it was: the day exits 4 through stats."""
+        good = make_record("CVE-2021-0001", score=7.5).to_dict()
+        bad = {**make_record("CVE-2021-0002").to_dict(), "published": 7.5}
+        path = snapshot_path(tmp_path, DAYS[0])
+        path.parent.mkdir()
+        path.write_text(compact_day({"date": "2021-06-01", "record_count": 2, "records": [good, bad]}),
+                        encoding="utf-8")
+        argv = ["stats", "--report", "daily", "--from", "2021-06-01", "--to", "2021-06-01",
+                "--store", str(tmp_path)]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            f"error: corrupt snapshot file {path}: fromisoformat: argument must be str\n")
 
 
 _DIGESTS = st.binary(min_size=16, max_size=16).map(bytes.hex)
@@ -461,7 +583,7 @@ _RECORDS = st.builds(
     make_record,
     st.sampled_from(_IDS),
     summary=st.sampled_from(["", "flaw", "flaw in acme anvil"]),
-    score=st.sampled_from([None, 5.0, 9.8]),
+    score=st.sampled_from([None, -0.0, 0.0, 5.0, 9.8]),
     cpes=st.lists(st.sampled_from([cpe23("acme", "anvil"), cpe23("px", "x")]), max_size=2, unique=True),
 )
 _OPERATIONS = st.lists(
@@ -474,6 +596,22 @@ _OPERATIONS = st.lists(
 )
 
 
+def run_operations(root, operations) -> Iterator[dict[date, Snapshot]]:
+    """Apply each drawn operation to the store at ``root``, yielding the
+    model of the stored days after each."""
+    model: dict[date, Snapshot] = {}
+    for operation in operations:
+        if operation[0] == "store":
+            _, day, records = operation
+            model[day] = snapshot_of(day.isoformat(), records)
+            store_snapshot(root, model[day], overwrite=True)
+        elif model:
+            newest = max(model)
+            snapshot_path(root, newest).unlink()
+            del model[newest]
+        yield model
+
+
 @given(_OPERATIONS)
 @settings(max_examples=80, deadline=None)
 def test_the_store_loads_as_its_model_after_every_operation(operations):
@@ -481,16 +619,25 @@ def test_the_store_loads_as_its_model_after_every_operation(operations):
     the newest deleted, records removed and days left empty, with churn
     enough for whole days: after each step every stored day loads equal to
     the model, alone, in a range and through the oracle."""
-    model: dict[date, Snapshot] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for operation in operations:
-            if operation[0] == "store":
-                _, day, records = operation
-                model[day] = snapshot_of(day.isoformat(), records)
-                store_snapshot(tmp, model[day], overwrite=True)
-            elif model:
-                newest = max(model)
-                snapshot_path(tmp, newest).unlink()
-                del model[newest]
+        for model in run_operations(tmp, operations):
             if model:
                 assert_stored(tmp, model)
+
+
+@given(_OPERATIONS)
+@settings(max_examples=60, deadline=None)
+def test_a_range_load_re_encodes_to_the_stored_lines(operations):
+    """After each step, every day of one range load over all stored days,
+    whose records share one object per date and score, equals the oracle's
+    load, and each of its records encodes to its stored line byte for byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for model in run_operations(tmp, operations):
+            days = sorted(model)
+            for day, loaded in zip(days, load_snapshots(tmp, days), strict=True):
+                oracle = oracle_load_snapshot(tmp, day)
+                assert loaded == oracle
+                assert [repr(r) for r in loaded.records.values()] == [
+                    repr(r) for r in oracle.records.values()]
+                assert [_encode(loaded.records[i]) for i in sorted(loaded.records)] == stored_lines(
+                    model[day])
