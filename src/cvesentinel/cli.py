@@ -1,8 +1,8 @@
 """Command-line front door: ingest, tickets, stats, build-filter, evaluate.
 
-Machine-readable reports go to standard output (or --output); human
-summaries go to standard error. Exit codes are stable: 0 success, 2 input
-error, 3 store conflict, 4 integrity error.
+Machine-readable reports go to standard output (or --output, replaced only
+when the command succeeds); human summaries go to standard error. Exit codes
+are stable: 0 success, else the error class's ``exit_code`` (2, 3 or 4).
 """
 
 from __future__ import annotations
@@ -12,35 +12,26 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import fields
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 # analytics, matcher and ticketer are imported by the commands that run them,
 # so that no command pays for loading the others.
 from . import ingest
-from .errors import (
-    FormatError,
-    MatchIntegrityError,
-    SentinelError,
-    SnapshotExistsError,
-    SnapshotIntegrityError,
-    SnapshotNotFoundError,
-)
+from .errors import FormatError, SentinelError, SnapshotNotFoundError
 from .ingest import Snapshot
 from .model import CveRecord
 from .normalize import DEFAULT_MIN_NAME_LEN, StopWordList, read_text_file, standardize
+from .store import replacing
 
 STORE_ENV_VAR = "SENTINEL_STORE"
 DEFAULT_STORE = "sentinel-store"
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_CONFLICT = 3
-EXIT_INTEGRITY = 4
 
 
 def _date_arg(value: str) -> date:
@@ -69,15 +60,19 @@ def _stop_words(args: argparse.Namespace) -> StopWordList | None:
     return StopWordList.from_file(args.stopwords) if args.stopwords else None
 
 
-def _write_text(args: argparse.Namespace, text: str) -> None:
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+@contextmanager
+def _report(output: str | None) -> Iterator[TextIO]:
+    """Where a command writes its report: stdout, or ``output`` through a
+    temp file that replaces it only once the command completes."""
+    if not output:
+        yield sys.stdout
+        return
+    with replacing(output) as file, io.TextIOWrapper(file, encoding="utf-8") as out:
+        yield out
 
 
-def _emit_json(args: argparse.Namespace, payload: object) -> None:
-    _write_text(args, json.dumps(payload, indent=2) + "\n")
+def _emit_json(out: TextIO, payload: object) -> None:
+    out.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _read_feeds(paths: Sequence[str]) -> tuple[dict[str, CveRecord], dict[str, int]]:
@@ -105,7 +100,7 @@ def _feed_corpus(paths: Sequence[str]) -> tuple[list, int]:
     return corpus, len(records) - len(corpus)
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
+def cmd_ingest(args: argparse.Namespace, out: TextIO) -> None:
     records, reject_counts = _read_feeds(args.feeds)
     snapshot = Snapshot(date=args.date, records=records)
     path = ingest.store_snapshot(args.store, snapshot, overwrite=args.overwrite)
@@ -114,7 +109,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "as changes to {} ({} new, {} changed, {} removed)".format(*changes))
     _note(f"stored snapshot {args.date.isoformat()} with {len(records)} records {how}")
     _emit_json(
-        args,
+        out,
         {
             "date": args.date.isoformat(),
             "stored": len(records),
@@ -122,7 +117,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             "rejected_total": sum(reject_counts.values()),
         },
     )
-    return EXIT_OK
 
 
 def _load_filter(args: argparse.Namespace) -> matcher.FpFilter:
@@ -134,7 +128,7 @@ def _load_filter(args: argparse.Namespace) -> matcher.FpFilter:
     return matcher.FpFilter.empty()
 
 
-def cmd_tickets(args: argparse.Namespace) -> int:
+def cmd_tickets(args: argparse.Namespace, out: TextIO) -> None:
     from . import matcher, ticketer
     stop_words = _stop_words(args)
     # The lists are checked before the store is read, so that lists that
@@ -180,12 +174,7 @@ def cmd_tickets(args: argparse.Namespace) -> int:
         stop_words=stop_words,
     )
     tickets = ticketer.group_matches(matches, index, snapshot.records, created=args.date)
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as sink:
-            count = ticketer.emit_tickets(tickets, sink)
-    else:
-        count = ticketer.emit_tickets(tickets, sys.stdout)
+    count = ticketer.emit_tickets(tickets, out)
 
     via_by_cve = {m.cve_id: m.via for m in matches}
     via_counts = Counter(v.value for v in via_by_cve.values())
@@ -193,7 +182,6 @@ def cmd_tickets(args: argparse.Namespace) -> int:
         f"{count} ticket(s) from {len(cves)} CVE(s); matched via "
         f"CPE={via_counts.get('CPE', 0)} SUMMARY={via_counts.get('SUMMARY', 0)}"
     )
-    return EXIT_OK
 
 
 def _snapshots(args: argparse.Namespace) -> Iterator[Snapshot]:
@@ -207,16 +195,19 @@ def _snapshots(args: argparse.Namespace) -> Iterator[Snapshot]:
     )
 
 
+# A score as written in ASCII: float() alone also reads "1_0" as 10, and digits of other scripts.
+_SCORE = re.compile(r"[+-]?((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)", re.I | re.ASCII)
+
+
 def _read_score_file(path: str) -> list[float]:
     scores = []
     for line_number, line in enumerate(read_text_file(path).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            scores.append(float(line))
-        except ValueError:
+        if not _SCORE.fullmatch(line):
             raise FormatError(f"{path}:{line_number}: not a number: {line!r}")
+        scores.append(float(line))
     return scores
 
 
@@ -298,7 +289,7 @@ REPORT_OPTIONS = {"--stopwords": "stopwords", "--from": "date_from", "--to": "da
                   "--method": "method"}
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace, out: TextIO) -> None:
     from . import analytics
     row_type, report, needs, takes = STATS_REPORTS[args.report]
     given = [option for option, dest in REPORT_OPTIONS.items() if getattr(args, dest)]
@@ -310,17 +301,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
         raise FormatError(f"--report {args.report} needs {names}")
     payload, rows, summary = report(args)
     if not args.csv:
-        _emit_json(args, payload)
-        return EXIT_OK
-    buffer = io.StringIO()
+        _emit_json(out, payload)
+        return
     header = [f.name for f in fields(getattr(analytics, row_type))]
-    writer = csv.DictWriter(buffer, header, lineterminator="\n")
+    writer = csv.DictWriter(out, header, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    _write_text(args, buffer.getvalue())
     if summary:
         _note(" ".join(f"{key}={value}" for key, value in summary.items()))
-    return EXIT_OK
 
 
 def _read_dictionary(
@@ -331,9 +319,12 @@ def _read_dictionary(
     return dictionary
 
 
-def cmd_build_filter(args: argparse.Namespace) -> int:
+def cmd_build_filter(args: argparse.Namespace, out: TextIO) -> None:
     from . import matcher
     matcher.FpFilter.header(args.source_year)  # an unwritable label fails before any read
+    outputs = [Path(p).resolve() for p in (args.out_vendors, args.out_products, args.output) if p]
+    if len(set(outputs)) < len(outputs):
+        raise FormatError("--out-vendors, --out-products and --output must name different files")
     stop_words = _stop_words(args)
     dictionary = _read_dictionary(args, stop_words)
     corpus, excluded = _feed_corpus(args.feeds)
@@ -347,7 +338,7 @@ def cmd_build_filter(args: argparse.Namespace) -> int:
     fp_filter.save(args.out_vendors, args.out_products)
     _note(f"filter built from {len(corpus)} CPE-bearing record(s), {excluded} excluded")
     _emit_json(
-        args,
+        out,
         {
             "vendors": len(fp_filter.vendor_names),
             "products": len(fp_filter.product_names),
@@ -356,10 +347,9 @@ def cmd_build_filter(args: argparse.Namespace) -> int:
             "source_year": args.source_year,
         },
     )
-    return EXIT_OK
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace, out: TextIO) -> None:
     from . import matcher
     stop_words = _stop_words(args)
     dictionary = _read_dictionary(args, stop_words)
@@ -368,8 +358,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         corpus, dictionary, min_name_len=args.min_name_len, stop_words=stop_words
     )
     _note(f"evaluated {report.total} CPE-bearing record(s), {excluded} excluded for missing CPE")
-    _emit_json(args, report.to_dict())
-    return EXIT_OK
+    _emit_json(out, report.to_dict())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,16 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SnapshotExistsError as exc:
-        _note(f"error: {exc}")
-        return EXIT_CONFLICT
-    except (MatchIntegrityError, SnapshotIntegrityError) as exc:
-        _note(f"error: {exc}")
-        return EXIT_INTEGRITY
+        with _report(args.output) as out:
+            args.func(args, out)
     except (SentinelError, OSError) as exc:
         _note(f"error: {exc}")
-        return EXIT_INPUT
+        return getattr(exc, "exit_code", 2)
+    return 0
 
 
 if __name__ == "__main__":

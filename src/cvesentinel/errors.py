@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto its exit-code contract: store conflicts exit 3,
-integrity failures exit 4, everything else that is the caller's fault
-exits 2.
+Each class declares the exit code the CLI returns for it: store conflicts
+exit 3, integrity failures exit 4, and everything else that is the
+caller's fault exits 2, as an ``OSError`` does.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 class SentinelError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 2
 
 
 class ValidationError(SentinelError):
@@ -34,10 +35,12 @@ class SnapshotNotFoundError(SentinelError):
 
 class SnapshotExistsError(SentinelError):
     """A snapshot for this date is already stored and overwrite was not requested."""
+    exit_code = 3
 
 
 class SnapshotIntegrityError(SentinelError):
     """A stored snapshot file is corrupt or inconsistent with its name."""
+    exit_code = 4
 
 
 class OrderingError(SentinelError):
@@ -50,6 +53,7 @@ class DomainError(SentinelError):
 
 class MatchIntegrityError(SentinelError):
     """A match references an asset or CVE id that is not in the given indexes."""
+    exit_code = 4
 
 
 class EmitError(SentinelError):

@@ -25,6 +25,7 @@ from .ingest import CpeDictionary
 from .model import AssetRecord, CveRecord, MatchVia, Row
 from .normalize import (DEFAULT_MIN_NAME_LEN, StopWordList, read_text_file, standardize, tokenize,
                         well_formed_from_cpe)
+from .store import replacing
 
 # The header lines of a filter list, before their labels: the source year
 # always, the digest of the stop-word list only when one was given.
@@ -74,12 +75,15 @@ class FpFilter:
         return header
 
     def save(self, vendors_path: str | Path, products_path: str | Path) -> None:
+        """Write both lists, each through a temp file: both are replaced, or neither is."""
+        if Path(vendors_path).resolve() == Path(products_path).resolve():
+            raise ValidationError(f"{vendors_path} and {products_path} name the same file")
         header = [self.header(self.source_year)]
         if self.stop_words_digest is not None:
             header.append(f"{_STOP_WORDS_LABEL}{self.stop_words_digest}")
-        for path, names in ((vendors_path, self.vendor_names), (products_path, self.product_names)):
-            lines = header + sorted(names)
-            Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with replacing(vendors_path) as vendors, replacing(products_path) as products:
+            for out, names in ((vendors, self.vendor_names), (products, self.product_names)):
+                out.write(("\n".join(header + sorted(names)) + "\n").encode())
 
     @classmethod
     def load(cls, vendors_path: str | Path, products_path: str | Path) -> "FpFilter":

@@ -211,7 +211,8 @@ class CveRecord:
         records built before this one, and gains each one parsed here.
         ``earlier``, a record of the same CVE, lends its id, summary and
         references where this record's are equal, so that a changed record
-        holds no second copy of the text that did not change.
+        holds no second copy of the text that did not change; it is returned
+        when the two are equal, scores written alike (1 is not 1.0).
         """
         if not isinstance(data, dict):
             raise ValidationError(f"stored record is not an object but {type(data).__name__}")
@@ -229,7 +230,7 @@ class CveRecord:
             cve_id = earlier.id if cve_id == earlier.id else cve_id
             summary = earlier.summary if summary == earlier.summary else summary
             references = earlier.references if references == earlier.references else references
-        return cls(
+        record = cls(
             id=cve_id,
             published=published,
             last_modified=last_modified,
@@ -238,6 +239,8 @@ class CveRecord:
             cpe_list=cpe_list,
             references=references,
         )
+        same = record == earlier and str(record.cvss3_base) == str(earlier.cvss3_base)
+        return earlier if same else record
 
 
 class FieldMemo:

@@ -174,14 +174,6 @@ def _decode_line(line: bytes, memo: FieldMemo, earlier: CveRecord | None) -> Cve
     return CveRecord.from_dict(data, memo, earlier)
 
 
-def _same(kept: CveRecord | None, record: CveRecord) -> bool:
-    """Whether two records are equal down to how their scores are written:
-    1 and 1.0 are equal scores, but not the same stored value."""
-    return kept is not None and kept == record and (
-        record.cvss3_base is None or kept.cvss3_base.as_tuple() == record.cvss3_base.as_tuple()
-    )
-
-
 @_gc_paused()
 def load_snapshot(
     store_root: str | Path,
@@ -196,10 +188,9 @@ def load_snapshot(
     A day is replayed from the lines of its chain's files read side by
     side, so each record is decoded once. When the chain reaches
     ``previous``, the files above it are applied to its records, whose
-    unchanged records are then the same objects. A line that decodes equal
-    to ``previous``'s record for its id is taken as that one; any other
-    line of that id is built with the id, summary and references of that
-    record where they are equal, each line built once. Any other layout,
+    unchanged records are then the same objects. A line of an id that
+    ``previous`` holds is built from that record (``CveRecord.from_dict``'s
+    ``earlier``), each line built once. Any other layout,
     and any fault, is left to a load of each file decoded whole, which
     names the fault. ``memo`` holds the CPE names, dates and scores parsed
     before and gains each one parsed here; without it, each is parsed once
@@ -222,8 +213,6 @@ def load_snapshot(
             record = _decode_line(line, memo, earlier)
             if record.id != cve_id:
                 raise _NotLines
-            if _same(earlier, record):
-                record = earlier
             records[record.id] = record  # keyed by the record's own id, not a copy of it
         if below:
             records = {cve_id: records[cve_id] for cve_id in sorted(records)}
@@ -385,12 +374,25 @@ def _write_day(write: Callable[[bytes], object], head: _Head, lines: Iterable[by
 
 
 @contextmanager
-def _replacing(path: Path) -> Iterator[BinaryIO]:
-    """A temp file that replaces ``path`` once the block completes, and is
-    deleted when it fails, so a crash never leaves a half-written day."""
+def replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """The writer of every file the package writes: a temp file next to
+    ``path`` (a link's target) that replaces it once the block completes and
+    is deleted when it fails. A path as given that is not a regular file (a
+    FIFO, a device) cannot be replaced, and is written in place."""
+    given = Path(path)
+    if given.exists() and not given.is_file():
+        with open(given, "wb") as out:
+            yield out
+        return
+    path = given.resolve()
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     try:
-        with open(tmp, "wb") as out:
+        file = open(tmp, "wb")
+    except OSError as exc:
+        exc.filename = str(given)  # the file asked for, not its temp file
+        raise
+    try:
+        with file as out:
             yield out
         tmp.replace(path)
     except BaseException:
@@ -476,7 +478,7 @@ def store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool =
         changes = sum(_line_count(delta) + len(head.removed) + 1 for delta, head in chain[:-1])
         chain = chain if changes < chain[-1][1].record_count else None
     records = snapshot.records
-    with _replacing(path) as out:
+    with replacing(path) as out:
         if chain is None or not _write_delta(out, snapshot, chain):
             _write_day(out.write, _Head(snapshot.date, len(records)),
                        (_encode(records[cve_id]) for cve_id in sorted(records)))
@@ -490,7 +492,7 @@ def _rewrite_whole(store_root: str | Path, day: date) -> None:
     try:
         if chain is None:
             raise _NotLines
-        with _replacing(path) as out:
+        with replacing(path) as out:
             _write_day(out.write, _Head(day, chain[0][1].record_count),
                        (line for _, line in _content(chain)))
     except _NotLines:

@@ -8,8 +8,10 @@ import gzip
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import weakref
 import zlib
 from datetime import date
@@ -19,9 +21,9 @@ from pathlib import Path
 import pytest
 
 from conftest import DAY_LAYOUTS, cpe23, feed_bytes, feed_item
-from cvesentinel import cli, ingest
+from cvesentinel import cli, ingest, ticketer
 from cvesentinel.cli import main
-from cvesentinel.errors import SnapshotIntegrityError
+from cvesentinel.errors import EmitError, SnapshotIntegrityError
 from cvesentinel.ingest import load_snapshot
 from oracles import oracle_evaluate, oracle_load_snapshot
 from test_store import BREAKS, break_store
@@ -30,6 +32,13 @@ from test_store import BREAKS, break_store
 @pytest.fixture
 def store(tmp_path):
     return str(tmp_path / "store")
+
+
+@pytest.fixture(autouse=True)
+def no_temp_file_left(tmp_path):
+    """No command, failing ones included, leaves a writer's temp file behind."""
+    yield
+    assert [path for path in tmp_path.rglob("*.tmp.*") if path.suffix[1:].isdigit()] == []
 
 
 def write(tmp_path, name: str, data: bytes | str):
@@ -966,6 +975,22 @@ class TestStats:
             assert out.out == ""
             assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["1_0", "1_000.5", "5e1_0", "\u0663", "\uff11", "0x10", "1e"],
+                             ids=["underscore", "underscores", "exponent-underscore",
+                                  "arabic-indic", "fullwidth", "hex", "bare-exponent"])
+    def test_score_spelled_only_as_python_reads_it_exits_2(self, tmp_path, capsys, text):
+        a = write(tmp_path, "a.txt", f"1\n{text}  # a note\n")
+        b = write(tmp_path, "b.txt", "2\n3\n")
+        assert main(["stats", "--report", "ranktest", "--scores-a", a, "--scores-b", b]) == 2
+        assert capsys.readouterr().err == f"error: {a}:2: not a number: {text!r}\n"
+
+    def test_every_score_spelling_of_the_grammar_is_read(self, tmp_path, capsys):
+        a = write(tmp_path, "a.txt", "+1.5e3\n.5\n5.\n-7\n1E-2\n")
+        b = write(tmp_path, "b.txt", "-INF\nInfinity\n+inf\n0.25e+1\n")
+        assert main(["stats", "--report", "ranktest", "--scores-a", a, "--scores-b", b]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["n1"], payload["n2"]) == (5, 4)
+
     def test_ranktest_accepts_infinite_scores(self, tmp_path, capsys):
         a = write(tmp_path, "a.txt", "inf\n1\n5\n")
         b = write(tmp_path, "b.txt", "2\n3\n-inf\n")
@@ -1511,6 +1536,27 @@ class TestBuildFilterAndEvaluate:
         assert err == "error: source year '2020\\nx' is not one line\n"
         assert not out_v.exists() and not out_p.exists()
 
+    @pytest.mark.parametrize("options", [("--out-vendors", "--out-products"),
+                                         ("--out-vendors", "--output"),
+                                         ("--out-products", "--output")])
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "linked"])
+    def test_one_file_for_two_outputs_exits_2_before_any_read(self, tmp_path, capsys, options,
+                                                              link):
+        paths = {"--out-vendors": tmp_path / "v.txt", "--out-products": tmp_path / "p.txt",
+                 "--output": tmp_path / "report.json"}
+        first, second = options
+        paths[second] = tmp_path / "link.txt" if link else paths[first]
+        if link:
+            paths[second].symlink_to(paths[first].name)
+        argv = ["build-filter", str(tmp_path / "missing.json"),
+                "--dictionary", str(tmp_path / "missing-dict.json")]
+        for option, path in paths.items():
+            argv += [option, str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --out-vendors, --out-products and --output must name different files\n")
+        assert not any(path.exists() for path in paths.values())
+
     def _corpus(self, tmp_path, items, entries) -> list[str]:
         """A corpus feed of the given items and a dictionary of the given CPE
         names, as command arguments."""
@@ -1690,6 +1736,172 @@ class TestEnvironment:
         ) == 0
         assert json.loads(out.read_text())["stored"] == 1
         assert capsys.readouterr().out == ""
+
+
+def _output_history(tmp_path, store) -> str:
+    """Two stored days whose second holds a CPE match and a summary match,
+    score files, a labeled feed and a dictionary; returns the inventory."""
+    ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001")])
+    ingest_day(tmp_path, store, "2021-06-02", [
+        feed_item("CVE-2021-0001"),
+        feed_item("CVE-2021-0002", score=7.0, cpes=[cpe23("geotab", "r2d2", "3.0.1.16")]),
+        feed_item("CVE-2021-0003", summary="Microsoft Hyper-V Virtual issue"),
+    ])
+    write(tmp_path, "a.txt", "1\n2\n5\n")
+    write(tmp_path, "b.txt", "3\n4\n9\n")
+    write(tmp_path, "dict.json", json.dumps(DICTIONARY))
+    write(tmp_path, "labeled.json", feed_bytes([feed_item(
+        "CVE-2020-0001", summary="Microsoft Hyper-V flaw on Windows hosts",
+        cpes=[cpe23("microsoft", "windows")])]))
+    return write(tmp_path, "inv.csv", INVENTORY)
+
+
+def _output_commands(tmp_path, store) -> dict[str, list[str]]:
+    """One argument list per command and stats report, on ``_output_history``."""
+    days = ["--from", "2021-06-01", "--to", "2021-06-02", "--store", store]
+    names = ["--dictionary", str(tmp_path / "dict.json")]
+    feed = str(tmp_path / "labeled.json")
+    return {
+        "ingest": ["ingest", str(tmp_path / "feed-2021-06-02.json"), "--date", "2021-06-02",
+                   "--store", store, "--overwrite"],
+        "tickets": ["tickets", "--date", "2021-06-02", "--store", store,
+                    "--inventory", str(tmp_path / "inv.csv")],
+        **{f"stats-{report}{suffix}": ["stats", "--report", report, *days, *field, *csv]
+           for report, field in (("daily", []), ("delays", ["--field", "cvss"]),
+                                 ("vendors", []), ("table", []))
+           for suffix, csv in (("", []), ("-csv", ["--csv"]))},
+        "stats-ranktest": ["stats", "--report", "ranktest", "--scores-a", str(tmp_path / "a.txt"),
+                           "--scores-b", str(tmp_path / "b.txt")],
+        "build-filter": ["build-filter", feed, *names, "--out-vendors", str(tmp_path / "v.txt"),
+                         "--out-products", str(tmp_path / "p.txt"), "--source-year", "2020"],
+        "evaluate": ["evaluate", feed, *names],
+    }
+
+
+class TestOutput:
+    """--output goes through a temp file that replaces it only when the
+    command succeeds, and is opened before the command reads anything."""
+
+    def ranktest(self, tmp_path, capsys) -> tuple[list[str], bytes]:
+        argv = _output_commands(tmp_path, "store")["stats-ranktest"]
+        write(tmp_path, "a.txt", "1\n2\n5\n")
+        write(tmp_path, "b.txt", "3\n4\n9\n")
+        assert main(argv) == 0
+        return argv, capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("command", list(_output_commands(Path("x"), "store")))
+    def test_output_holds_the_bytes_stdout_holds(self, tmp_path, store, capsys, command):
+        _output_history(tmp_path, store)
+        argv = _output_commands(tmp_path, store)[command]
+        capsys.readouterr()
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert stdout
+        out = tmp_path / "report.out"
+        out.write_bytes(b"an earlier report\n")
+        assert main([*argv, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["ingest", "tickets", "stats-delays", "stats-table-csv"])
+    def test_an_output_that_cannot_be_opened_exits_2_before_anything_is_read(
+        self, tmp_path, store, capsys, monkeypatch, command, where
+    ):
+        _output_history(tmp_path, store)
+        argv = _output_commands(tmp_path, store)[command]
+        loads = []
+        load = ingest.load_snapshot
+        monkeypatch.setattr(ingest, "load_snapshot", lambda *a, **k: loads.append(a) or load(*a, **k))
+        monkeypatch.setattr(ingest, "read_feed_bytes", None)  # a feed read raises TypeError
+        output = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+        stored = ingest.snapshot_path(store, date(2021, 6, 2)).read_bytes()
+        capsys.readouterr()
+        assert main([*argv, "--output", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert err.endswith(f": {str(output)!r}\n")
+        assert loads == []
+        assert ingest.snapshot_path(store, date(2021, 6, 2)).read_bytes() == stored
+
+    def test_ingest_with_an_output_in_a_missing_directory_stores_no_day(self, tmp_path, store,
+                                                                        capsys):
+        feed = write(tmp_path, "f.json", feed_bytes([feed_item("CVE-2021-0001")]))
+        argv = ["ingest", feed, "--date", "2021-06-01", "--store", store]
+        output = str(tmp_path / "missing" / "r.json")
+        assert main([*argv, "--output", output]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {output!r}\n")
+        assert not ingest.snapshot_path(store, date(2021, 6, 1)).exists()
+        assert main(argv) == 0  # the rerun finds no day stored
+
+    def test_a_failed_emit_leaves_the_output_as_it_was(self, tmp_path, store, capsys,
+                                                       monkeypatch):
+        _output_history(tmp_path, store)
+        argv = _output_commands(tmp_path, store)["tickets"]
+
+        def emit_one(tickets, sink):
+            sink.write('{"partial":true}\n')
+            raise EmitError("ticket sink write failed after 1 lines: disk full", 1)
+
+        monkeypatch.setattr(ticketer, "emit_tickets", emit_one)
+        out = write(tmp_path, "tickets.jsonl", "the tickets before\n")
+        assert main([*argv, "--output", out]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert Path(out).read_bytes() == b"the tickets before\n"
+
+    @pytest.mark.parametrize("as_csv", [False, True], ids=["json", "csv"])
+    def test_a_failed_stats_leaves_the_output_as_it_was(self, tmp_path, store, capsys, as_csv):
+        ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001")])
+        ingest_day(tmp_path, store, "2021-06-03", [feed_item("CVE-2021-0001")])
+        out = write(tmp_path, "daily.json", "the report before\n")
+        argv = ["stats", "--report", "daily", "--from", "2021-06-01", "--to", "2021-06-03",
+                "--store", store, "--output", out]
+        capsys.readouterr()
+        assert main(argv + ["--csv"] * as_csv) == 2
+        assert capsys.readouterr().err == "error: no snapshot stored for 2021-06-02\n"
+        assert Path(out).read_bytes() == b"the report before\n"
+
+    def test_a_filter_list_that_cannot_be_written_leaves_the_other_as_it_was(
+        self, tmp_path, store, capsys
+    ):
+        _output_history(tmp_path, store)
+        argv = _output_commands(tmp_path, store)["build-filter"]
+        vendors = write(tmp_path, "v.txt", "#source_year=2019\nold\n")
+        products = str(tmp_path / "missing" / "p.txt")
+        argv[argv.index("--out-products") + 1] = products
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"error: [Errno 2] No such file or directory: {products!r}"
+        assert Path(vendors).read_bytes() == b"#source_year=2019\nold\n"
+
+    def test_a_fifo_is_written_in_place(self, tmp_path, capsys):
+        argv, expected = self.ranktest(tmp_path, capsys)
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code = main([*argv, "--output", str(fifo)])
+        reader.join(timeout=60)
+        if reader.is_alive():  # the FIFO was never opened: release the reader
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert code == 0
+        assert received == [expected]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+
+    def test_a_linked_output_replaces_the_link_target(self, tmp_path, capsys):
+        argv, expected = self.ranktest(tmp_path, capsys)
+        (tmp_path / "reports").mkdir()
+        target = tmp_path / "reports" / "report.json"
+        target.write_bytes(b"the report before\n")
+        link = tmp_path / "latest.json"
+        link.symlink_to(Path("reports") / "report.json")
+        assert main([*argv, "--output", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(Path("reports") / "report.json")
+        assert target.read_bytes() == expected
 
 
 # Runs the CLI on its arguments, then writes the names of the loaded modules

@@ -271,6 +271,17 @@ class TestBuildFpFilter:
             fp.save(tmp_path / "vendors.txt", tmp_path / "products.txt")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "linked"])
+    def test_one_file_for_both_lists_rejected_before_writing(self, tmp_path, link):
+        vendors = tmp_path / "lists.txt"
+        products = tmp_path / "link.txt" if link else vendors
+        if link:
+            products.symlink_to(vendors.name)
+        fp = FpFilter(frozenset({"acme"}), frozenset({"hyper"}), source_year="2020")
+        with pytest.raises(ValidationError, match="name the same file"):
+            fp.save(vendors, products)
+        assert not vendors.exists()
+
     def test_serialization_is_deterministic(self, tmp_path):
         fp = FpFilter(
             vendor_names=frozenset({"b", "a", "c"}),
