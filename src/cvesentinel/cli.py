@@ -140,18 +140,23 @@ def cmd_tickets(args: argparse.Namespace, out: TextIO) -> None:
         raise FormatError(f"filter lists {args.filter_vendors} and {args.filter_products} were "
                           f"built under {built}, but tickets is given {given}")
     previous_date = None if args.full else ingest.find_previous_date(args.store, args.date)
-    # The day before is loaded first, so that today, stored as its changes
-    # to it, is applied to it; a missing today is still the error reported.
-    if previous_date is not None and ingest.snapshot_path(args.store, args.date).exists():
+    # Today stored as its changes to the day before names its new CVEs in
+    # its own lines. Otherwise the day before is loaded first, so that
+    # today is applied to it; a missing today is still the error reported.
+    delta = None if previous_date is None else ingest.delta_records(args.store, args.date)
+    if delta is not None and delta[0] == previous_date:
+        records = delta[1]  # every CVE matched is new, so grouping needs no other record
+        cves = list(records.values())
+    elif previous_date is not None and ingest.snapshot_path(args.store, args.date).exists():
         earlier, snapshot = ingest.load_snapshots(args.store, [previous_date, args.date])
-        cves = list(ingest.diff_snapshots(earlier, snapshot).new_cves)
+        cves, records = list(ingest.diff_snapshots(earlier, snapshot).new_cves), snapshot.records
     else:
         snapshot = ingest.load_snapshot(args.store, args.date)
         if not args.full:
             raise SnapshotNotFoundError(
                 f"no snapshot stored before {args.date.isoformat()}; rerun with --full"
             )
-        cves = list(snapshot.records.values())
+        cves, records = list(snapshot.records.values()), snapshot.records
 
     if args.dictionary:
         _note("--dictionary is ignored by tickets and will be removed")
@@ -173,7 +178,7 @@ def cmd_tickets(args: argparse.Namespace, out: TextIO) -> None:
         min_name_len=args.min_name_len,
         stop_words=stop_words,
     )
-    tickets = ticketer.group_matches(matches, index, snapshot.records, created=args.date)
+    tickets = ticketer.group_matches(matches, index, records, created=args.date)
     count = ticketer.emit_tickets(tickets, out)
 
     via_by_cve = {m.cve_id: m.via for m in matches}
@@ -322,9 +327,6 @@ def _read_dictionary(
 def cmd_build_filter(args: argparse.Namespace, out: TextIO) -> None:
     from . import matcher
     matcher.FpFilter.header(args.source_year)  # an unwritable label fails before any read
-    outputs = [Path(p).resolve() for p in (args.out_vendors, args.out_products, args.output) if p]
-    if len(set(outputs)) < len(outputs):
-        raise FormatError("--out-vendors, --out-products and --output must name different files")
     stop_words = _stop_words(args)
     dictionary = _read_dictionary(args, stop_words)
     corpus, excluded = _feed_corpus(args.feeds)
@@ -441,9 +443,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Where a command may write, checked before it reads anything: each
+    file it writes named once, and none inside the store, links followed."""
+    given = {option: getattr(args, option[2:].replace("-", "_"), None)
+             for option in ("--out-vendors", "--out-products", "--output")}
+    outputs = {option: Path(path).resolve() for option, path in given.items() if path}
+    if len(set(outputs.values())) < len(outputs):
+        raise FormatError("--out-vendors, --out-products and --output must name different files")
+    store = Path(args.store).resolve()
+    for option, path in outputs.items():
+        if path == store or store in path.parents:
+            raise FormatError(f"{option} {given[option]} is inside the store {args.store}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         with _report(args.output) as out:
             args.func(args, out)
     except (SentinelError, OSError) as exc:

@@ -34,6 +34,7 @@ from .normalize import StopWordList, as_text, well_formed_from_cpe, well_formed_
 from .store import (  # noqa: F401
     Snapshot,
     _gc_paused,
+    delta_records,
     find_previous_date,
     list_snapshot_dates,
     load_snapshot,

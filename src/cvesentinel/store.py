@@ -4,10 +4,11 @@ the day whole or as its changes to an earlier stored day.
 A day's file is one JSON document of plain lines: a head line, one
 compact record per line in id order, and a tail line. A delta's head names
 the day it is stored against and that day's content digest, its own
-content digest, and the ids it removes; its lines are its new and changed
-records. A day is replayed from the lines of its chain's files, read side
-by side down to a day stored whole; a day in another layout, or one whose
-replay finds a fault, is loaded by decoding each of those files whole.
+content digest, the digest of its own lines, and the ids it removes; its
+lines are its new and changed records. A day is replayed from the lines of
+its chain's files, read side by side down to a day stored whole; a day in
+another layout, or one whose replay finds a fault, is loaded by decoding
+each of those files whole.
 A head has one form, the compact one store_snapshot writes, keys in order:
 a day with a head in any other form is loaded whole, and the next day is stored whole.
 """
@@ -90,20 +91,24 @@ _DIGEST_SIZE = 16
 class _Head(NamedTuple):
     """What a stored day's first line says, by its keys in order: its date and
     record count, and for a delta the day it is stored against, the content
-    digests of that day and of this one, and the ids it removes."""
+    digests of that day and of this one, the digest of its own lines (which
+    deltas stored before it existed lack), and the ids it removes."""
 
     date: date
     record_count: int
     base: date | None = None
     base_digest: str | None = None
     digest: str | None = None
+    lines_digest: str | None = None
     removed: tuple[str, ...] = ()
 
     def line(self) -> bytes:
         """The head's line, without its break: the compact JSON of its fields (a day stored
-        whole's first two), the closing brace replaced by the records' opening."""
+        whole's first two, a delta's lines digest when it has one), the closing brace
+        replaced by the records' opening."""
         head = self._replace(date=self.date.isoformat(), base=self.base and self.base.isoformat())
-        fields = dict(zip(self._fields, head if self.base else head[:2]))
+        fields = {key: value for key, value in zip(self._fields, head if self.base else head[:2])
+                  if value is not None}
         return _RECORD_ENCODER.encode(fields).encode()[:-1] + b',"records":['
 
     def where(self, path: Path) -> str:
@@ -123,7 +128,7 @@ def _parse_head(line: bytes) -> _Head | None:
     except (KeyError, TypeError, ValueError, RecursionError):
         return None
     ok = head and type(head.record_count) is int and head.record_count >= 0
-    ok = ok and all(re.fullmatch("[0-9a-f]{32}", digest) for digest in head[3:5] if head.base)
+    ok = ok and all(re.fullmatch("[0-9a-f]{32}", digest) for digest in head[3:6] if digest is not None)
     return head if ok and head.line() + b"\n" == line else None
 
 
@@ -142,12 +147,14 @@ def _payload_head(payload: Any) -> _Head:
     stored_date, count = (payload[key] for key in _Head._fields[:2])
     if "base" not in payload:
         return _Head(date.fromisoformat(stored_date), count)
-    removed = payload["removed"]
+    removed, lines_digest = payload["removed"], payload.get("lines_digest", "")
     if not (isinstance(payload["base_digest"], str) and isinstance(payload["digest"], str)
+            and isinstance(lines_digest, str)
             and isinstance(removed, list) and all(isinstance(i, str) for i in removed)):
         raise ValueError("malformed delta head")
     return _Head(date.fromisoformat(stored_date), count, date.fromisoformat(payload["base"]),
-                 payload["base_digest"], payload["digest"], tuple(removed))
+                 payload["base_digest"], payload["digest"], payload.get("lines_digest"),
+                 tuple(removed))
 
 
 def _content_digest(path: Path) -> str:
@@ -162,6 +169,15 @@ def _content_digest(path: Path) -> str:
     with open(path, "rb") as file:
         for block in iter(lambda: file.read(1 << 16), b""):
             digest.update(block)
+    return digest.hexdigest()
+
+
+def _lines_digest(lines: Iterable[bytes]) -> str:
+    """A delta's lines digest: of its record lines in order, each without its
+    comma and followed by a line break."""
+    digest = blake2b(digest_size=_DIGEST_SIZE)
+    for line in lines:
+        digest.update(line + b"\n")
     return digest.hexdigest()
 
 
@@ -248,6 +264,9 @@ def _load_whole(store_root: str | Path, day: date, memo: FieldMemo) -> Snapshot:
         ids = [record.id for record in built] + list(head.removed)
         if len(set(ids)) != len(ids):
             raise SnapshotIntegrityError(f"snapshot file {where} repeats a CVE id")
+        if head.lines_digest is not None and head.lines_digest != _lines_digest(
+                _RECORD_ENCODER.encode(data).encode() for data in payload["records"]):
+            raise SnapshotIntegrityError(f"snapshot file {where} holds other lines than it states")
         files.append((where, head, built))
         if head.base is None:
             break
@@ -297,14 +316,19 @@ def _chain(
     return chain
 
 
-def _sorted_lines(path: Path, head: _Head, rank: int) -> Iterator[tuple[str, int, bytes]]:
+def _sorted_lines(
+    path: Path, head: _Head, rank: int, stale: set[int]
+) -> Iterator[tuple[str, int, bytes]]:
     """(id, rank, line) for each record line of a file in the line layout,
     read after its head one at a time, each line without its comma and
     line break. Raises _NotLines where a line lacks the comma the layout
     puts after every record but the last, or has one after the last, or
     the tail line is missing; where a line does not begin with its id and
-    hold one "id" key, or the ids do not ascend; and where a day stored
-    whole holds other than its count of lines."""
+    hold one "id" key, or the ids do not ascend; and where a day stored whole
+    holds other than its count of lines. Once its lines are read, adds
+    ``rank`` to ``stale`` where a delta's lines do not match the lines
+    digest it states."""
+    digest = blake2b(digest_size=_DIGEST_SIZE) if head.lines_digest is not None else None
     with open(path, "rb") as file:
         file.readline()
         last, lines = "", 0
@@ -319,12 +343,16 @@ def _sorted_lines(path: Path, head: _Head, rank: int) -> Iterator[tuple[str, int
             if cve_id <= last or record.count(b'"id":') != 1:
                 raise _NotLines
             last, lines = cve_id, lines + 1
+            if digest is not None:
+                digest.update(record + b"\n")
             yield cve_id, rank, record
             line = following
         if line != _TAIL:
             raise _NotLines
     if head.base is None and lines != head.record_count:
         raise _NotLines
+    if digest is not None and digest.hexdigest() != head.lines_digest:
+        stale.add(rank)
 
 
 def _content(
@@ -335,15 +363,20 @@ def _content(
     ``below`` holds the ids of the day the last file is stored against,
     when that file is a delta. Raises _NotLines where a file is not in the
     line layout in id order, and where a file removes an id that the day
-    below it does not hold, that it holds itself or that it removes twice;
-    the removals are checked as the lines run out, so a replay reads them all."""
+    below it does not hold, that it holds itself or that it removes twice,
+    and where a line is taken from a delta whose lines do not match its
+    lines digest (a delta whose every line a later file supersedes gives
+    the day nothing, and is not held to it); these are checked as the lines
+    run out, so a replay reads them all."""
     import heapq  # here, not at the top: only a replay reads a chain this way
 
     # A removal is an event of its file's rank with no line, so it sorts
     # before a line of the same id and rank.
     removals = sorted((cve_id, rank, b"") for rank, (_, head) in enumerate(chain)
                       for cve_id in head.removed)
-    files = (_sorted_lines(path, head, rank) for rank, (path, head) in enumerate(chain))
+    stale: set[int] = set()  # the ranks of the files whose lines differ from their digest
+    taken: set[int] = set()  # the ranks of the files a line was taken from
+    files = (_sorted_lines(path, head, rank, stale) for rank, (path, head) in enumerate(chain))
     last, gone_at = None, None  # the id of the event before, and its rank if it was a removal
     for cve_id, rank, line in heapq.merge(removals, *files):
         if gone_at is not None:  # the next event must show that the day below held ``last``
@@ -351,10 +384,43 @@ def _content(
             if not held:
                 raise _NotLines
         if cve_id != last and line:
+            taken.add(rank)
             yield cve_id, line
         last, gone_at = cve_id, None if line else rank
-    if gone_at is not None and last not in below:
+    if gone_at is not None and last not in below or stale & taken:
         raise _NotLines
+
+
+@_gc_paused()
+def delta_records(
+    store_root: str | Path, day: date
+) -> tuple[date, dict[str, CveRecord], dict[str, CveRecord]] | None:
+    """For a day stored as a delta: the day it is stored against, and the
+    records of its new ids (which that day lacks) and of its changed ones,
+    each by id in id order. Only the delta's own lines are decoded; the ids
+    of the day below are read from its chain's lines, none decoded, with
+    the checks of a load: each link's content digest, each file's layout
+    and id order, the lines digest of each delta a line is taken from, the
+    removals and the record count. None for a day stored whole, where a
+    delta of the chain states no lines digest, and on any fault, which a
+    load of the day names."""
+    chain = _chain(store_root, day)  # every file but the last is a delta
+    if not chain or len(chain) == 1 or any(head.lines_digest is None for _, head in chain[:-1]):
+        return None
+    head = chain[0][1]
+    memo, new, changed = FieldMemo(), {}, {}
+    try:
+        base_ids = {cve_id for cve_id, _ in _content(chain[1:])}
+        for cve_id, line in _content(chain[:1], base_ids):
+            record = _decode_line(line, memo, None)
+            if record.id != cve_id:
+                raise _NotLines
+            (changed if cve_id in base_ids else new)[cve_id] = record
+    except (_NotLines, KeyError, TypeError, ValueError, RecursionError, ValidationError):
+        return None
+    if head.record_count != len(base_ids) - len(head.removed) + len(new):
+        return None
+    return head.base, new, changed
 
 
 def _line_count(path: Path) -> int:
@@ -409,7 +475,8 @@ def _write_delta(out: BinaryIO, snapshot: Snapshot, chain: list[tuple[Path, _Hea
     False, with nothing written, when that day cannot be replayed from its
     files' lines. The new day is written whole into its content digest, its lines
     compared byte for byte with the earlier day's, read side by side; the lines
-    that differ are kept until the head, with the removed ids and that digest, is written."""
+    that differ are kept until the head, with the removed ids, that digest and
+    theirs, is written."""
     records = snapshot.records
     changed: list[bytes] = []
     removed: list[str] = []
@@ -438,7 +505,7 @@ def _write_delta(out: BinaryIO, snapshot: Snapshot, chain: list[tuple[Path, _Hea
         return False
     base_path, base = chain[0]
     _write_day(out.write, _Head(snapshot.date, len(records), base.date, _content_digest(base_path),
-                                digest.hexdigest(), tuple(removed)), changed)
+                                digest.hexdigest(), _lines_digest(changed), tuple(removed)), changed)
     return True
 
 

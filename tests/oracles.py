@@ -364,10 +364,11 @@ def oracle_store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite:
 
 
 # The head line of a day stored as its changes to an earlier day, in the
-# one form the store writes: compact, its removed ids a compact list.
+# one form the store writes: compact, its removed ids a compact list, with
+# or without the digest of its lines.
 _ORACLE_DELTA_HEAD = re.compile(
     r'\{"date":"(\d{4}-\d\d-\d\d)","record_count":(?:0|[1-9]\d{0,17}),"base":"(\d{4}-\d\d-\d\d)",'
-    r'"base_digest":"[0-9a-f]{32}","digest":"([0-9a-f]{32})",'
+    r'"base_digest":"[0-9a-f]{32}","digest":"([0-9a-f]{32})",(?:"lines_digest":"[0-9a-f]{32}",)?'
     r'"removed":(\[(?:"[^"\\\n]*"(?:,"[^"\\\n]*")*)?\]),"records":\['
 )
 
@@ -407,6 +408,7 @@ def _oracle_file(path: Path, day: date) -> dict[str, Any]:
         if "base" in payload:
             removed = payload["removed"]
             if not (isinstance(payload["base_digest"], str) and isinstance(payload["digest"], str)
+                    and isinstance(payload.get("lines_digest", ""), str)
                     and isinstance(removed, list) and all(isinstance(i, str) for i in removed)):
                 raise ValueError("malformed delta head")
             base = date.fromisoformat(payload["base"])
@@ -429,6 +431,11 @@ def _oracle_file(path: Path, day: date) -> dict[str, Any]:
         base_digest = payload["base_digest"]
     if len(set(ids)) != len(ids):
         raise SnapshotIntegrityError(f"snapshot file {where} repeats a CVE id")
+    if base is not None and "lines_digest" in payload:
+        # of each record re-encoded compactly, with a line break after it
+        lines = "".join(json.dumps(d, separators=(",", ":")) + "\n" for d in payload["records"])
+        if payload["lines_digest"] != hashlib.blake2b(lines.encode(), digest_size=16).hexdigest():
+            raise SnapshotIntegrityError(f"snapshot file {where} holds other lines than it states")
     return {"where": where, "count": count, "records": records, "base": base,
             "base_digest": base_digest, "removed": removed}
 

@@ -25,6 +25,7 @@ from cvesentinel import cli, ingest, ticketer
 from cvesentinel.cli import main
 from cvesentinel.errors import EmitError, SnapshotIntegrityError
 from cvesentinel.ingest import load_snapshot
+from cvesentinel.model import CveRecord
 from oracles import oracle_evaluate, oracle_load_snapshot
 from test_store import BREAKS, break_store
 
@@ -440,23 +441,51 @@ class TestTickets:
         assert len(capsys.readouterr().out.splitlines()) == 1
 
     def test_full_digests_no_line(self, tmp_path, store, capsys, digested):
-        """Neither --full, which loads its day alone, nor the daily diff
-        digests a stored line: each checks the delta it loads against the
-        day it is stored against by one digest of that day's file."""
+        """Neither --full, which loads its day alone, nor the daily run
+        digests a line of the day before: each checks the delta it reads
+        against the day it is stored against by one digest of that day's
+        file, and the delta's own lines by one digest of them."""
         inventory = self._setup(tmp_path, store)
         items = [feed_item("CVE-2021-0001"),
                  feed_item("CVE-2021-0002", score=7.0, cpes=[cpe23("geotab", "r2d2")])]
         ingest_day(tmp_path, store, "2021-06-02", items)
         day_before = (Path(store) / "snapshots" / "2021-06-01").read_bytes()
+        delta = (Path(store) / "snapshots" / "2021-06-02").read_bytes().split(b"\n")[1:-2]
+        delta_lines = b"".join(line.removesuffix(b",") + b"\n" for line in delta)
         digested.clear()
         argv = ["tickets", "--date", "2021-06-02", "--store", store, "--inventory", inventory]
         capsys.readouterr()
         assert main([*argv, "--full"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
-        assert digested == [day_before]
+        assert digested == [day_before, delta_lines]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
-        assert digested == [day_before, day_before]
+        assert digested == [day_before, delta_lines, day_before, delta_lines]
+
+    def test_a_delta_against_an_older_day_than_the_day_before_is_diffed(self, tmp_path, store,
+                                                                       capsys):
+        """Day 3 stored before day 2 stays a delta against day 1, so the
+        CVEs its delta names as new are not those new since day 2; tickets
+        of day 3 prints what it prints for the same days stored in order."""
+        inventory = self._setup(tmp_path, store)
+        days = {"2021-06-02": [feed_item("CVE-2021-0001"),
+                               feed_item("CVE-2021-0002", score=7.0, cpes=[cpe23("geotab", "r2d2")])]}
+        days["2021-06-03"] = [*days["2021-06-02"],
+                              feed_item("CVE-2021-0003", score=5.0, cpes=[cpe23("geotab", "r2d2")])]
+        in_order = str(tmp_path / "in-order")
+        self._setup(tmp_path, in_order)
+        for day in ("2021-06-02", "2021-06-03"):
+            ingest_day(tmp_path, in_order, day, days[day])
+        for day in ("2021-06-03", "2021-06-02"):
+            ingest_day(tmp_path, store, day, days[day])
+        assert json.loads((Path(store) / "snapshots" / "2021-06-03").read_text())["base"] == "2021-06-01"
+        argv = ["tickets", "--date", "2021-06-03", "--inventory", inventory]
+        capsys.readouterr()
+        assert main([*argv, "--store", in_order]) == 0
+        expected = capsys.readouterr()
+        assert [json.loads(line)["cve_ids"] for line in expected.out.splitlines()] == [["CVE-2021-0003"]]
+        assert main([*argv, "--store", store]) == 0
+        assert capsys.readouterr() == expected
 
     def _full_tickets_argv(self, tmp_path, store, inventory_rows, summary):
         header = "asset_id,product_name,vendor_name,version,cpe23"
@@ -860,6 +889,9 @@ class TestStats:
 
     @pytest.mark.parametrize("name", BREAKS)
     def test_a_broken_chain_exits_4_naming_both_days(self, tmp_path, store, capsys, name):
+        """A daily tickets run of the broken day names the fault as the load
+        does; with its base deleted, the day has no day before, and --full
+        loads it."""
         break_store(store, name)
         code = main(["stats", "--report", "daily", "--from", "2021-06-02", "--to", "2021-06-02",
                      "--store", store])
@@ -867,6 +899,11 @@ class TestStats:
         err = capsys.readouterr().err
         assert_one_line_error(err)
         assert BREAKS[name][1] in err and "2021-06-01" in err and "2021-06-02" in err
+        inventory = write(tmp_path, "inv.csv", INVENTORY)
+        full = ["--full"] if name == "missing-base" else []
+        assert main(["tickets", "--date", "2021-06-02", "--store", store, "--inventory", inventory,
+                     *full]) == 4
+        assert capsys.readouterr() == ("", err)
 
     @pytest.mark.parametrize("text", UNPARSEABLE_JSON.values(), ids=UNPARSEABLE_JSON.keys())
     def test_unparseable_stored_day_exits_4(self, tmp_path, store, capsys, text):
@@ -1159,6 +1196,61 @@ class TestStoreFaults:
         for argv in ([*stats, "--from", "2021-06-02"], tickets):
             assert main(argv) == 4
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_daily_run_decodes_only_its_own_lines(self, tmp_path, store, capsys, monkeypatch):
+        """tickets of day 3 builds one record per line of day 3's delta, and
+        none of the two days below it."""
+        paths = _rescored_chain(tmp_path, store)
+        inventory = write(tmp_path, "inv.csv", INVENTORY)
+        argv = ["tickets", "--date", "2021-06-03", "--store", store, "--inventory", inventory]
+        capsys.readouterr()
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        built = []
+        from_dict = CveRecord.from_dict
+
+        def counted(data, *args):
+            built.append(data["id"])
+            return from_dict(data, *args)
+
+        monkeypatch.setattr(CveRecord, "from_dict", counted)
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+        assert built == [json.loads(line.rstrip(","))["id"]
+                         for line in paths[2].read_text(encoding="utf-8").split("\n")[1:-2]]
+        assert built == ["CVE-2021-0001"]
+
+    def test_a_corrupt_line_of_the_whole_day_below_is_not_read(self, tmp_path, store, capsys):
+        """A day stored whole, edited by hand so that one line keeps the
+        layout but no longer decodes, and the next day ingested against it:
+        tickets of the next day reads only the ids of the day below, and
+        prints the tickets of a clean store. Each load of the edited day
+        still exits 4 naming the value."""
+        inventory = write(tmp_path, "inv.csv", INVENTORY)
+        first = [feed_item("CVE-2021-0001"), feed_item("CVE-2021-0002", summary="nothing relevant")]
+        second = [*first, feed_item("CVE-2021-0003", score=7.0, cpes=[cpe23("geotab", "r2d2")])]
+        clean = str(tmp_path / "clean")
+        for root in (store, clean):
+            ingest_day(tmp_path, root, "2021-06-01", first)
+            if root == store:
+                _edit(Path(store) / "snapshots" / "2021-06-01",
+                      '"id":"CVE-2021-0002","published":"2021-06-01"',
+                      '"id":"CVE-2021-0002","published":"x2021-06-01"')
+            ingest_day(tmp_path, root, "2021-06-02", second)
+        assert json.loads((Path(store) / "snapshots" / "2021-06-02").read_text())["base"] == "2021-06-01"
+        tickets = ["tickets", "--date", "2021-06-02", "--inventory", inventory]
+        capsys.readouterr()
+        assert main([*tickets, "--store", clean]) == 0
+        expected = capsys.readouterr()
+        assert len(expected.out.splitlines()) == 1
+        assert main([*tickets, "--store", store]) == 0
+        assert capsys.readouterr() == expected
+        for argv in (["stats", "--report", "daily", "--from", "2021-06-01", "--to", "2021-06-01"],
+                     ["tickets", "--date", "2021-06-01", "--inventory", inventory, "--full"]):
+            assert main([*argv, "--store", store]) == 4
+            assert capsys.readouterr().err == (
+                f"error: corrupt snapshot file {Path(store) / 'snapshots' / '2021-06-01'}: "
+                "Invalid isoformat string: 'x2021-06-01'\n")
 
 
 # stdout of every stats report on _stats_history, as JSON and as CSV
@@ -1823,6 +1915,38 @@ class TestOutput:
         assert err.endswith(f": {str(output)!r}\n")
         assert loads == []
         assert ingest.snapshot_path(store, date(2021, 6, 2)).read_bytes() == stored
+
+    @pytest.mark.parametrize("target", ["stored-day", "store-root", "link-into-store"])
+    @pytest.mark.parametrize("command, option", [
+        *((command, "--output") for command in _output_commands(Path("x"), "store")),
+        ("build-filter", "--out-vendors"), ("build-filter", "--out-products")])
+    def test_an_output_inside_the_store_exits_2_before_anything_is_read(
+        self, tmp_path, store, capsys, monkeypatch, command, option, target
+    ):
+        """A report or filter list written over a stored day, or into the
+        store, would lose stored history: every command refuses it, links
+        followed, whether or not it reads the store."""
+        _output_history(tmp_path, store)
+        argv = [*_output_commands(tmp_path, store)[command], "--store", store]
+        reads = []
+        for name in ("load_snapshot", "delta_records"):
+            monkeypatch.setattr(ingest, name, lambda *a, **k: reads.append(a))
+        monkeypatch.setattr(ingest, "read_feed_bytes", None)  # a feed read raises TypeError
+        snapshots = Path(store) / "snapshots"
+        path = {"stored-day": snapshots / "2021-06-01", "store-root": Path(store),
+                "link-into-store": tmp_path / "link"}[target]
+        if target == "link-into-store":
+            path.symlink_to(snapshots / "2021-06-01")
+        if option == "--output":
+            argv += [option, str(path)]
+        else:
+            argv[argv.index(option) + 1] = str(path)
+        stored = {day.name: day.read_bytes() for day in snapshots.iterdir()}
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {option} {path} is inside the store {store}\n")
+        assert reads == []
+        assert {day.name: day.read_bytes() for day in snapshots.iterdir()} == stored
 
     def test_ingest_with_an_output_in_a_missing_directory_stores_no_day(self, tmp_path, store,
                                                                         capsys):

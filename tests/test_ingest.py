@@ -861,15 +861,17 @@ class TestLoadWithPrevious:
 
     def test_a_lone_load_digests_no_line(self, tmp_path, digested):
         """A delta is checked against the day it is stored against by one
-        digest of that day's file, alone or in a range; no stored line is
-        digested."""
+        digest of that day's file, alone or in a range, and its own lines by
+        one digest of them; no line of the day below is digested."""
         days = _store_three_days(tmp_path)
         first = (tmp_path / "snapshots" / days[0].isoformat()).read_bytes()
+        delta = (tmp_path / "snapshots" / days[1].isoformat()).read_bytes().split(b"\n")[1:-2]
+        delta_lines = b"".join(line.removesuffix(b",") + b"\n" for line in delta)
         digested.clear()
         assert_loads_like_oracle(load_snapshot(tmp_path, days[1]), tmp_path, days[1])
-        assert digested == [first]
+        assert digested == [first, delta_lines]
         list(load_snapshots(tmp_path, days[:2]))
-        assert digested == [first, first]
+        assert digested == [first, delta_lines, first, delta_lines]
 
     def test_equal_dicts_in_other_text_are_decoded_again(self, tmp_path):
         """1, true and 1.0 are equal dict entries but different lines."""

@@ -22,7 +22,16 @@ from hypothesis import strategies as st
 from conftest import compact_day, cpe23, feed_bytes, feed_item, make_record, snapshot_of
 from cvesentinel.cli import main
 from cvesentinel.errors import SnapshotIntegrityError
-from cvesentinel.ingest import Snapshot, load_snapshot, load_snapshots, snapshot_path, store_snapshot
+from cvesentinel.ingest import (
+    Snapshot,
+    delta_records,
+    diff_snapshots,
+    load_snapshot,
+    load_snapshots,
+    snapshot_path,
+    store_snapshot,
+    stored_changes,
+)
 from cvesentinel.model import CveRecord
 from cvesentinel.store import _encode, _Head, _parse_head
 from oracles import oracle_content_digest, oracle_load_snapshot, oracle_store_snapshot
@@ -94,6 +103,7 @@ class TestLayout:
                  for i in ("CVE-2021-0002", "CVE-2021-0004")]
         head = (f'{{"date":"2021-06-02","record_count":3,"base":"2021-06-01",'
                 f'"base_digest":"{blake2b(whole_text(first))}","digest":"{blake2b(whole_text(second))}",'
+                f'"lines_digest":"{blake2b("".join(line + chr(10) for line in lines).encode())}",'
                 f'"removed":["CVE-2021-0003"],"records":[')
         assert text == f"{head}\n{lines[0]},\n{lines[1]}\n]}}\n"
         assert json.loads(text)["records"] == [json.loads(line) for line in lines]
@@ -415,7 +425,9 @@ _DIGESTS = st.binary(min_size=16, max_size=16).map(bytes.hex)
 _COUNTS = st.integers(min_value=0, max_value=10**18)
 _HEADS = st.one_of(
     st.tuples(st.dates(), _COUNTS),
-    st.tuples(st.dates(), _COUNTS, st.dates(), _DIGESTS, _DIGESTS, st.lists(st.text()).map(tuple)),
+    # a delta's lines digest, which deltas stored before it existed lack
+    st.tuples(st.dates(), _COUNTS, st.dates(), _DIGESTS, _DIGESTS, st.none() | _DIGESTS,
+              st.lists(st.text()).map(tuple)),
 ).map(lambda fields: _Head(*fields))
 
 
@@ -510,6 +522,88 @@ def test_a_delta_whose_base_head_is_edited_into_another_form(tmp_path, form):
                       "the content of 2021-06-02 has changed since")
 
 
+def test_a_delta_stored_before_lines_digests_loads_with_its_lines_unchecked(tmp_path):
+    """A delta whose head states no lines digest, as deltas stored before it
+    existed, loads as before: a line edited in it loads as edited, on its
+    day and on the later delta replayed through it. delta_records gives
+    nothing for either day, so tickets loads both days."""
+    records = {f"CVE-2021-000{n}": make_record(f"CVE-2021-000{n}") for n in range(1, 6)}
+    expected = {}
+    for day, rescored, score in zip(DAYS[:3], ["CVE-2021-0003", "CVE-2021-0001", "CVE-2021-0002"],
+                                    [None, 5.0, 7.5]):
+        records[rescored] = make_record(rescored, score=score)
+        expected[day] = Snapshot(day, records)
+        store_snapshot(tmp_path, expected[day])
+    path = snapshot_path(tmp_path, DAYS[1])
+    path.write_text(re.sub('"lines_digest":"[0-9a-f]{32}",', "", path.read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    assert "lines_digest" not in head_of(tmp_path, DAYS[1])
+    later = head_of(tmp_path, DAYS[2])
+    assert later["base"] == "2021-06-02" and "lines_digest" in later
+    assert_stored(tmp_path, expected)
+    assert delta_records(tmp_path, DAYS[1]) is None and delta_records(tmp_path, DAYS[2]) is None
+    path.write_text(path.read_text(encoding="utf-8").replace('"cvss3_base":5.0', '"cvss3_base":9.8', 1),
+                    encoding="utf-8")
+    for day in DAYS[1:3]:
+        for load in (load_snapshot, oracle_load_snapshot):
+            assert load(tmp_path, day).records["CVE-2021-0001"].cvss3_base == Decimal("9.8")
+
+
+def test_a_delta_line_that_decodes_to_another_id_is_left_to_a_load(tmp_path):
+    """A line of day 2's delta that begins with its id but decodes to a
+    record of another id (a second "id" key, escaped), its lines digest
+    stated anew: delta_records gives nothing, so tickets loads both days."""
+    three_days(tmp_path)
+    path = snapshot_path(tmp_path, DAYS[1])
+    head, *lines, tail = path.read_text(encoding="utf-8").split("\n")[:-1]
+    assert lines[-1].startswith('{"id":"CVE-2021-0004",')
+    lines[-1] = lines[-1][:-1] + ',"\\u0069d":"CVE-2021-0009"}'
+    stated = blake2b("".join(line.removesuffix(",") + "\n" for line in lines).encode())
+    head = re.sub('"lines_digest":"[0-9a-f]{32}"', f'"lines_digest":"{stated}"', head)
+    path.write_text("\n".join([head, *lines, tail, ""]), encoding="utf-8")
+    assert json.loads(path.read_text(encoding="utf-8"))["records"][-1]["id"] == "CVE-2021-0009"
+    assert delta_records(tmp_path, DAYS[1]) is None
+
+
+@pytest.mark.parametrize("day_3_rescores", [False, True])
+def test_an_edited_delta_line_fails_each_load_that_takes_a_line_of_that_delta(tmp_path,
+                                                                              day_3_rescores):
+    """Day 2 rescores CVE-2021-0001 to 5.0, and its line is then edited to
+    9.8, which still decodes. A load of day 2 exits as the oracle does, and
+    so does a load of day 3 that takes that line. When day 3 rescores the
+    CVE itself, its load takes no line of day 2 and succeeds, while the
+    oracle, which reads every file whole, is stricter. The ids of day 2
+    are read from its lines, so delta_records of day 3 gives nothing."""
+    records = {f"CVE-2021-000{n}": make_record(f"CVE-2021-000{n}") for n in range(1, 4)}
+    stored = {}
+    for day, score in zip(DAYS[:3], [None, 5.0, 7.5 if day_3_rescores else 5.0]):
+        records["CVE-2021-0001"] = make_record("CVE-2021-0001", score=score)
+        if day == DAYS[2]:
+            records["CVE-2021-0004"] = make_record("CVE-2021-0004")
+        stored[day] = Snapshot(day, records)
+        store_snapshot(tmp_path, stored[day])
+    assert [head_of(tmp_path, day).get("base") for day in DAYS[:3]] == [None, "2021-06-01",
+                                                                        "2021-06-02"]
+    path = snapshot_path(tmp_path, DAYS[1])
+    path.write_text(path.read_text(encoding="utf-8").replace('"cvss3_base":5.0', '"cvss3_base":9.8'),
+                    encoding="utf-8")
+    message = f"snapshot file {path} (changes to 2021-06-01) holds other lines than it states"
+    for day in DAYS[1:3]:
+        with pytest.raises(SnapshotIntegrityError) as oracle:
+            oracle_load_snapshot(tmp_path, day)
+        assert str(oracle.value) == message
+    with pytest.raises(SnapshotIntegrityError) as day_2:
+        load_snapshot(tmp_path, DAYS[1])
+    assert str(day_2.value) == message
+    if day_3_rescores:
+        assert load_snapshot(tmp_path, DAYS[2]) == stored[DAYS[2]]
+    else:
+        with pytest.raises(SnapshotIntegrityError) as day_3:
+            load_snapshot(tmp_path, DAYS[2])
+        assert str(day_3.value) == message
+    assert delta_records(tmp_path, DAYS[2]) is None
+
+
 # A delta day stored against a whole day, broken in one way each: the
 # edit of its store, and the error that names both days.
 BREAKS = {
@@ -543,6 +637,9 @@ BREAKS = {
     "stamped-another-day": (
         lambda root, text: text.replace('"date":"2021-06-02"', '"date":"2021-06-04"', 1),
         "(changes to 2021-06-01) is stamped 2021-06-04"),
+    # a line that still decodes, caught by the digest of the delta's lines
+    "edited-line": (lambda root, text: text.replace('"cvss3_base":9.8', '"cvss3_base":5.0', 1),
+                    "holds other lines than it states"),
 }
 
 
@@ -641,3 +738,31 @@ def test_a_range_load_re_encodes_to_the_stored_lines(operations):
                     repr(r) for r in oracle.records.values()]
                 assert [_encode(loaded.records[i]) for i in sorted(loaded.records)] == stored_lines(
                     model[day])
+
+
+@given(_OPERATIONS)
+@settings(max_examples=60, deadline=None)
+def test_a_delta_names_its_new_and_changed_records(operations):
+    """After each step, for each stored day with an earlier stored day,
+    delta_records gives nothing, or the day it is stored against and the
+    records of the new ids and of the ids whose line changed: the new ids
+    and changed records of diff_snapshots over the oracle's loads of the
+    two days, and stored_changes' counts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for model in run_operations(tmp, operations):
+            days = sorted(model)
+            for day in days[1:]:
+                delta = delta_records(tmp, day)
+                if delta is None:
+                    continue
+                base, new, changed = delta
+                older, newer = oracle_load_snapshot(tmp, base), oracle_load_snapshot(tmp, day)
+                diff = diff_snapshots(older, newer)
+                assert list(new.values()) == list(diff.new_cves)
+                assert list(changed) == sorted(
+                    i for i in newer.records
+                    if i in older.records and _encode(newer.records[i]) != _encode(older.records[i]))
+                assert {r.id for r in diff.updated_cves} <= set(changed)
+                assert all(changed[i] == newer.records[i] for i in changed)
+                removed = len(older.records) - len(newer.records) + len(new)
+                assert stored_changes(snapshot_path(tmp, day)) == (base, len(new), len(changed), removed)
