@@ -19,13 +19,12 @@ from contextlib import contextmanager
 from dataclasses import fields
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 # analytics, matcher and ticketer are imported by the commands that run them,
 # so that no command pays for loading the others.
 from . import ingest
 from .errors import FormatError, SentinelError, SnapshotNotFoundError
-from .ingest import Snapshot
 from .model import CveRecord
 from .normalize import DEFAULT_MIN_NAME_LEN, StopWordList, read_text_file, standardize
 from .store import replacing
@@ -75,44 +74,52 @@ def _emit_json(out: TextIO, payload: object) -> None:
     out.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _read_feeds(paths: Sequence[str]) -> tuple[dict[str, CveRecord], dict[str, int]]:
-    """One id-keyed map of the feeds' records, a later feed's record winning,
-    and each feed's reject count, noted on stderr too and keyed by file name,
-    or by the path as given where two feeds share a file name."""
+def _read_feeds(
+    paths: Sequence[str], read: Callable[[BinaryIO], tuple[Iterable, int]]
+) -> tuple[dict, dict[str, int]]:
+    """One id-keyed map of the (id, value) pairs ``read`` gives of each feed,
+    a later feed's winning, and each feed's reject count, noted on stderr
+    too and keyed by file name, or by the path as given where two feeds
+    share a file name. Every feed is read before the map is returned."""
     names = Counter(Path(path).name for path in paths)
-    records: dict[str, CveRecord] = {}
+    merged: dict = {}
     reject_counts: dict[str, int] = {}
     for path in paths:
         with ingest.read_feed_bytes(path) as feed:
-            result = ingest.parse_feed(feed)
-        records.update((record.id, record) for record in result.records)
+            kept, rejected = read(feed)
+        merged.update(kept)
         name = Path(path).name
-        reject_counts[name if names[name] == 1 else path] = len(result.rejects)
+        reject_counts[name if names[name] == 1 else path] = rejected
     for name, count in reject_counts.items():
         _note(f"{name}: {count} rejected item(s)")
-    return records, reject_counts
+    return merged, reject_counts
+
+
+def _feed_records(feed: BinaryIO) -> tuple[Iterable[tuple[str, CveRecord]], int]:
+    result = ingest.parse_feed(feed)
+    return ((record.id, record) for record in result.records), len(result.rejects)
 
 
 def _feed_corpus(paths: Sequence[str]) -> tuple[list, int]:
     """CPE-bearing records merged across feeds, plus the no-CPE count."""
-    records, _ = _read_feeds(paths)
+    records, _ = _read_feeds(paths, _feed_records)
     corpus = [record for record in records.values() if record.cpe_list]
     return corpus, len(records) - len(corpus)
 
 
 def cmd_ingest(args: argparse.Namespace, out: TextIO) -> None:
-    records, reject_counts = _read_feeds(args.feeds)
-    snapshot = Snapshot(date=args.date, records=records)
-    path = ingest.store_snapshot(args.store, snapshot, overwrite=args.overwrite)
+    # Each feed's records are kept as their stored lines only: the store writes the day from them.
+    lines, reject_counts = _read_feeds(args.feeds, ingest.parse_feed_lines)
+    path = ingest.store_snapshot(args.store, args.date, lines, overwrite=args.overwrite)
     changes = ingest.stored_changes(path)
     how = "stored whole" if changes is None else (
         "as changes to {} ({} new, {} changed, {} removed)".format(*changes))
-    _note(f"stored snapshot {args.date.isoformat()} with {len(records)} records {how}")
+    _note(f"stored snapshot {args.date.isoformat()} with {len(lines)} records {how}")
     _emit_json(
         out,
         {
             "date": args.date.isoformat(),
-            "stored": len(records),
+            "stored": len(lines),
             "rejects": reject_counts,
             "rejected_total": sum(reject_counts.values()),
         },
@@ -143,8 +150,9 @@ def cmd_tickets(args: argparse.Namespace, out: TextIO) -> None:
     # Today stored as its changes to the day before names its new CVEs in
     # its own lines. Otherwise the day before is loaded first, so that
     # today is applied to it; a missing today is still the error reported.
-    delta = None if previous_date is None else ingest.delta_records(args.store, args.date)
-    if delta is not None and delta[0] == previous_date:
+    delta = None if previous_date is None else ingest.delta_records(args.store, args.date,
+                                                                    previous_date)
+    if delta is not None:
         records = delta[1]  # every CVE matched is new, so grouping needs no other record
         cves = list(records.values())
     elif previous_date is not None and ingest.snapshot_path(args.store, args.date).exists():
@@ -189,7 +197,7 @@ def cmd_tickets(args: argparse.Namespace, out: TextIO) -> None:
     )
 
 
-def _snapshots(args: argparse.Namespace) -> Iterator[Snapshot]:
+def _snapshots(args: argparse.Namespace) -> Iterator[ingest.Snapshot]:
     """The stored snapshots of every day from --from to --to, loaded as
     they are consumed. The range is checked at once."""
     if args.date_from > args.date_to:

@@ -38,6 +38,7 @@ from .store import (  # noqa: F401
     find_previous_date,
     list_snapshot_dates,
     load_snapshot,
+    record_line,
     snapshot_dir,
     snapshot_path,
     store_snapshot,
@@ -343,30 +344,41 @@ def _whole_text(stream: BinaryIO) -> str:
     return as_text(data, source, keep_bom=True)
 
 
-def _feed_result(items: Iterable[Any]) -> FeedParseResult:
-    """The records and rejects of the items a feed walk yields."""
-    records: list[CveRecord] | None = None
-    rejects: list[FeedReject] = []
-    memo = FieldMemo()
-    for item in items:
-        if item is _ARRAY:
-            records, rejects = [], []
-        elif item is _NOT_ARRAY:
-            records = None
-        elif not isinstance(item, dict):
-            rejects.append(FeedReject(index=len(records) + len(rejects), reason="item is not an object"))
-        else:
-            try:
-                records.append(_parse_feed_item(item, memo))
-            except ValidationError as exc:
-                index = len(records) + len(rejects)
-                rejects.append(FeedReject(index=index, reason=str(exc), cve_id=_item_id(item)))
-    if records is None:
-        raise FeedParseError(_NO_ITEMS)
-    return FeedParseResult(records=tuple(records), rejects=tuple(rejects))
-
-
 @_gc_paused()
+def _read_feed(
+    data: bytes | str | BinaryIO, start: Callable[[], Any], keep: Callable[[Any, CveRecord], object]
+) -> tuple[Any, tuple[FeedReject, ...]]:
+    """What ``keep`` puts of each record of a feed's bytes, text or stream
+    into the collection ``start`` makes at each ``CVE_Items`` array, and
+    that array's rejects; the last array wins. Each record is built, kept
+    and dropped before the next item is built."""
+    if isinstance(data, bytes):
+        data = io.BytesIO(data)
+    text, stream = (data, None) if isinstance(data, str) else ("", data)
+    kept, count, rejects = None, 0, []
+    memo = FieldMemo()
+    try:
+        for item in _walk_feed(text, stream):
+            if item is _ARRAY:
+                kept, count, rejects = start(), 0, []
+            elif item is _NOT_ARRAY:
+                kept = None
+            elif not isinstance(item, dict):
+                rejects.append(FeedReject(index=count, reason="item is not an object"))
+                count += 1
+            else:
+                try:
+                    keep(kept, _parse_feed_item(item, memo))
+                except ValidationError as exc:
+                    rejects.append(FeedReject(index=count, reason=str(exc), cve_id=_item_id(item)))
+                count += 1
+    except (ValueError, RecursionError, EOFError, OSError, zlib.error):
+        raise _feed_error(text if stream is None else _whole_text(stream))
+    if kept is None:
+        raise FeedParseError(_NO_ITEMS)
+    return kept, tuple(rejects)
+
+
 def parse_feed(data: bytes | str | BinaryIO) -> FeedParseResult:
     """Parse an NVD JSON 1.1 feed into records plus item-level rejects.
 
@@ -381,13 +393,21 @@ def parse_feed(data: bytes | str | BinaryIO) -> FeedParseResult:
     feed's error gives the UTF-8 byte offset of the fault, a byte-order
     mark included. Each distinct CPE string, date and score notation of
     the feed is parsed once, and its records share the one object."""
-    if isinstance(data, bytes):
-        data = io.BytesIO(data)
-    text, stream = (data, None) if isinstance(data, str) else ("", data)
-    try:
-        return _feed_result(_walk_feed(text, stream))
-    except (ValueError, RecursionError, EOFError, OSError, zlib.error):
-        raise _feed_error(text if stream is None else _whole_text(stream))
+    records, rejects = _read_feed(data, list, list.append)
+    return FeedParseResult(records=tuple(records), rejects=rejects)
+
+
+def _keep_line(lines: dict[str, bytes], record: CveRecord) -> None:
+    lines[record.id] = record_line(record)
+
+
+def parse_feed_lines(data: bytes | str | BinaryIO) -> tuple[dict[str, bytes], int]:
+    """A feed read as ``parse_feed`` reads it, kept as the stored line
+    (``record_line``) of each record by id, a later record of an id winning,
+    with its count of rejects. Each record is encoded as soon as it is built
+    and then dropped, so no record of the feed is held."""
+    lines, rejects = _read_feed(data, dict, _keep_line)
+    return lines, len(rejects)
 
 
 def read_feed_bytes(path: str | Path) -> BinaryIO:
@@ -451,11 +471,21 @@ def parse_cpe_dictionary(
     return CpeDictionary(frozenset(pairs), skipped=skipped)
 
 
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, each split after its line feed and only there,
+    as ``io.StringIO`` reads them, without a copy of the text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _inventory_rows(text: str) -> Iterator[tuple[int, dict[str, str]]]:
     """The rows after the checked header (row 1), numbered from 2. A row the
     csv module cannot read, say a field over ``csv.field_size_limit()``, is
     a FormatError naming it."""
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(_text_lines(text))
     row_number = 1  # the row being read
     try:
         missing = [col for col in INVENTORY_COLUMNS if col not in (reader.fieldnames or [])]

@@ -2,7 +2,9 @@
 the day whole or as its changes to an earlier stored day.
 
 A day's file is one JSON document of plain lines: a head line, one
-compact record per line in id order, and a tail line. A delta's head names
+compact record per line in id order, and a tail line. A day is stored
+from those lines (each record's ``record_line``), not from its records:
+the store writes, compares and hashes lines only. A delta's head names
 the day it is stored against and that day's content digest, its own
 content digest, the digest of its own lines, and the ids it removes; its
 lines are its new and changed records. A day is replayed from the lines of
@@ -393,7 +395,7 @@ def _content(
 
 @_gc_paused()
 def delta_records(
-    store_root: str | Path, day: date
+    store_root: str | Path, day: date, base: date | None = None
 ) -> tuple[date, dict[str, CveRecord], dict[str, CveRecord]] | None:
     """For a day stored as a delta: the day it is stored against, and the
     records of its new ids (which that day lacks) and of its changed ones,
@@ -401,13 +403,16 @@ def delta_records(
     of the day below are read from its chain's lines, none decoded, with
     the checks of a load: each link's content digest, each file's layout
     and id order, the lines digest of each delta a line is taken from, the
-    removals and the record count. None for a day stored whole, where a
-    delta of the chain states no lines digest, and on any fault, which a
-    load of the day names."""
+    removals and the record count. None for a day stored whole, for a
+    delta stored against another day than ``base`` when that is given (both
+    known from the day's head line alone), where a delta of the chain
+    states no lines digest, and on any fault, which a load of the day names."""
+    head = _head_of(snapshot_path(store_root, day))
+    if head is None or head.base is None or base not in (None, head.base):
+        return None
     chain = _chain(store_root, day)  # every file but the last is a delta
     if not chain or len(chain) == 1 or any(head.lines_digest is None for _, head in chain[:-1]):
         return None
-    head = chain[0][1]
     memo, new, changed = FieldMemo(), {}, {}
     try:
         base_ids = {cve_id for cve_id, _ in _content(chain[1:])}
@@ -466,26 +471,28 @@ def replacing(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
-def _encode(record: CveRecord) -> bytes:
+def record_line(record: CveRecord) -> bytes:
+    """A record's line in a stored day: its compact JSON, without a line break."""
     return _RECORD_ENCODER.encode(record.to_dict()).encode()
 
 
-def _write_delta(out: BinaryIO, snapshot: Snapshot, chain: list[tuple[Path, _Head]]) -> bool:
-    """Write ``snapshot`` as its changes to the day at the head of ``chain``;
+def _write_delta(
+    out: BinaryIO, day: date, lines: Mapping[str, bytes], chain: list[tuple[Path, _Head]]
+) -> bool:
+    """Write the day of ``lines`` as its changes to the day at the head of ``chain``;
     False, with nothing written, when that day cannot be replayed from its
     files' lines. The new day is written whole into its content digest, its lines
     compared byte for byte with the earlier day's, read side by side; the lines
     that differ are kept until the head, with the removed ids, that digest and
     theirs, is written."""
-    records = snapshot.records
     changed: list[bytes] = []
     removed: list[str] = []
 
     def compared() -> Iterator[bytes]:
         earlier = _content(chain)
         old = next(earlier, None)  # the earlier day's (id, line) not yet passed
-        for cve_id in sorted(records):
-            line = _encode(records[cve_id])
+        for cve_id in sorted(lines):
+            line = lines[cve_id]
             while old and old[0] < cve_id:
                 removed.append(old[0])
                 old = next(earlier, None)
@@ -500,17 +507,20 @@ def _write_delta(out: BinaryIO, snapshot: Snapshot, chain: list[tuple[Path, _Hea
 
     digest = blake2b(digest_size=_DIGEST_SIZE)
     try:
-        _write_day(digest.update, _Head(snapshot.date, len(records)), compared())
+        _write_day(digest.update, _Head(day, len(lines)), compared())
     except _NotLines:
         return False
     base_path, base = chain[0]
-    _write_day(out.write, _Head(snapshot.date, len(records), base.date, _content_digest(base_path),
+    _write_day(out.write, _Head(day, len(lines), base.date, _content_digest(base_path),
                                 digest.hexdigest(), _lines_digest(changed), tuple(removed)), changed)
     return True
 
 
-def store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool = False) -> Path:
-    """Persist a snapshot as one JSON file named by its date.
+def store_snapshot(
+    store_root: str | Path, day: date, lines: Mapping[str, bytes], overwrite: bool = False
+) -> Path:
+    """Persist a day, given as the ``record_line`` of each of its records by
+    id, as one JSON file named by its date; returns the file's path.
 
     The file is in the line layout: a head line, then one compact record
     per line in id order, so a changed record is one changed line. When
@@ -520,9 +530,8 @@ def store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool =
     records only. The day is stored whole when there is no such day, and
     once the deltas since the last day stored whole, each counting its
     lines, its removed ids and itself, reach that day's record count. The
-    earlier day is read a line at a time and never decoded; a day stored
-    whole is written a line at a time as it is encoded, and a delta's lines
-    are kept until its head is written.
+    earlier day is read a line at a time and never decoded, and no record
+    is encoded here.
 
     Refuses to clobber an existing date unless overwrite is set; a later
     day stored as changes to the day overwritten is first rewritten whole,
@@ -530,25 +539,23 @@ def store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool =
     which replaces the day only once complete and is deleted when the
     write fails, so a crash never leaves a half-written day.
     """
-    path = snapshot_path(store_root, snapshot.date)
+    path = snapshot_path(store_root, day)
     if path.exists():
         if not overwrite:
-            raise SnapshotExistsError(f"snapshot for {snapshot.date.isoformat()} already stored")
+            raise SnapshotExistsError(f"snapshot for {day.isoformat()} already stored")
         for later in list_snapshot_dates(store_root):
-            head = _head_of(snapshot_path(store_root, later)) if later > snapshot.date else None
-            if head is not None and head.base == snapshot.date:
+            head = _head_of(snapshot_path(store_root, later)) if later > day else None
+            if head is not None and head.base == day:
                 _rewrite_whole(store_root, later)
     path.parent.mkdir(parents=True, exist_ok=True)
-    previous = find_previous_date(store_root, snapshot.date)
+    previous = find_previous_date(store_root, day)
     chain = None if previous is None else _chain(store_root, previous)
     if chain:  # the whole-day rule, which keeps replays short
         changes = sum(_line_count(delta) + len(head.removed) + 1 for delta, head in chain[:-1])
         chain = chain if changes < chain[-1][1].record_count else None
-    records = snapshot.records
     with replacing(path) as out:
-        if chain is None or not _write_delta(out, snapshot, chain):
-            _write_day(out.write, _Head(snapshot.date, len(records)),
-                       (_encode(records[cve_id]) for cve_id in sorted(records)))
+        if chain is None or not _write_delta(out, day, lines, chain):
+            _write_day(out.write, _Head(day, len(lines)), (lines[cve_id] for cve_id in sorted(lines)))
     return path
 
 

@@ -96,6 +96,12 @@ def snapshot_of(day: str, records: Iterable[CveRecord]) -> Snapshot:
     return Snapshot(date=date.fromisoformat(day), records={r.id: r for r in records})
 
 
+def store_snapshot(store_root, snapshot: Snapshot, overwrite: bool = False):
+    """Store a snapshot as ``ingest`` stores a day: from each record's line."""
+    lines = {cve_id: store.record_line(record) for cve_id, record in snapshot.records.items()}
+    return store.store_snapshot(store_root, snapshot.date, lines, overwrite=overwrite)
+
+
 def _compact(value: Any) -> str:
     return json.dumps(value, separators=(",", ":"))
 

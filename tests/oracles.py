@@ -15,14 +15,17 @@ day before, the history reports regroup a whole list of snapshots into
 per-CVE lists of (date, record) and scan each list, instead of folding the
 day-to-day diffs one at a time, and a diff walks the later day's sorted ids
 and pairs each changed record with the earlier one, compared by value only.
-Names are tokenized by splitting on separators and trimming each piece's
+An inventory's lines are read through ``io.StringIO`` instead of split by
+hand. Names are tokenized by splitting on separators and trimming each piece's
 edge punctuation character by character, instead of with one token
 pattern, and standardized without any shortcut.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -31,11 +34,12 @@ from datetime import date
 from decimal import Decimal
 from itertools import combinations
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from cvesentinel.analytics import CompletionDelay, CompletionField, DailyCompleteness, DelayReport
 from cvesentinel.errors import (
     FeedParseError,
+    FormatError,
     OrderingError,
     SnapshotExistsError,
     SnapshotIntegrityError,
@@ -43,6 +47,7 @@ from cvesentinel.errors import (
     ValidationError,
 )
 from cvesentinel.ingest import (
+    INVENTORY_COLUMNS,
     CpeDictionary,
     FeedParseResult,
     FeedReject,
@@ -343,6 +348,24 @@ def oracle_parse_feed(data: bytes | str) -> FeedParseResult:
         except ValidationError as exc:
             rejects.append(FeedReject(index=index, reason=str(exc), cve_id=_item_id(item)))
     return FeedParseResult(records=tuple(records), rejects=tuple(rejects))
+
+
+def oracle_inventory_rows(text: str) -> Iterator[tuple[int, dict[str, str]]]:
+    """The inventory's rows after its checked header, numbered from 2, read
+    by a csv reader over ``io.StringIO`` of the text; a row the reader
+    cannot read is a FormatError naming it."""
+    reader = csv.DictReader(io.StringIO(text))
+    row_number = 1  # the row being read
+    try:
+        missing = [col for col in INVENTORY_COLUMNS if col not in (reader.fieldnames or [])]
+        if missing:
+            raise FormatError(f"inventory is missing required columns: {', '.join(missing)}")
+        row_number = 2
+        for row in reader:
+            yield row_number, row
+            row_number += 1
+    except csv.Error as exc:
+        raise FormatError(f"inventory row {row_number}: {exc}")
 
 
 def oracle_store_snapshot(store_root: str | Path, snapshot: Snapshot, overwrite: bool = False) -> Path:

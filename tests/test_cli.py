@@ -487,6 +487,36 @@ class TestTickets:
         assert main([*argv, "--store", store]) == 0
         assert capsys.readouterr() == expected
 
+    def test_a_delta_against_an_older_day_is_decoded_only_by_the_pair_load(
+        self, tmp_path, store, capsys, monkeypatch
+    ):
+        """Day 3 stored before day 2 names day 1 in its head: tickets of day 3
+        reads that line, and builds only the records the load of days 2 and
+        3 builds, none of day 3's delta before it."""
+        inventory = self._setup(tmp_path, store)
+        day_2 = [feed_item("CVE-2021-0001"),
+                 feed_item("CVE-2021-0002", score=7.0, cpes=[cpe23("geotab", "r2d2")])]
+        ingest_day(tmp_path, store, "2021-06-03", [
+            *day_2, feed_item("CVE-2021-0003", score=5.0, cpes=[cpe23("geotab", "r2d2")])])
+        ingest_day(tmp_path, store, "2021-06-02", day_2)
+        assert json.loads((Path(store) / "snapshots" / "2021-06-03").read_text())["base"] == "2021-06-01"
+        built = []
+        from_dict = CveRecord.from_dict
+
+        def counted(data, *args):
+            built.append(data["id"])
+            return from_dict(data, *args)
+
+        monkeypatch.setattr(CveRecord, "from_dict", counted)
+        list(ingest.load_snapshots(store, [date(2021, 6, 2), date(2021, 6, 3)]))
+        pair_load, built[:] = list(built), []
+        capsys.readouterr()
+        assert main(["tickets", "--date", "2021-06-03", "--store", store,
+                     "--inventory", inventory]) == 0
+        assert [json.loads(line)["cve_ids"] for line in capsys.readouterr().out.splitlines()] == [
+            ["CVE-2021-0003"]]
+        assert built == pair_load
+
     def _full_tickets_argv(self, tmp_path, store, inventory_rows, summary):
         header = "asset_id,product_name,vendor_name,version,cpe23"
         inventory = write(tmp_path, "inv.csv", "\n".join([header, *inventory_rows]) + "\n")

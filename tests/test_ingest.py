@@ -9,6 +9,7 @@ import io
 import json
 import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from datetime import date, timedelta
 from decimal import Decimal
@@ -19,8 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DAY_LAYOUTS, compact_day, cpe23, feed_bytes, feed_item, make_record, snapshot_of
+from conftest import (
+    DAY_LAYOUTS, compact_day, cpe23, feed_bytes, feed_item, make_record, snapshot_of, store_snapshot,
+)
 from cvesentinel import ingest, store
+from cvesentinel.cli import main
 from cvesentinel.errors import (
     FeedParseError,
     FormatError,
@@ -41,13 +45,14 @@ from cvesentinel.ingest import (
     parse_cpe_dictionary,
     parse_feed,
     read_feed_bytes,
-    store_snapshot,
+    snapshot_path,
 )
 from cvesentinel.model import CveRecord
 from cvesentinel.normalize import StopWordList
 from oracles import (
     oracle_diff_snapshots,
     oracle_gather_cpe_uris,
+    oracle_inventory_rows,
     oracle_load_snapshot,
     oracle_parse_feed,
     oracle_store_snapshot,
@@ -488,6 +493,78 @@ class TestFeedMemory:
         assert peak < len(text) / 4
 
 
+def cli_ingest(root: Path, feeds: list[bytes], day: str = "2021-06-01") -> tuple:
+    """``sentinel ingest`` of the feeds, written to files under ``root``: its
+    exit code, its stdout report and the bytes of the day it stored."""
+    paths = []
+    for n, data in enumerate(feeds):
+        paths.append(root / f"feed-{n}.json")
+        paths[-1].write_bytes(data)
+    stdout = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+        code = main(["ingest", *map(str, paths), "--date", day, "--store", str(root / "store")])
+    stored = snapshot_path(root / "store", date.fromisoformat(day))
+    return code, stdout.getvalue(), stored.read_bytes() if stored.exists() else None
+
+
+# Items that build, of four ids with drawn summaries and scores, so that
+# feeds share ids with other records.
+_GOOD_ITEM = st.builds(lambda n, summary, score: feed_item(f"CVE-2021-{n:04d}", summary=summary,
+                                                            score=score),
+                       st.integers(1, 4), st.sampled_from(["", "flaw", "caf\u00e9"]),
+                       st.sampled_from([None, 7.5, 10.0]))
+# A feed that lists its items plainly, under one CVE_Items key or two.
+_LISTED_FEED = st.lists(st.lists(_GOOD_ITEM | _FEED_ITEM, max_size=5), min_size=1, max_size=2).map(
+    lambda arrays: "{" + ", ".join(f'"CVE_Items": {json.dumps(a)}' for a in arrays) + "}")
+
+
+class TestIngestLines:
+    """``ingest`` keeps each feed's records as their stored lines only."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(feed_texts() | _LISTED_FEED | _LISTED_FEED, min_size=1, max_size=3))
+    def test_ingest_stores_what_the_oracle_stores_of_the_merged_records(self, texts):
+        """Feeds sharing ids: the later feed's record wins, each feed's
+        rejects are counted, and a faulty feed exits 2 with nothing stored.
+        Two feeds in three list their items plainly, so that most runs store
+        a day."""
+        feeds = [text.encode("utf-8") for text in texts]
+        records, rejects, expected = {}, {}, (2, None)
+        try:
+            for n, data in enumerate(feeds):
+                result = parse_feed(data)
+                records.update((record.id, record) for record in result.records)
+                rejects[f"feed-{n}.json"] = len(result.rejects)
+        except FeedParseError:
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            if len(rejects) == len(feeds):
+                day = Snapshot(date(2021, 6, 1), records)
+                expected = (0, oracle_store_snapshot(Path(tmp) / "oracle", day).read_bytes())
+            code, report, stored = cli_ingest(Path(tmp), feeds)
+        assert (code, stored) == expected
+        if code == 0:
+            assert json.loads(report)["rejects"] == rejects
+
+    def test_at_most_one_record_is_alive_when_a_line_is_encoded(self, tmp_path, monkeypatch):
+        """Each record of a 50-item feed is built, encoded and dropped before
+        the next is built."""
+        items = [feed_item(f"CVE-2099-{n:04d}", summary=f"flaw {n}", score=5.0,
+                           cpes=[cpe23("acme", f"p{n}")]) for n in range(1, 51)]
+        alive = []
+        to_dict = CveRecord.to_dict
+
+        def counted(record):
+            alive.append(sum(1 for obj in gc.get_objects()
+                             if isinstance(obj, CveRecord) and obj.id.startswith("CVE-2099-")))
+            return to_dict(record)
+
+        monkeypatch.setattr(CveRecord, "to_dict", counted)
+        code, _, stored = cli_ingest(tmp_path, [feed_bytes(items)])
+        assert code == 0 and stored.count(b'{"id":"CVE-2099-') == 50
+        assert alive == [1] * 50
+
+
 class TestParseCpeDictionary:
     def test_geotab_entry(self):
         data = json.dumps([{"cpe23": "cpe:2.3:a:geotab:r2d2:3.0.1.16:*:*:*:*:*:*:*"}])
@@ -623,6 +700,44 @@ class TestParseAssetInventory:
         lines[row - 1] = lines[row - 1].replace(b"Windows Server", b"x" * 200_000, 1) + b"y" * 200_000
         with pytest.raises(FormatError, match=f"^inventory row {row}: field larger than field limit"):
             parse_asset_inventory(b"\n".join(lines))
+
+
+# Pieces of inventory text: cells, separators, quotes, a quoted line break,
+# line breaks of each kind, a space and NUL.
+_CSV_PIECES = st.sampled_from(["A1", "x y", ",", '"', '"a\nb"', '""', "\n", "\r", "\r\n", " ", "\x00"])
+
+
+@st.composite
+def inventory_texts(draw) -> str:
+    """Inventory texts with the required header, a header short of a
+    column, or none, drawn rows, and a final line break or none."""
+    header = draw(st.sampled_from([",".join(ingest.INVENTORY_COLUMNS), "asset_id,cpe23", ""]))
+    rows = draw(st.lists(st.lists(_CSV_PIECES, max_size=8).map("".join), max_size=5))
+    breaks = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return breaks.join([header, *rows]) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def inventory_outcome(rows_of, text: str) -> tuple:
+    """The rows read before a FormatError, and its message or None."""
+    rows = []
+    try:
+        for row in rows_of(text):
+            rows.append(row)
+    except FormatError as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+class TestInventoryLines:
+    @settings(max_examples=400, deadline=None)
+    @given(inventory_texts())
+    def test_rows_equal_those_read_through_stringio(self, text):
+        assert inventory_outcome(ingest._inventory_rows, text) == inventory_outcome(
+            oracle_inventory_rows, text)
+
+    @pytest.mark.parametrize("text", ["", "\n", "a", "a\r\nb", "\r\r\n\n", "a\nb\n", "\x00\n"])
+    def test_lines_are_those_of_stringio(self, text):
+        assert list(ingest._text_lines(text)) == list(io.StringIO(text))
 
 
 class TestSnapshotStore:

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compact_day, cpe23, feed_bytes, feed_item, make_record, snapshot_of
+from conftest import compact_day, cpe23, feed_bytes, feed_item, make_record, snapshot_of, store_snapshot
+from cvesentinel import store
 from cvesentinel.cli import main
 from cvesentinel.errors import SnapshotIntegrityError
 from cvesentinel.ingest import (
@@ -29,11 +30,10 @@ from cvesentinel.ingest import (
     load_snapshot,
     load_snapshots,
     snapshot_path,
-    store_snapshot,
     stored_changes,
 )
 from cvesentinel.model import CveRecord
-from cvesentinel.store import _encode, _Head, _parse_head
+from cvesentinel.store import _Head, _parse_head, record_line
 from oracles import oracle_content_digest, oracle_load_snapshot, oracle_store_snapshot
 
 DAYS = [date(2021, 6, 1) + timedelta(days=n) for n in range(6)]
@@ -217,9 +217,9 @@ class TestOverwrite:
 
 class TestStoreMemory:
     def test_a_delta_is_stored_without_the_earlier_days_text(self, tmp_path):
-        """Storing a day against a large earlier day holds at its peak less
-        than a quarter of that day's file above what it keeps: the earlier
-        day is read a line at a time and never decoded."""
+        """Storing a day, given its lines, against a large earlier day holds
+        at its peak less than a quarter of that day's file above what it
+        keeps: the earlier day is read a line at a time and never decoded."""
         def records(day: int) -> dict[str, CveRecord]:
             return {f"CVE-2021-{n:04d}": make_record(
                 f"CVE-2021-{n:04d}", summary=f"flaw {n} " + "in the widget " * 50,
@@ -229,9 +229,10 @@ class TestStoreMemory:
         size = store_snapshot(tmp_path, Snapshot(DAYS[0], records(1))).stat().st_size
         assert size > 2 * 10**6
         later = Snapshot(DAYS[1], records(2))
+        lines = {cve_id: record_line(record) for cve_id, record in later.records.items()}
         tracemalloc.start()
         try:
-            path = store_snapshot(tmp_path, later)
+            path = store.store_snapshot(tmp_path, later.date, lines)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -736,7 +737,7 @@ def test_a_range_load_re_encodes_to_the_stored_lines(operations):
                 assert loaded == oracle
                 assert [repr(r) for r in loaded.records.values()] == [
                     repr(r) for r in oracle.records.values()]
-                assert [_encode(loaded.records[i]) for i in sorted(loaded.records)] == stored_lines(
+                assert [record_line(loaded.records[i]) for i in sorted(loaded.records)] == stored_lines(
                     model[day])
 
 
@@ -761,7 +762,7 @@ def test_a_delta_names_its_new_and_changed_records(operations):
                 assert list(new.values()) == list(diff.new_cves)
                 assert list(changed) == sorted(
                     i for i in newer.records
-                    if i in older.records and _encode(newer.records[i]) != _encode(older.records[i]))
+                    if i in older.records and record_line(newer.records[i]) != record_line(older.records[i]))
                 assert {r.id for r in diff.updated_cves} <= set(changed)
                 assert all(changed[i] == newer.records[i] for i in changed)
                 removed = len(older.records) - len(newer.records) + len(new)
