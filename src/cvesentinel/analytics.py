@@ -19,7 +19,8 @@ from math import comb
 from typing import Any, Iterable, Sequence
 
 from .errors import DomainError, ValidationError
-from .ingest import Snapshot, diff_snapshots
+from . import ingest  # diff_snapshots is looked up at each call, so a wrapper put there sees it
+from .ingest import Snapshot
 from .model import CpeUri, CveRecord, Row, SeverityLevel, severity_bucket  # re-exported
 from .normalize import StopWordList, standardize
 
@@ -178,7 +179,7 @@ def _fold(snapshots: Iterable[Snapshot]) -> dict[str, _History]:
     older = next(snapshots, None)
     histories = {} if older is None else {i: _History(r) for i, r in older.records.items()}
     for newer in snapshots:
-        diff = diff_snapshots(older, newer)
+        diff = ingest.diff_snapshots(older, newer)
         day = newer.date
         for record in diff.new_cves + diff.updated_cves:
             history = histories.get(record.id)
@@ -211,7 +212,7 @@ def daily_completeness(snapshots: Iterable[Snapshot]) -> list[DailyCompleteness]
     """
     results = []
     for previous, current in pairwise(snapshots):
-        new = diff_snapshots(previous, current).new_cves
+        new = ingest.diff_snapshots(previous, current).new_cves
         results.append(
             DailyCompleteness(
                 date=current.date,

@@ -146,25 +146,15 @@ def cmd_tickets(args: argparse.Namespace, out: TextIO) -> None:
         built, given = (f"stop-word list {d}" if d else "the built-in list" for d in digests)
         raise FormatError(f"filter lists {args.filter_vendors} and {args.filter_products} were "
                           f"built under {built}, but tickets is given {given}")
-    previous_date = None if args.full else ingest.find_previous_date(args.store, args.date)
-    # Today stored as its changes to the day before names its new CVEs in
-    # its own lines. Otherwise the day before is loaded first, so that
-    # today is applied to it; a missing today is still the error reported.
-    delta = None if previous_date is None else ingest.delta_records(args.store, args.date,
-                                                                    previous_date)
-    if delta is not None:
-        records = delta[1]  # every CVE matched is new, so grouping needs no other record
-        cves = list(records.values())
-    elif previous_date is not None and ingest.snapshot_path(args.store, args.date).exists():
-        earlier, snapshot = ingest.load_snapshots(args.store, [previous_date, args.date])
-        cves, records = list(ingest.diff_snapshots(earlier, snapshot).new_cves), snapshot.records
-    else:
+    diff = None if args.full else ingest.day_changes(args.store, args.date)
+    if diff is None:  # the day's own load error comes before a missing day before it
         snapshot = ingest.load_snapshot(args.store, args.date)
         if not args.full:
-            raise SnapshotNotFoundError(
-                f"no snapshot stored before {args.date.isoformat()}; rerun with --full"
-            )
+            raise SnapshotNotFoundError(f"no snapshot stored before {args.date}; rerun with --full")
         cves, records = list(snapshot.records.values()), snapshot.records
+    else:
+        cves = list(diff.new_cves)
+        records = {cve.id: cve for cve in cves}  # every CVE matched is new: grouping needs no other
 
     if args.dictionary:
         _note("--dictionary is ignored by tickets and will be removed")

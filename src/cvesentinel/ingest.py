@@ -1,6 +1,6 @@
 """Parsers for NVD JSON 1.1 feeds, CPE dictionaries and asset inventories,
-plus the names of the dated snapshot store (``store``), date-range loads
-and snapshot diffing.
+plus the names of the dated snapshot store (``store``), its diffs among
+them, and date-range loads.
 
 Feed parsing is item-tolerant: a broken item lands in a rejects list with
 its index and reason while the remaining items still parse, so
@@ -17,24 +17,19 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from datetime import date
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
 
-from .errors import (
-    FeedParseError,
-    FormatError,
-    OrderingError,
-    ValidationError,
-)
-from .model import AssetRecord, CpeUri, CveRecord, FieldMemo, SnapshotDiff
+from .errors import FeedParseError, FormatError, ValidationError
+from .model import AssetRecord, CpeUri, CveRecord, FieldMemo
 from .normalize import StopWordList, as_text, well_formed_from_cpe, well_formed_from_raw
 
 # The snapshot store, whose public names this module gives too.
 from .store import (  # noqa: F401
     Snapshot,
     _gc_paused,
-    delta_records,
+    day_changes,
+    diff_snapshots,
     find_previous_date,
     list_snapshot_dates,
     load_snapshot,
@@ -545,26 +540,3 @@ def load_snapshots(store_root: str | Path, days: Iterable[date]) -> Iterator[Sna
     for day in days:
         previous = load_snapshot(store_root, day, previous=previous, memo=memo)
         yield previous
-
-
-def diff_snapshots(older: Snapshot, newer: Snapshot) -> SnapshotDiff:
-    """The records of ``newer`` that are new or changed since ``older``,
-    each list sorted by id; swapped arguments are rejected.
-
-    A record is changed on any difference in value, not just a moved
-    last_modified stamp. The same object in both days costs one ``is`` test.
-    """
-    if older.date >= newer.date:
-        raise OrderingError(
-            f"diff requires older < newer, got {older.date.isoformat()} >= {newer.date.isoformat()}"
-        )
-    new, updated = [], []
-    for cve_id, record in newer.records.items():
-        previous = older.records.get(cve_id)
-        if previous is None:
-            new.append(record)
-        elif previous is not record and previous != record:
-            updated.append(record)
-    by_id = attrgetter("id")
-    return SnapshotDiff(older.date, newer.date, tuple(sorted(new, key=by_id)),
-                        tuple(sorted(updated, key=by_id)))

@@ -13,6 +13,8 @@ another layout, or one whose replay finds a fault, is loaded by decoding
 each of those files whole.
 A head has one form, the compact one store_snapshot writes, keys in order:
 a day with a head in any other form is loaded whole, and the next day is stored whole.
+What is new or changed on a stored day is ``day_changes``: a delta against the nearest
+earlier stored day answers from its own lines, any other day ``diff_snapshots`` of both loads.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import gc
 import json
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from datetime import date
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Container, Iterable, Iterator, Mapping, NamedTuple
 
@@ -32,12 +35,13 @@ from typing import Any, BinaryIO, Callable, Container, Iterable, Iterator, Mappi
 from _blake2 import blake2b
 
 from .errors import (
+    OrderingError,
     SnapshotExistsError,
     SnapshotIntegrityError,
     SnapshotNotFoundError,
     ValidationError,
 )
-from .model import CveRecord, FieldMemo
+from .model import CveRecord, FieldMemo, SnapshotDiff
 
 # The C encoder; any indent would force the pure-Python one.
 _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -183,13 +187,19 @@ def _lines_digest(lines: Iterable[bytes]) -> str:
     return digest.hexdigest()
 
 
-def _decode_line(line: bytes, memo: FieldMemo, earlier: CveRecord | None) -> CveRecord:
-    """The record of one stored line, which must be one JSON value."""
+def _decode_line(
+    cve_id: str, line: bytes, memo: FieldMemo, earlier: CveRecord | None = None
+) -> CveRecord:
+    """The record of the stored line of ``cve_id``, which must be one JSON
+    value and decode to a record of that id."""
     text = line.decode("utf-8")
     data, end = _DECODER.raw_decode(text)
     if end != len(text):
         raise _NotLines
-    return CveRecord.from_dict(data, memo, earlier)
+    record = CveRecord.from_dict(data, memo, earlier)
+    if record.id != cve_id:
+        raise _NotLines
+    return record
 
 
 @_gc_paused()
@@ -227,10 +237,7 @@ def load_snapshot(
         gone = {cve_id for _, head in chain for cve_id in head.removed}
         records = {cve_id: record for cve_id, record in below.items() if cve_id not in gone}
         for cve_id, line in _content(chain, below):
-            earlier = kept.get(cve_id)
-            record = _decode_line(line, memo, earlier)
-            if record.id != cve_id:
-                raise _NotLines
+            record = _decode_line(cve_id, line, memo, kept.get(cve_id))
             records[record.id] = record  # keyed by the record's own id, not a copy of it
         if below:
             records = {cve_id: records[cve_id] for cve_id in sorted(records)}
@@ -394,38 +401,57 @@ def _content(
 
 
 @_gc_paused()
-def delta_records(
-    store_root: str | Path, day: date, base: date | None = None
-) -> tuple[date, dict[str, CveRecord], dict[str, CveRecord]] | None:
-    """For a day stored as a delta: the day it is stored against, and the
-    records of its new ids (which that day lacks) and of its changed ones,
-    each by id in id order. Only the delta's own lines are decoded; the ids
-    of the day below are read from its chain's lines, none decoded, with
-    the checks of a load: each link's content digest, each file's layout
-    and id order, the lines digest of each delta a line is taken from, the
-    removals and the record count. None for a day stored whole, for a
-    delta stored against another day than ``base`` when that is given (both
-    known from the day's head line alone), where a delta of the chain
-    states no lines digest, and on any fault, which a load of the day names."""
-    head = _head_of(snapshot_path(store_root, day))
-    if head is None or head.base is None or base not in (None, head.base):
+def day_changes(store_root: str | Path, day: date) -> SnapshotDiff | None:
+    """The records of a stored day that are new or changed since the nearest
+    earlier stored day; None when either day is not stored.
+
+    A day stored as changes to that day, each delta of its chain stating a
+    lines digest, is read from its own lines, the only ones decoded, and a
+    record is changed when its line is. The ids below are read from the
+    chain's lines with a load's checks: each link's content digest, each
+    file's layout and id order, the lines digest of each delta a line is
+    taken from, the removals and the record count. Any other day, and any
+    fault, is left to ``diff_snapshots`` over loads of both days, the
+    earlier first, which name the fault."""
+    path = snapshot_path(store_root, day)
+    previous = find_previous_date(store_root, day)
+    if previous is None or not path.exists():
         return None
-    chain = _chain(store_root, day)  # every file but the last is a delta
-    if not chain or len(chain) == 1 or any(head.lines_digest is None for _, head in chain[:-1]):
-        return None
-    memo, new, changed = FieldMemo(), {}, {}
-    try:
-        base_ids = {cve_id for cve_id, _ in _content(chain[1:])}
-        for cve_id, line in _content(chain[:1], base_ids):
-            record = _decode_line(line, memo, None)
-            if record.id != cve_id:
-                raise _NotLines
-            (changed if cve_id in base_ids else new)[cve_id] = record
-    except (_NotLines, KeyError, TypeError, ValueError, RecursionError, ValidationError):
-        return None
-    if head.record_count != len(base_ids) - len(head.removed) + len(new):
-        return None
-    return head.base, new, changed
+    memo, head = FieldMemo(), _head_of(path)
+    chain = _chain(store_root, day) if head is not None and head.base == previous else None
+    if chain and all(link.lines_digest is not None for _, link in chain[:-1]):
+        new, changed = {}, {}
+        with suppress(_NotLines, KeyError, TypeError, ValueError, RecursionError, ValidationError):
+            base_ids = {cve_id for cve_id, _ in _content(chain[1:])}
+            for cve_id, line in _content(chain[:1], base_ids):
+                (changed if cve_id in base_ids else new)[cve_id] = _decode_line(cve_id, line, memo)
+            if head.record_count == len(base_ids) - len(head.removed) + len(new):
+                return SnapshotDiff(previous, day, tuple(new.values()), tuple(changed.values()))
+    older = load_snapshot(store_root, previous, memo=memo)
+    return diff_snapshots(older, load_snapshot(store_root, day, previous=older, memo=memo))
+
+
+def diff_snapshots(older: Snapshot, newer: Snapshot) -> SnapshotDiff:
+    """The records of ``newer`` that are new or changed since ``older``,
+    each list sorted by id; swapped arguments are rejected.
+
+    A record is changed on any difference in value, not just a moved
+    last_modified stamp. The same object in both days costs one ``is`` test.
+    """
+    if older.date >= newer.date:
+        raise OrderingError(
+            f"diff requires older < newer, got {older.date.isoformat()} >= {newer.date.isoformat()}"
+        )
+    new, updated = [], []
+    for cve_id, record in newer.records.items():
+        previous = older.records.get(cve_id)
+        if previous is None:
+            new.append(record)
+        elif previous is not record and previous != record:
+            updated.append(record)
+    by_id = attrgetter("id")
+    return SnapshotDiff(older.date, newer.date, tuple(sorted(new, key=by_id)),
+                        tuple(sorted(updated, key=by_id)))
 
 
 def _line_count(path: Path) -> int:

@@ -419,6 +419,25 @@ class TestTickets:
         assert main(argv) == 2
         assert capsys.readouterr().err.endswith("; rerun with --full\n")
 
+    @pytest.mark.parametrize("case, code, error", [
+        ("first-day", 2, "no snapshot stored before 2021-06-01; rerun with --full"),
+        ("missing-day", 2, "no snapshot stored for 2021-06-03"),
+        ("corrupt-first-day", 4, "corrupt snapshot file {path}: Invalid isoformat string: 'x2021-06-01'"),
+    ], ids=["first-day", "missing-day", "corrupt-first-day"])
+    def test_a_day_with_no_day_stored_before_it(self, tmp_path, store, capsys, case, code, error):
+        """Without --full, the day is loaded before the missing earlier day is
+        named: a missing or corrupt day is the error reported."""
+        inventory = self._setup(tmp_path, store)
+        path = Path(store) / "snapshots" / "2021-06-01"
+        if case == "corrupt-first-day":
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text.replace('"published":"2021-06-01"', '"published":"x2021-06-01"'),
+                            encoding="utf-8")
+        day = "2021-06-03" if case == "missing-day" else "2021-06-01"
+        capsys.readouterr()
+        assert main(["tickets", "--date", day, "--store", store, "--inventory", inventory]) == code
+        assert capsys.readouterr() == ("", f"error: {error.format(path=path)}\n")
+
     def test_corrupt_previous_day_exits_4(self, tmp_path, store, capsys):
         inventory = self._setup(tmp_path, store)
         ingest_day(tmp_path, store, "2021-06-02", [feed_item("CVE-2021-0002")])
@@ -610,8 +629,8 @@ class TestTickets:
         else:
             argv[-1] = str(tmp_path / "absent.txt")
         loads = []
-        monkeypatch.setattr(ingest, "load_snapshots", lambda *a, **k: loads.append(a))
-        monkeypatch.setattr(ingest, "load_snapshot", lambda *a, **k: loads.append(a))
+        for name in ("load_snapshots", "load_snapshot", "day_changes"):
+            monkeypatch.setattr(ingest, name, lambda *a, **k: loads.append(a))
         errors = []
         for day in ("2021-06-02", "2021-06-09"):
             capsys.readouterr()
@@ -1933,8 +1952,9 @@ class TestOutput:
         _output_history(tmp_path, store)
         argv = _output_commands(tmp_path, store)[command]
         loads = []
-        load = ingest.load_snapshot
-        monkeypatch.setattr(ingest, "load_snapshot", lambda *a, **k: loads.append(a) or load(*a, **k))
+        for name in ("load_snapshot", "day_changes"):
+            read = getattr(ingest, name)
+            monkeypatch.setattr(ingest, name, lambda *a, read=read, **k: loads.append(a) or read(*a, **k))
         monkeypatch.setattr(ingest, "read_feed_bytes", None)  # a feed read raises TypeError
         output = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
         stored = ingest.snapshot_path(store, date(2021, 6, 2)).read_bytes()
@@ -1959,7 +1979,7 @@ class TestOutput:
         _output_history(tmp_path, store)
         argv = [*_output_commands(tmp_path, store)[command], "--store", store]
         reads = []
-        for name in ("load_snapshot", "delta_records"):
+        for name in ("load_snapshot", "day_changes"):
             monkeypatch.setattr(ingest, name, lambda *a, **k: reads.append(a))
         monkeypatch.setattr(ingest, "read_feed_bytes", None)  # a feed read raises TypeError
         snapshots = Path(store) / "snapshots"

@@ -12,6 +12,7 @@ import tempfile
 import tracemalloc
 from datetime import date, timedelta
 from decimal import Decimal
+from itertools import pairwise
 from pathlib import Path
 from typing import Iterator
 
@@ -25,7 +26,7 @@ from cvesentinel.cli import main
 from cvesentinel.errors import SnapshotIntegrityError
 from cvesentinel.ingest import (
     Snapshot,
-    delta_records,
+    day_changes,
     diff_snapshots,
     load_snapshot,
     load_snapshots,
@@ -523,11 +524,45 @@ def test_a_delta_whose_base_head_is_edited_into_another_form(tmp_path, form):
                       "the content of 2021-06-02 has changed since")
 
 
-def test_a_delta_stored_before_lines_digests_loads_with_its_lines_unchecked(tmp_path):
+def spied_loads(monkeypatch) -> list[date]:
+    """The days store.load_snapshot is called for from now on, in order."""
+    loads: list[date] = []
+    load = store.load_snapshot
+
+    def spy(root, day, **kwargs):
+        loads.append(day)
+        return load(root, day, **kwargs)
+
+    monkeypatch.setattr(store, "load_snapshot", spy)
+    return loads
+
+
+def assert_changes_loaded(root, day: date, monkeypatch) -> None:
+    """day_changes of ``day`` loads the nearest earlier stored day and then
+    ``day``, and gives what diff_snapshots over the oracle's loads of the
+    two days gives: their diff, or the integrity error of the load that fails."""
+    previous = store.find_previous_date(root, day)
+
+    def diff_or_error(load):
+        try:
+            return diff_snapshots(load(root, previous), load(root, day))
+        except SnapshotIntegrityError as exc:
+            return str(exc)
+
+    expected = diff_or_error(oracle_load_snapshot)
+    loads = spied_loads(monkeypatch)
+    try:
+        assert day_changes(root, day) == expected
+    except SnapshotIntegrityError as exc:
+        assert str(exc) == expected
+    assert loads == [previous, day]
+
+
+def test_a_delta_stored_before_lines_digests_loads_with_its_lines_unchecked(tmp_path, monkeypatch):
     """A delta whose head states no lines digest, as deltas stored before it
     existed, loads as before: a line edited in it loads as edited, on its
-    day and on the later delta replayed through it. delta_records gives
-    nothing for either day, so tickets loads both days."""
+    day and on the later delta replayed through it. day_changes of either
+    day loads both days, as tickets did before it."""
     records = {f"CVE-2021-000{n}": make_record(f"CVE-2021-000{n}") for n in range(1, 6)}
     expected = {}
     for day, rescored, score in zip(DAYS[:3], ["CVE-2021-0003", "CVE-2021-0001", "CVE-2021-0002"],
@@ -542,7 +577,8 @@ def test_a_delta_stored_before_lines_digests_loads_with_its_lines_unchecked(tmp_
     later = head_of(tmp_path, DAYS[2])
     assert later["base"] == "2021-06-02" and "lines_digest" in later
     assert_stored(tmp_path, expected)
-    assert delta_records(tmp_path, DAYS[1]) is None and delta_records(tmp_path, DAYS[2]) is None
+    for day in DAYS[1:3]:
+        assert_changes_loaded(tmp_path, day, monkeypatch)
     path.write_text(path.read_text(encoding="utf-8").replace('"cvss3_base":5.0', '"cvss3_base":9.8', 1),
                     encoding="utf-8")
     for day in DAYS[1:3]:
@@ -550,10 +586,10 @@ def test_a_delta_stored_before_lines_digests_loads_with_its_lines_unchecked(tmp_
             assert load(tmp_path, day).records["CVE-2021-0001"].cvss3_base == Decimal("9.8")
 
 
-def test_a_delta_line_that_decodes_to_another_id_is_left_to_a_load(tmp_path):
+def test_a_delta_line_that_decodes_to_another_id_is_left_to_a_load(tmp_path, monkeypatch):
     """A line of day 2's delta that begins with its id but decodes to a
     record of another id (a second "id" key, escaped), its lines digest
-    stated anew: delta_records gives nothing, so tickets loads both days."""
+    stated anew: day_changes loads both days."""
     three_days(tmp_path)
     path = snapshot_path(tmp_path, DAYS[1])
     head, *lines, tail = path.read_text(encoding="utf-8").split("\n")[:-1]
@@ -563,18 +599,19 @@ def test_a_delta_line_that_decodes_to_another_id_is_left_to_a_load(tmp_path):
     head = re.sub('"lines_digest":"[0-9a-f]{32}"', f'"lines_digest":"{stated}"', head)
     path.write_text("\n".join([head, *lines, tail, ""]), encoding="utf-8")
     assert json.loads(path.read_text(encoding="utf-8"))["records"][-1]["id"] == "CVE-2021-0009"
-    assert delta_records(tmp_path, DAYS[1]) is None
+    assert_changes_loaded(tmp_path, DAYS[1], monkeypatch)
 
 
 @pytest.mark.parametrize("day_3_rescores", [False, True])
-def test_an_edited_delta_line_fails_each_load_that_takes_a_line_of_that_delta(tmp_path,
+def test_an_edited_delta_line_fails_each_load_that_takes_a_line_of_that_delta(tmp_path, monkeypatch,
                                                                               day_3_rescores):
     """Day 2 rescores CVE-2021-0001 to 5.0, and its line is then edited to
     9.8, which still decodes. A load of day 2 exits as the oracle does, and
     so does a load of day 3 that takes that line. When day 3 rescores the
     CVE itself, its load takes no line of day 2 and succeeds, while the
     oracle, which reads every file whole, is stricter. The ids of day 2
-    are read from its lines, so delta_records of day 3 gives nothing."""
+    are read from its lines, so day_changes of day 3 loads day 2, which
+    names the fault."""
     records = {f"CVE-2021-000{n}": make_record(f"CVE-2021-000{n}") for n in range(1, 4)}
     stored = {}
     for day, score in zip(DAYS[:3], [None, 5.0, 7.5 if day_3_rescores else 5.0]):
@@ -602,7 +639,11 @@ def test_an_edited_delta_line_fails_each_load_that_takes_a_line_of_that_delta(tm
         with pytest.raises(SnapshotIntegrityError) as day_3:
             load_snapshot(tmp_path, DAYS[2])
         assert str(day_3.value) == message
-    assert delta_records(tmp_path, DAYS[2]) is None
+    loads = spied_loads(monkeypatch)
+    with pytest.raises(SnapshotIntegrityError) as changes:
+        day_changes(tmp_path, DAYS[2])
+    assert str(changes.value) == message
+    assert loads == [DAYS[1]]
 
 
 # A delta day stored against a whole day, broken in one way each: the
@@ -745,25 +786,27 @@ def test_a_range_load_re_encodes_to_the_stored_lines(operations):
 @settings(max_examples=60, deadline=None)
 def test_a_delta_names_its_new_and_changed_records(operations):
     """After each step, for each stored day with an earlier stored day,
-    delta_records gives nothing, or the day it is stored against and the
-    records of the new ids and of the ids whose line changed: the new ids
-    and changed records of diff_snapshots over the oracle's loads of the
-    two days, and stored_changes' counts."""
+    day_changes gives the new records of diff_snapshots over the oracle's
+    loads of the two days. A delta stored against the nearest earlier day
+    gives as changed the records of the ids whose line changed, those of the
+    diff among them, with stored_changes' counts; any other day gives the
+    diff itself."""
     with tempfile.TemporaryDirectory() as tmp:
         for model in run_operations(tmp, operations):
-            days = sorted(model)
-            for day in days[1:]:
-                delta = delta_records(tmp, day)
-                if delta is None:
-                    continue
-                base, new, changed = delta
+            for base, day in pairwise(sorted(model)):
+                changes = day_changes(tmp, day)
                 older, newer = oracle_load_snapshot(tmp, base), oracle_load_snapshot(tmp, day)
                 diff = diff_snapshots(older, newer)
-                assert list(new.values()) == list(diff.new_cves)
-                assert list(changed) == sorted(
+                assert (changes.date_from, changes.date_to, changes.new_cves) == (base, day, diff.new_cves)
+                stored = stored_changes(snapshot_path(tmp, day))
+                if stored is None or stored[0] != base:
+                    assert changes == diff
+                    continue
+                changed = [record.id for record in changes.updated_cves]
+                assert changed == sorted(
                     i for i in newer.records
                     if i in older.records and record_line(newer.records[i]) != record_line(older.records[i]))
                 assert {r.id for r in diff.updated_cves} <= set(changed)
-                assert all(changed[i] == newer.records[i] for i in changed)
-                removed = len(older.records) - len(newer.records) + len(new)
-                assert stored_changes(snapshot_path(tmp, day)) == (base, len(new), len(changed), removed)
+                assert all(record == newer.records[record.id] for record in changes.updated_cves)
+                removed = len(older.records) - len(newer.records) + len(diff.new_cves)
+                assert stored == (base, len(diff.new_cves), len(changed), removed)
