@@ -9,8 +9,8 @@ the day it is stored against and that day's content digest, its own
 content digest, the digest of its own lines, and the ids it removes; its
 lines are its new and changed records. A day is replayed from the lines of
 its chain's files, read side by side down to a day stored whole; a day in
-another layout, or one whose replay finds a fault, is loaded by decoding
-each of those files whole.
+another layout, or one whose stored bytes hold a fault, is loaded by
+decoding each of those files whole. A bug in the replay is raised.
 A head has one form, the compact one store_snapshot writes, keys in order:
 a day with a head in any other form is loaded whole, and the next day is stored whole.
 What is new or changed on a stored day is ``day_changes``: a delta against the nearest
@@ -92,6 +92,8 @@ _TAIL = b"]}\n"
 # A record line as store_snapshot writes it, which begins with its id.
 _LINE_ID = re.compile(rb'\{"id":"(CVE-\d{4}-\d{4,})"[,}]')
 _DIGEST_SIZE = 16
+# What decoding stored bytes raises on a fault in them.
+_DECODE_FAULTS = (KeyError, TypeError, ValueError, RecursionError, ValidationError)
 
 
 class _Head(NamedTuple):
@@ -123,7 +125,7 @@ class _Head(NamedTuple):
 
 
 class _NotLines(Exception):
-    """A stored file turns out not to be in the line layout."""
+    """A file not in the line layout, or a fault in its bytes: the one signal a replay falls back on."""
 
 
 def _parse_head(line: bytes) -> _Head | None:
@@ -131,7 +133,7 @@ def _parse_head(line: bytes) -> _Head | None:
     head it decodes to, its count an int of 0 or more, its digests lowercase hex."""
     try:  # a line that does not open the records, such as a whole day on one line, is not decoded
         head = _payload_head(json.loads(line + b"]}")) if line.endswith(b"[\n") else None
-    except (KeyError, TypeError, ValueError, RecursionError):
+    except _DECODE_FAULTS:
         return None
     ok = head and type(head.record_count) is int and head.record_count >= 0
     ok = ok and all(re.fullmatch("[0-9a-f]{32}", digest) for digest in head[3:6] if digest is not None)
@@ -163,12 +165,11 @@ def _payload_head(payload: Any) -> _Head:
                  tuple(removed))
 
 
-def _content_digest(path: Path) -> str:
-    """The content digest of a stored day: a delta states its own; a day
-    stored whole is digested from its bytes. A delta states the digest of
-    the bytes its day would have stored whole, so rewriting a delta whole
+def _content_digest(path: Path, head: _Head | None) -> str:
+    """The content digest of a stored day, given its head: a delta states its
+    own; any other day is digested from its bytes. A delta states the digest
+    of the bytes its day would have stored whole, so rewriting a delta whole
     keeps its digest."""
-    head = _head_of(path)
     if head is not None and head.base is not None:
         return head.digest
     digest = blake2b(digest_size=_DIGEST_SIZE)
@@ -191,13 +192,14 @@ def _decode_line(
     cve_id: str, line: bytes, memo: FieldMemo, earlier: CveRecord | None = None
 ) -> CveRecord:
     """The record of the stored line of ``cve_id``, which must be one JSON
-    value and decode to a record of that id."""
-    text = line.decode("utf-8")
-    data, end = _DECODER.raw_decode(text)
-    if end != len(text):
-        raise _NotLines
-    record = CveRecord.from_dict(data, memo, earlier)
-    if record.id != cve_id:
+    value and decode to a record of that id; raises _NotLines where not."""
+    try:
+        text = line.decode("utf-8")
+        data, end = _DECODER.raw_decode(text)
+        record = CveRecord.from_dict(data, memo, earlier)
+    except _DECODE_FAULTS:
+        raise _NotLines from None
+    if end != len(text) or record.id != cve_id:
         raise _NotLines
     return record
 
@@ -218,11 +220,11 @@ def load_snapshot(
     ``previous``, the files above it are applied to its records, whose
     unchanged records are then the same objects. A line of an id that
     ``previous`` holds is built from that record (``CveRecord.from_dict``'s
-    ``earlier``), each line built once. Any other layout,
-    and any fault, is left to a load of each file decoded whole, which
-    names the fault. ``memo`` holds the CPE names, dates and scores parsed
-    before and gains each one parsed here; without it, each is parsed once
-    per load.
+    ``earlier``), each line built once. Any other layout, and any fault in
+    the stored bytes, is left to a load of each file decoded whole, which
+    names the fault; a bug in the replay is raised. ``memo`` holds the CPE
+    names, dates and scores parsed before and gains each one parsed here;
+    without it, each is parsed once per load.
     """
     path = snapshot_path(store_root, day)
     if not path.exists():
@@ -244,7 +246,7 @@ def load_snapshot(
         if len(records) != chain[0][1].record_count:
             raise _NotLines
         return Snapshot(date=day, records=records)
-    except (_NotLines, KeyError, TypeError, ValueError, RecursionError, ValidationError):
+    except _NotLines:
         return _load_whole(store_root, day, memo)
 
 
@@ -260,7 +262,7 @@ def _load_whole(store_root: str | Path, day: date, memo: FieldMemo) -> Snapshot:
             date.fromisoformat(payload["date"])  # a bad date is named before a bad record
             built = [CveRecord.from_dict(data, memo) for data in payload["records"]]
             head = _payload_head(payload)
-        except (KeyError, TypeError, ValueError, RecursionError, ValidationError) as exc:
+        except _DECODE_FAULTS as exc:
             head = _head_of(path)
             raise SnapshotIntegrityError(
                 f"corrupt snapshot file {path if head is None else head.where(path)}: {exc}")
@@ -283,7 +285,7 @@ def _load_whole(store_root: str | Path, day: date, memo: FieldMemo) -> Snapshot:
         if head.base >= day or not base_path.exists():
             raise SnapshotIntegrityError(
                 f"snapshot file {where}: no earlier snapshot stored for {head.base.isoformat()}")
-        if _content_digest(base_path) != head.base_digest:
+        if _content_digest(base_path, _head_of(base_path)) != head.base_digest:
             raise SnapshotIntegrityError(
                 f"snapshot file {where}: the content of {head.base.isoformat()} has changed since")
         path, day = base_path, head.base
@@ -316,7 +318,7 @@ def _chain(
         path = snapshot_path(store_root, day)
         head = _head_of(path)
         if head is None or head.date != day or (chain and (
-                day >= chain[-1][1].date or _content_digest(path) != chain[-1][1].base_digest)):
+                day >= chain[-1][1].date or _content_digest(path, head) != chain[-1][1].base_digest)):
             return None
         if chain and day == stop:
             break
@@ -410,18 +412,18 @@ def day_changes(store_root: str | Path, day: date) -> SnapshotDiff | None:
     record is changed when its line is. The ids below are read from the
     chain's lines with a load's checks: each link's content digest, each
     file's layout and id order, the lines digest of each delta a line is
-    taken from, the removals and the record count. Any other day, and any
-    fault, is left to ``diff_snapshots`` over loads of both days, the
-    earlier first, which name the fault."""
+    taken from, the removals and the record count. Any other day, and any fault
+    in the stored bytes, is left to ``diff_snapshots`` over loads of both days,
+    the earlier first, which name the fault; a bug in the replay is raised."""
     path = snapshot_path(store_root, day)
     previous = find_previous_date(store_root, day)
     if previous is None or not path.exists():
         return None
-    memo, head = FieldMemo(), _head_of(path)
-    chain = _chain(store_root, day) if head is not None and head.base == previous else None
-    if chain and all(link.lines_digest is not None for _, link in chain[:-1]):
+    memo, chain = FieldMemo(), _chain(store_root, day)
+    head = chain[0][1] if chain else None
+    if head and head.base == previous and all(link.lines_digest is not None for _, link in chain[:-1]):
         new, changed = {}, {}
-        with suppress(_NotLines, KeyError, TypeError, ValueError, RecursionError, ValidationError):
+        with suppress(_NotLines):
             base_ids = {cve_id for cve_id, _ in _content(chain[1:])}
             for cve_id, line in _content(chain[:1], base_ids):
                 (changed if cve_id in base_ids else new)[cve_id] = _decode_line(cve_id, line, memo)
@@ -537,7 +539,7 @@ def _write_delta(
     except _NotLines:
         return False
     base_path, base = chain[0]
-    _write_day(out.write, _Head(day, len(lines), base.date, _content_digest(base_path),
+    _write_day(out.write, _Head(day, len(lines), base.date, _content_digest(base_path, base),
                                 digest.hexdigest(), _lines_digest(changed), tuple(removed)), changed)
     return True
 

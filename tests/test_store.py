@@ -10,6 +10,7 @@ import json
 import re
 import tempfile
 import tracemalloc
+from collections import Counter
 from datetime import date, timedelta
 from decimal import Decimal
 from itertools import pairwise
@@ -94,6 +95,16 @@ def three_days(root) -> list[Snapshot]:
     for snapshot in (first, second, third):
         store_snapshot(root, snapshot)
     return [first, second, third]
+
+
+def two_deltas_deep(root) -> None:
+    """Ten records on day 1, stored whole; days 2 and 3 each rescore one, so
+    day 3 is stored as its changes to day 2, and day 2 as its changes to day 1."""
+    records = {f"CVE-2021-{n:04d}": make_record(f"CVE-2021-{n:04d}") for n in range(1, 11)}
+    for n, day in enumerate(DAYS[:3]):
+        records[f"CVE-2021-{n + 1:04d}"] = make_record(f"CVE-2021-{n + 1:04d}", score=float(n))
+        store_snapshot(root, Snapshot(day, records))
+    assert [head_of(root, day).get("base") for day in DAYS[:3]] == [None, "2021-06-01", "2021-06-02"]
 
 
 class TestLayout:
@@ -301,6 +312,44 @@ class TestLoads:
         assert loaded[1].records["CVE-2021-0001"] is loaded[0].records["CVE-2021-0001"]
         assert loaded[2].records["CVE-2021-0004"] is loaded[1].records["CVE-2021-0004"]
         assert loaded[1].records["CVE-2021-0002"] is not loaded[0].records["CVE-2021-0002"]
+
+    def test_each_link_of_a_chain_is_opened_for_its_head_once(self, tmp_path, monkeypatch):
+        """A load of a day two deltas deep, and day_changes of it, open each
+        file of its chain once for its head and once for its lines, and day
+        1, the day stored whole, once more to digest its bytes."""
+        two_deltas_deep(tmp_path)
+        opened: Counter[str] = Counter()
+
+        def counted(path, *args, **kwargs):
+            opened[Path(path).name] += 1
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(store, "open", counted, raising=False)
+        assert load_snapshot(tmp_path, DAYS[2]) == oracle_load_snapshot(tmp_path, DAYS[2])
+        assert opened == {"2021-06-01": 3, "2021-06-02": 2, "2021-06-03": 2}
+        opened.clear()
+        assert day_changes(tmp_path, DAYS[2]).updated_cves
+        assert opened == {"2021-06-01": 3, "2021-06-02": 2, "2021-06-03": 2}
+
+    @pytest.mark.parametrize("replay", ["_content", "_sorted_lines"])
+    def test_a_bug_in_the_replay_is_raised_not_retried(self, tmp_path, monkeypatch, replay):
+        """A TypeError that the replay's own code raises once its lines are
+        read is raised by a load, a range load and day_changes of a day two
+        deltas deep: only a fault in the stored bytes sends a day to the
+        load of each file decoded whole."""
+        two_deltas_deep(tmp_path)
+        lines = getattr(store, replay)
+
+        def broken(*args):
+            yield from lines(*args)
+            raise TypeError("a bug in the replay")
+
+        monkeypatch.setattr(store, replay, broken)
+        for load in (lambda: load_snapshot(tmp_path, DAYS[2]),
+                     lambda: list(load_snapshots(tmp_path, DAYS[:3])),
+                     lambda: day_changes(tmp_path, DAYS[2])):
+            with pytest.raises(TypeError, match="a bug in the replay"):
+                load()
 
 
 def stored_lines(snapshot: Snapshot) -> list[bytes]:
@@ -757,11 +806,21 @@ def test_the_store_loads_as_its_model_after_every_operation(operations):
     """Days stored in any order, overwritten while later deltas name them,
     the newest deleted, records removed and days left empty, with churn
     enough for whole days: after each step every stored day loads equal to
-    the model, alone, in a range and through the oracle."""
-    with tempfile.TemporaryDirectory() as tmp:
+    the model, alone, in a range and through the oracle, each load replayed
+    from its lines, none left to the load of each file decoded whole."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        whole_loads: list[date] = []
+        load_whole = store._load_whole
+
+        def spy(root, day, memo):
+            whole_loads.append(day)
+            return load_whole(root, day, memo)
+
+        patch.setattr(store, "_load_whole", spy)
         for model in run_operations(tmp, operations):
             if model:
                 assert_stored(tmp, model)
+            assert whole_loads == []
 
 
 @given(_OPERATIONS)
@@ -789,19 +848,22 @@ def test_a_delta_names_its_new_and_changed_records(operations):
     day_changes gives the new records of diff_snapshots over the oracle's
     loads of the two days. A delta stored against the nearest earlier day
     gives as changed the records of the ids whose line changed, those of the
-    diff among them, with stored_changes' counts; any other day gives the
-    diff itself."""
-    with tempfile.TemporaryDirectory() as tmp:
+    diff among them, with stored_changes' counts, and loads no day; any
+    other day gives the diff itself, from loads of both days."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        loads = spied_loads(patch)
         for model in run_operations(tmp, operations):
             for base, day in pairwise(sorted(model)):
+                loads.clear()
                 changes = day_changes(tmp, day)
                 older, newer = oracle_load_snapshot(tmp, base), oracle_load_snapshot(tmp, day)
                 diff = diff_snapshots(older, newer)
                 assert (changes.date_from, changes.date_to, changes.new_cves) == (base, day, diff.new_cves)
                 stored = stored_changes(snapshot_path(tmp, day))
                 if stored is None or stored[0] != base:
-                    assert changes == diff
+                    assert changes == diff and loads == [base, day]
                     continue
+                assert loads == []
                 changed = [record.id for record in changes.updated_cves]
                 assert changed == sorted(
                     i for i in newer.records
