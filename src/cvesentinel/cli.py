@@ -108,9 +108,12 @@ def _feed_corpus(paths: Sequence[str]) -> tuple[list, int]:
 
 
 def cmd_ingest(args: argparse.Namespace, out: TextIO) -> None:
-    # Each feed's records are kept as their stored lines only: the store writes the day from them.
-    lines, reject_counts = _read_feeds(args.feeds, ingest.parse_feed_lines)
-    path = ingest.store_snapshot(args.store, args.date, lines, overwrite=args.overwrite)
+    # Each feed's records are kept as their stored lines only, a line the day before
+    # holds as its id alone: the store writes the day from them and that day's lines.
+    earlier, base = ingest.earlier_line_digests(args.store, args.date)
+    lines, reject_counts = _read_feeds(args.feeds, lambda feed: ingest.parse_feed_lines(feed, earlier))
+    earlier.clear()  # the digests of the changed and removed lines, not needed by the write
+    path = ingest.store_snapshot(args.store, args.date, lines, overwrite=args.overwrite, base=base)
     changes = ingest.stored_changes(path)
     how = "stored whole" if changes is None else (
         "as changes to {} ({} new, {} changed, {} removed)".format(*changes))

@@ -38,6 +38,11 @@ class SnapshotExistsError(SentinelError):
     exit_code = 3
 
 
+class SnapshotConflictError(SentinelError):
+    """The day a new day was compared with changed in the store before the new day was written."""
+    exit_code = 3
+
+
 class SnapshotIntegrityError(SentinelError):
     """A stored snapshot file is corrupt or inconsistent with its name."""
     exit_code = 4

@@ -30,8 +30,10 @@ from .store import (  # noqa: F401
     _gc_paused,
     day_changes,
     diff_snapshots,
+    earlier_line_digests,
     find_previous_date,
     list_snapshot_dates,
+    line_digest,
     load_snapshot,
     record_line,
     snapshot_dir,
@@ -352,23 +354,29 @@ def _read_feed(
     text, stream = (data, None) if isinstance(data, str) else ("", data)
     kept, count, rejects = None, 0, []
     memo = FieldMemo()
-    try:
-        for item in _walk_feed(text, stream):
-            if item is _ARRAY:
-                kept, count, rejects = start(), 0, []
-            elif item is _NOT_ARRAY:
-                kept = None
-            elif not isinstance(item, dict):
-                rejects.append(FeedReject(index=count, reason="item is not an object"))
-                count += 1
-            else:
-                try:
-                    keep(kept, _parse_feed_item(item, memo))
-                except ValidationError as exc:
-                    rejects.append(FeedReject(index=count, reason=str(exc), cve_id=_item_id(item)))
-                count += 1
-    except (ValueError, RecursionError, EOFError, OSError, zlib.error):
-        raise _feed_error(text if stream is None else _whole_text(stream))
+
+    def walk() -> Iterator[Any]:
+        """The feed's walk, a fault in it or its reads the feed's error; a fault
+        in building or keeping a record is raised in the loop, not here."""
+        try:
+            yield from _walk_feed(text, stream)
+        except (ValueError, RecursionError, EOFError, OSError, zlib.error):
+            raise _feed_error(text if stream is None else _whole_text(stream))
+
+    for item in walk():
+        if item is _ARRAY:
+            kept, count, rejects = start(), 0, []
+        elif item is _NOT_ARRAY:
+            kept = None
+        elif not isinstance(item, dict):
+            rejects.append(FeedReject(index=count, reason="item is not an object"))
+            count += 1
+        else:
+            try:
+                keep(kept, _parse_feed_item(item, memo))
+            except ValidationError as exc:
+                rejects.append(FeedReject(index=count, reason=str(exc), cve_id=_item_id(item)))
+            count += 1
     if kept is None:
         raise FeedParseError(_NO_ITEMS)
     return kept, tuple(rejects)
@@ -392,16 +400,30 @@ def parse_feed(data: bytes | str | BinaryIO) -> FeedParseResult:
     return FeedParseResult(records=tuple(records), rejects=rejects)
 
 
-def _keep_line(lines: dict[str, bytes], record: CveRecord) -> None:
-    lines[record.id] = record_line(record)
-
-
-def parse_feed_lines(data: bytes | str | BinaryIO) -> tuple[dict[str, bytes], int]:
+def parse_feed_lines(
+    data: bytes | str | BinaryIO, earlier: dict[str, bytes] | None = None
+) -> tuple[dict[str, bytes | None], int]:
     """A feed read as ``parse_feed`` reads it, kept as the stored line
     (``record_line``) of each record by id, a later record of an id winning,
     with its count of rejects. Each record is encoded as soon as it is built
-    and then dropped, so no record of the feed is held."""
-    lines, rejects = _read_feed(data, dict, _keep_line)
+    and then dropped, so no record of the feed is held.
+
+    ``earlier`` maps ids to the ``line_digest`` of the day before's line,
+    as ``earlier_line_digests`` gives them: a record whose line has its
+    id's digest there is kept as its id alone, mapped to None, and that
+    digest is taken out of ``earlier``, so a later record of the id is
+    kept with its line."""
+    earlier = {} if earlier is None else earlier
+
+    def keep(lines: dict[str, bytes | None], record: CveRecord) -> None:
+        line = record_line(record)
+        digest = earlier.get(record.id)
+        if digest is not None and digest == line_digest(line):
+            del earlier[record.id]
+            line = None
+        lines[record.id] = line
+
+    lines, rejects = _read_feed(data, dict, keep)
     return lines, len(rejects)
 
 

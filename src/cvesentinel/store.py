@@ -4,7 +4,9 @@ the day whole or as its changes to an earlier stored day.
 A day's file is one JSON document of plain lines: a head line, one
 compact record per line in id order, and a tail line. A day is stored
 from those lines (each record's ``record_line``), not from its records:
-the store writes, compares and hashes lines only. A delta's head names
+the store writes, compares and hashes lines only; a line that ``ingest``
+found equal to the earlier day's by ``line_digest`` is given as its id
+alone and taken from that day's files. A delta's head names
 the day it is stored against and that day's content digest, its own
 content digest, the digest of its own lines, and the ids it removes; its
 lines are its new and changed records. A day is replayed from the lines of
@@ -36,6 +38,7 @@ from _blake2 import blake2b
 
 from .errors import (
     OrderingError,
+    SnapshotConflictError,
     SnapshotExistsError,
     SnapshotIntegrityError,
     SnapshotNotFoundError,
@@ -504,48 +507,86 @@ def record_line(record: CveRecord) -> bytes:
     return _RECORD_ENCODER.encode(record.to_dict()).encode()
 
 
-def _write_delta(
-    out: BinaryIO, day: date, lines: Mapping[str, bytes], chain: list[tuple[Path, _Head]]
-) -> bool:
-    """Write the day of ``lines`` as its changes to the day at the head of ``chain``;
-    False, with nothing written, when that day cannot be replayed from its
-    files' lines. The new day is written whole into its content digest, its lines
-    compared byte for byte with the earlier day's, read side by side; the lines
-    that differ are kept until the head, with the removed ids, that digest and
-    theirs, is written."""
-    changed: list[bytes] = []
-    removed: list[str] = []
-
-    def compared() -> Iterator[bytes]:
-        earlier = _content(chain)
-        old = next(earlier, None)  # the earlier day's (id, line) not yet passed
-        for cve_id in sorted(lines):
-            line = lines[cve_id]
-            while old and old[0] < cve_id:
-                removed.append(old[0])
-                old = next(earlier, None)
-            if old != (cve_id, line):
-                changed.append(line)
-            if old and old[0] == cve_id:
-                old = next(earlier, None)
-            yield line
-        while old:
+def _merged(
+    lines: Mapping[str, bytes | None], chain: list[tuple[Path, _Head]] | None,
+    changed: list[bytes], removed: list[str],
+) -> Iterator[bytes]:
+    """The lines of a new day in id order, read side by side with the lines
+    of the day at the head of ``chain``, when there is one: an id given
+    without a line (None) takes that day's line of the id, each line that
+    differs from that day's line of its id is added to ``changed``, and each
+    id of that day the new day lacks to ``removed``. Raises _NotLines where
+    the chain cannot be replayed from its lines, and where an id given
+    without a line has none there."""
+    earlier = _content(chain) if chain else iter(())
+    old = next(earlier, None)  # the earlier day's (id, line) not yet passed
+    for cve_id in sorted(lines):
+        while old and old[0] < cve_id:
             removed.append(old[0])
             old = next(earlier, None)
+        line = lines[cve_id]
+        if line is None:
+            if not (old and old[0] == cve_id):
+                raise _NotLines
+            line = old[1]
+        if old != (cve_id, line):
+            changed.append(line)
+        if old and old[0] == cve_id:
+            old = next(earlier, None)
+        yield line
+    while old:
+        removed.append(old[0])
+        old = next(earlier, None)
 
+
+def _write_delta(
+    out: BinaryIO, day: date, lines: Mapping[str, bytes | None], chain: list[tuple[Path, _Head]],
+    base_digest: str,
+) -> None:
+    """Write the day of ``lines`` as its changes to the day at the head of
+    ``chain``, whose content digest is ``base_digest``; raises _NotLines,
+    with nothing written, where that day cannot be replayed from its files'
+    lines. The new day is written whole into its content digest, its lines
+    merged with the earlier day's; the lines that differ are kept until the
+    head, with the removed ids, that digest and theirs, is written."""
+    changed: list[bytes] = []
+    removed: list[str] = []
     digest = blake2b(digest_size=_DIGEST_SIZE)
-    try:
-        _write_day(digest.update, _Head(day, len(lines)), compared())
-    except _NotLines:
-        return False
-    base_path, base = chain[0]
-    _write_day(out.write, _Head(day, len(lines), base.date, _content_digest(base_path, base),
+    _write_day(digest.update, _Head(day, len(lines)), _merged(lines, chain, changed, removed))
+    _write_day(out.write, _Head(day, len(lines), chain[0][1].date, base_digest,
                                 digest.hexdigest(), _lines_digest(changed), tuple(removed)), changed)
-    return True
+
+
+def line_digest(line: bytes) -> bytes:
+    """The 16-byte BLAKE2b digest of a stored line, by which a new day's line is found unchanged."""
+    return blake2b(line, digest_size=_DIGEST_SIZE).digest()
+
+
+def earlier_line_digests(
+    store_root: str | Path, day: date
+) -> tuple[dict[str, bytes], tuple[date, str] | None]:
+    """The ``line_digest`` of each line of the nearest stored day before
+    ``day``, by id, read in one replay of its chain's lines, none decoded,
+    and that day's date and content digest, the ``base`` that
+    ``store_snapshot`` takes; empty and None when there is no such day, or
+    it cannot be read or replayed from its lines."""
+    with suppress(_NotLines, OSError):
+        previous = find_previous_date(store_root, day)
+        chain = None if previous is None else _chain(store_root, previous)
+        if chain:
+            digests = {cve_id: line_digest(line) for cve_id, line in _content(chain)}
+            return digests, (previous, _content_digest(*chain[0]))
+    return {}, None
+
+
+def _conflict(day: date, base: tuple[date, str]) -> SnapshotConflictError:
+    return SnapshotConflictError(f"snapshot {base[0].isoformat()} changed in the store while "
+                                 f"{day.isoformat()} was compared with it; {day.isoformat()} is not stored")
 
 
 def store_snapshot(
-    store_root: str | Path, day: date, lines: Mapping[str, bytes], overwrite: bool = False
+    store_root: str | Path, day: date, lines: Mapping[str, bytes | None], overwrite: bool = False,
+    base: tuple[date, str] | None = None,
 ) -> Path:
     """Persist a day, given as the ``record_line`` of each of its records by
     id, as one JSON file named by its date; returns the file's path.
@@ -561,6 +602,13 @@ def store_snapshot(
     earlier day is read a line at a time and never decoded, and no record
     is encoded here.
 
+    ``base`` is the date and content digest of the day ``lines`` was
+    compared with, as ``earlier_line_digests`` gives them; with it, an id
+    may be given without a line (None), and takes that day's line. Where
+    the nearest earlier stored day is no longer that day with that
+    content, or cannot be replayed from its lines to give them, nothing is
+    stored: SnapshotConflictError.
+
     Refuses to clobber an existing date unless overwrite is set; a later
     day stored as changes to the day overwritten is first rewritten whole,
     with the same content digest. The write goes through a temp file,
@@ -568,22 +616,35 @@ def store_snapshot(
     write fails, so a crash never leaves a half-written day.
     """
     path = snapshot_path(store_root, day)
+    if path.exists() and not overwrite:
+        raise SnapshotExistsError(f"snapshot for {day.isoformat()} already stored")
+    previous = find_previous_date(store_root, day)
+    chain = None if previous is None else _chain(store_root, previous)
+    base_digest = chain and _content_digest(*chain[0])
+    if base is not None and base != (previous, base_digest):
+        raise _conflict(day, base)
     if path.exists():
-        if not overwrite:
-            raise SnapshotExistsError(f"snapshot for {day.isoformat()} already stored")
         for later in list_snapshot_dates(store_root):
             head = _head_of(snapshot_path(store_root, later)) if later > day else None
             if head is not None and head.base == day:
                 _rewrite_whole(store_root, later)
     path.parent.mkdir(parents=True, exist_ok=True)
-    previous = find_previous_date(store_root, day)
-    chain = None if previous is None else _chain(store_root, previous)
+    delta = chain
     if chain:  # the whole-day rule, which keeps replays short
-        changes = sum(_line_count(delta) + len(head.removed) + 1 for delta, head in chain[:-1])
-        chain = chain if changes < chain[-1][1].record_count else None
+        changes = sum(_line_count(file) + len(head.removed) + 1 for file, head in chain[:-1])
+        delta = chain if changes < chain[-1][1].record_count else None
+    # the day whole: merged with the earlier day's lines where some are given without one
+    whole = _merged(lines, chain, [], []) if base else (lines[cve_id] for cve_id in sorted(lines))
     with replacing(path) as out:
-        if chain is None or not _write_delta(out, day, lines, chain):
-            _write_day(out.write, _Head(day, len(lines)), (lines[cve_id] for cve_id in sorted(lines)))
+        try:
+            if delta is None:
+                _write_day(out.write, _Head(day, len(lines)), whole)
+            else:
+                _write_delta(out, day, lines, delta, base_digest)
+        except _NotLines:
+            if base is not None:
+                raise _conflict(day, base) from None
+            _write_day(out.write, _Head(day, len(lines)), whole)
     return path
 
 

@@ -149,15 +149,18 @@ def digested(monkeypatch) -> list[bytearray]:
     class Spy:
         def __init__(self, data: bytes = b"", **kwargs):
             self.data = bytearray(data)
-            self.digest = digest(data, **kwargs)
+            self.hash = digest(data, **kwargs)
             digests.append(self.data)
 
         def update(self, data: bytes) -> None:
             self.data += data
-            self.digest.update(data)
+            self.hash.update(data)
+
+        def digest(self) -> bytes:
+            return self.hash.digest()
 
         def hexdigest(self) -> str:
-            return self.digest.hexdigest()
+            return self.hash.hexdigest()
 
     monkeypatch.setattr(store, "blake2b", Spy)
     return digests

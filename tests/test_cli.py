@@ -300,6 +300,98 @@ class TestIngest:
         assert not (Path(store) / "snapshots").exists()
 
 
+    def test_a_feed_that_restores_a_record_another_changed_stores_it_unchanged(self, tmp_path, store,
+                                                                              capsys):
+        """The second feed's record equals the day before's line, though the
+        first feed's record of the id did not: the later feed wins."""
+        item = feed_item("CVE-2021-0001")
+        ingest_day(tmp_path, store, "2021-06-01", [item])
+        changed = write(tmp_path, "changed.json", feed_bytes([feed_item("CVE-2021-0001", summary="flaw")]))
+        restored = write(tmp_path, "restored.json", feed_bytes([item]))
+        capsys.readouterr()
+        assert main(["ingest", changed, restored, "--date", "2021-06-02", "--store", store]) == 0
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "stored snapshot 2021-06-02 with 1 records as changes to 2021-06-01 "
+            "(0 new, 0 changed, 0 removed)")
+        assert main(["stats", "--report", "daily", "--from", "2021-06-01", "--to", "2021-06-02",
+                     "--store", store]) == 0
+
+    def test_a_delta_day_holds_only_the_lines_of_its_new_and_changed_records(self, tmp_path, store,
+                                                                            monkeypatch):
+        """The lines ingest hands to the store are those the delta stores;
+        every other id of the day is held without its line."""
+        ingest_day(tmp_path, store, "2021-06-01", [feed_item(f"CVE-2021-000{n}") for n in range(1, 5)])
+        held = []
+        store_snapshot = ingest.store_snapshot
+
+        def spy(root, day, lines, **kwargs):
+            held.append(dict(lines))
+            return store_snapshot(root, day, lines, **kwargs)
+
+        monkeypatch.setattr(ingest, "store_snapshot", spy)
+        items = [feed_item("CVE-2021-0001"), feed_item("CVE-2021-0002", summary="flaw"),
+                 feed_item("CVE-2021-0004"), feed_item("CVE-2021-0005")]
+        assert ingest_day(tmp_path, store, "2021-06-02", items) == 0
+        delta = (Path(store) / "snapshots" / "2021-06-02").read_bytes().split(b"\n")[1:-2]
+        (lines,) = held
+        assert sorted(lines) == ["CVE-2021-0001", "CVE-2021-0002", "CVE-2021-0004", "CVE-2021-0005"]
+        assert sorted(line for line in lines.values() if line is not None) == [
+            line.removesuffix(b",") for line in delta]
+        assert len(delta) == 2
+
+    @pytest.mark.parametrize("records", [2, 4], ids=["whole-day-rule", "delta"])
+    @pytest.mark.parametrize("change", ["overwritten", "day-between", "stale-lines", "removal-added",
+                                        "same-lines"])
+    def test_a_day_before_that_changes_while_the_feeds_are_read_exits_3(
+            self, tmp_path, store, capsys, monkeypatch, records, change):
+        """The day before is replaced, a day is stored between it and the
+        new day, a line of the day before is edited so that its delta no
+        longer matches its lines digest, or its head is edited to remove an
+        id the new day holds without its line (so the write leaves the
+        replay of the day before unfinished), after ingest read that day's
+        line digests and before it writes: nothing is stored. A day before
+        rewritten with the same lines changes nothing. With two records the
+        new day falls under the whole-day rule; with four it is a delta."""
+        items = [feed_item(f"CVE-2021-000{n}") for n in range(1, records + 1)]
+        ingest_day(tmp_path, store, "2021-06-01", items)
+        ingest_day(tmp_path, store, "2021-06-02", [*items[:-1], feed_item(items[-1]["cve"][
+            "CVE_data_meta"]["ID"], summary="flaw")])
+        day_before = Path(store) / "snapshots" / "2021-06-02"
+        lines = {cve_id: ingest.record_line(record)
+                 for cve_id, record in load_snapshot(store, date(2021, 6, 2)).records.items()}
+        parse = ingest.parse_feed_lines
+
+        def racing(feed, earlier):
+            if change == "overwritten":
+                ingest.store_snapshot(store, date(2021, 6, 2), {**lines, "CVE-2021-0009": lines[
+                    "CVE-2021-0001"].replace(b"0001", b"0009")}, overwrite=True)
+            elif change == "day-between":
+                ingest.store_snapshot(store, date(2021, 6, 3), lines)
+            elif change == "stale-lines":
+                day_before.write_bytes(day_before.read_bytes().replace(b"flaw", b"flew"))
+            elif change == "removal-added":
+                day_before.write_bytes(day_before.read_bytes().replace(
+                    b'"removed":[]', b'"removed":["CVE-2021-0001"]', 1))
+            else:
+                ingest.store_snapshot(store, date(2021, 6, 2), lines, overwrite=True)
+            return parse(feed, earlier)
+
+        monkeypatch.setattr(ingest, "parse_feed_lines", racing)
+        capsys.readouterr()
+        code = ingest_day(tmp_path, store, "2021-06-04", [*items, feed_item("CVE-2021-0008")])
+        day = Path(store) / "snapshots" / "2021-06-04"
+        if change == "same-lines":
+            assert code == 0 and day.exists()
+            return
+        base = "2021-06-02"
+        assert code == 3
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: snapshot {base} changed in the store while 2021-06-04 was compared with it; "
+            "2021-06-04 is not stored")
+        assert not day.exists()
+        assert [path.name for path in day.parent.iterdir() if ".tmp." in path.name] == []
+
+
 class TestTickets:
     def _setup(self, tmp_path, store):
         inventory = write(tmp_path, "inv.csv", INVENTORY)

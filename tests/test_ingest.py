@@ -455,6 +455,43 @@ class TestParseFeedOracle:
             assert whole_reads == []
 
 
+class TestFaultsBesideTheWalk:
+    """Only walking a feed and reading it are the feed's faults: a fault in
+    building or keeping a record is raised to the caller as it is, the feed
+    not decoded again."""
+
+    @staticmethod
+    def _no_whole_read(monkeypatch) -> None:
+        monkeypatch.setattr(ingest, "_feed_error", lambda text: pytest.fail("the feed was read whole"))
+
+    @pytest.mark.parametrize("parse", [parse_feed, ingest.parse_feed_lines])
+    def test_a_value_error_building_a_record_is_raised(self, monkeypatch, parse):
+        def broken(item, memo):
+            raise ValueError("a bug in building a record")
+
+        monkeypatch.setattr(ingest, "_parse_feed_item", broken)
+        self._no_whole_read(monkeypatch)
+        with pytest.raises(ValueError, match="a bug in building a record"):
+            parse(io.BytesIO(feed_bytes([feed_item("CVE-2021-0001")])))
+
+    def test_a_value_error_keeping_a_line_is_raised(self, monkeypatch):
+        def broken(record):
+            raise ValueError("a bug in keeping a line")
+
+        monkeypatch.setattr(ingest, "record_line", broken)
+        self._no_whole_read(monkeypatch)
+        with pytest.raises(ValueError, match="a bug in keeping a line"):
+            ingest.parse_feed_lines(feed_bytes([feed_item("CVE-2021-0001")]))
+
+    def test_a_value_error_of_any_keep_is_raised(self, monkeypatch):
+        def broken(kept, record):
+            raise ValueError("a bug in keeping a record")
+
+        self._no_whole_read(monkeypatch)
+        with pytest.raises(ValueError, match="a bug in keeping a record"):
+            ingest._read_feed(feed_bytes([feed_item("CVE-2021-0001")]), list, broken)
+
+
 class TestFeedMemory:
     def test_items_are_not_decoded_all_at_once(self):
         """Parsing 4,000 rejected items allocates under 3 MB above the feed's

@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import io
 import json
 import re
 import tempfile
 import tracemalloc
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import date, timedelta
 from decimal import Decimal
 from itertools import pairwise
@@ -18,11 +20,11 @@ from pathlib import Path
 from typing import Iterator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import compact_day, cpe23, feed_bytes, feed_item, make_record, snapshot_of, store_snapshot
-from cvesentinel import store
+from cvesentinel import ingest, store
 from cvesentinel.cli import main
 from cvesentinel.errors import SnapshotIntegrityError
 from cvesentinel.ingest import (
@@ -872,3 +874,101 @@ def test_a_delta_names_its_new_and_changed_records(operations):
                 assert all(record == newer.records[record.id] for record in changes.updated_cves)
                 removed = len(older.records) - len(newer.records) + len(diff.new_cves)
                 assert stored == (base, len(diff.new_cves), len(changed), removed)
+
+
+# --- ingest, which holds an unchanged line as its id alone, against the full map ---
+
+_FEED_ITEMS = st.builds(
+    lambda n, summary, score: feed_item(f"CVE-2021-{n:04d}", summary=summary, score=score),
+    st.integers(1, 6), st.sampled_from(["", "flaw", "flaw in acme anvil"]), st.sampled_from([None, 5.0]))
+# The edits made to a stored day by hand, each to the same bytes in both stores.
+_EDITS = {
+    "indented": lambda text: json.dumps(json.loads(text), indent=1),
+    "unlined": lambda text: text.replace('\n{"id":', '\n{"id" :', 1),
+    "corrupt-line": lambda text: text.replace('"published":"2021-06-01"', '"published":"2021-13-01"', 1),
+    "stale-lines": lambda text: re.sub('"lines_digest":"[0-9a-f]{32}"', f'"lines_digest":"{"0" * 32}"', text),
+}
+_INGEST_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("ingest"), st.sampled_from(DAYS[:4]),
+                  st.lists(st.lists(_FEED_ITEMS, max_size=6), min_size=1, max_size=3)),
+        st.tuples(st.sampled_from(sorted(_EDITS)), st.sampled_from(DAYS[:4])),
+        st.tuples(st.just("delete-newest")),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _ingest(day: str, *feeds: list[tuple[int, str]]) -> tuple:
+    return ("ingest", date.fromisoformat(day),
+            [[feed_item(f"CVE-2021-{n:04d}", summary=summary) for n, summary in feed] for feed in feeds])
+
+
+def run_ingests(root: Path, operations, full_map: bool) -> Iterator[tuple]:
+    """Apply each drawn operation to the store under ``root``, ingests
+    through ``sentinel ingest --overwrite``; with ``full_map``, ingest is
+    given no digest of the day before, so it hands the store every line.
+    Yields each operation's exit code, stdout and stderr (``root`` written
+    as ``<root>``), and the store's files then."""
+    snapshots = root / "store" / "snapshots"
+    with pytest.MonkeyPatch.context() as patch:
+        if full_map:
+            patch.setattr(ingest, "earlier_line_digests", lambda store_root, day: ({}, None))
+        for number, operation in enumerate(operations):
+            out, err, code = io.StringIO(), io.StringIO(), None
+            stored = sorted(snapshots.iterdir()) if snapshots.is_dir() else []
+            if operation[0] == "ingest":
+                _, day, feeds = operation
+                paths = []
+                for n, items in enumerate(feeds):
+                    paths.append(root / f"feed-{number}-{n}.json")
+                    paths[-1].write_bytes(feed_bytes(items))
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(["ingest", *map(str, paths), "--date", day.isoformat(),
+                                 "--store", str(root / "store"), "--overwrite"])
+            elif operation[0] == "delete-newest":
+                if stored:
+                    stored[-1].unlink()
+            elif snapshot_path(root / "store", operation[1]).exists():
+                path = snapshot_path(root / "store", operation[1])
+                path.write_text(_EDITS[operation[0]](path.read_text(encoding="utf-8")), encoding="utf-8")
+            files = {path.name: path.read_bytes() for path in snapshots.iterdir()} if snapshots.is_dir() else {}
+            yield code, out.getvalue(), err.getvalue().replace(str(root), "<root>"), files
+
+
+@given(_INGEST_OPERATIONS)
+@settings(max_examples=60, deadline=None)
+# a feed that restores the line another changed, and a day under the whole-day rule
+@example([_ingest("2021-06-01", [(1, ""), (2, "")]),
+          _ingest("2021-06-02", [(1, "flaw"), (2, "flaw")], [(1, ""), (3, "")]),
+          _ingest("2021-06-03", [(1, ""), (3, "flaw")], [(3, "")], [(1, "flaw"), (4, "")])])
+@example([_ingest("2021-06-01", [(1, ""), (2, "")]), ("indented", DAYS[0]),
+          _ingest("2021-06-02", [(1, ""), (2, "flaw")])])
+@example([_ingest("2021-06-01", [(1, ""), (2, ""), (3, "")]),
+          _ingest("2021-06-02", [(1, ""), (2, "flaw"), (3, "")]),
+          ("corrupt-line", DAYS[1]), _ingest("2021-06-03", [(1, ""), (2, "flaw")])])
+@example([_ingest("2021-06-01", [(1, ""), (2, ""), (3, "")]),
+          _ingest("2021-06-02", [(1, ""), (2, "flaw"), (3, "")]),
+          ("unlined", DAYS[1]), _ingest("2021-06-03", [(1, ""), (2, "flaw")])])
+@example([_ingest("2021-06-01", [(1, ""), (2, ""), (3, "")]),
+          _ingest("2021-06-02", [(1, ""), (2, "flaw"), (3, "")]),
+          ("stale-lines", DAYS[1]), _ingest("2021-06-03", [(1, ""), (2, "flaw"), (3, "")])])
+# an overwrite of a day that later deltas are stored against
+@example([_ingest("2021-06-01", [(1, ""), (2, ""), (3, "")]),
+          _ingest("2021-06-02", [(1, ""), (2, "flaw"), (3, "")]),
+          _ingest("2021-06-03", [(1, ""), (2, "flaw"), (3, "flaw")]),
+          _ingest("2021-06-01", [(1, "flaw"), (2, ""), (3, "")]),
+          _ingest("2021-06-02", [(1, "flaw"), (2, "flaw")])])
+def test_ingest_stores_what_the_full_map_stores(operations):
+    """Days ingested from drawn feeds that share ids, in any order, over
+    days stored whole, deltas, days under the whole-day rule and days
+    edited by hand (indented, a line out of the layout, a corrupt line, a
+    stale lines digest): each ingest, which holds a line equal to the day
+    before's as its id alone, gives the exit code, output and stored files
+    that handing the store every line gives."""
+    with tempfile.TemporaryDirectory() as held, tempfile.TemporaryDirectory() as full:
+        got = list(run_ingests(Path(held), operations, False))
+        want = list(run_ingests(Path(full), operations, True))
+    for step, operation in enumerate(operations):
+        assert got[step] == want[step], operation
