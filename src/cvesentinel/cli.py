@@ -149,14 +149,12 @@ def cmd_tickets(args: argparse.Namespace, out: TextIO) -> None:
         built, given = (f"stop-word list {d}" if d else "the built-in list" for d in digests)
         raise FormatError(f"filter lists {args.filter_vendors} and {args.filter_products} were "
                           f"built under {built}, but tickets is given {given}")
-    diff = None if args.full else ingest.day_changes(args.store, args.date)
-    if diff is None:  # the day's own load error comes before a missing day before it
-        snapshot = ingest.load_snapshot(args.store, args.date)
+    cves = None if args.full else ingest.new_cves(args.store, args.date)
+    if cves is None:  # the day's own load error comes before a missing day before it
+        records = ingest.load_snapshot(args.store, args.date).records
         if not args.full:
             raise SnapshotNotFoundError(f"no snapshot stored before {args.date}; rerun with --full")
-        cves, records = list(snapshot.records.values()), snapshot.records
     else:
-        cves = list(diff.new_cves)
         records = {cve.id: cve for cve in cves}  # every CVE matched is new: grouping needs no other
 
     if args.dictionary:
@@ -173,7 +171,7 @@ def cmd_tickets(args: argparse.Namespace, out: TextIO) -> None:
             f"match a summary, only a CPE: {examples}"
         )
     matches = matcher.match_corpus(
-        cves,
+        records.values(),
         index,
         fp_filter,
         min_name_len=args.min_name_len,
@@ -185,7 +183,7 @@ def cmd_tickets(args: argparse.Namespace, out: TextIO) -> None:
     via_by_cve = {m.cve_id: m.via for m in matches}
     via_counts = Counter(v.value for v in via_by_cve.values())
     _note(
-        f"{count} ticket(s) from {len(cves)} CVE(s); matched via "
+        f"{count} ticket(s) from {len(records)} CVE(s); matched via "
         f"CPE={via_counts.get('CPE', 0)} SUMMARY={via_counts.get('SUMMARY', 0)}"
     )
 

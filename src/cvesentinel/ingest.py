@@ -28,13 +28,13 @@ from .normalize import StopWordList, as_text, well_formed_from_cpe, well_formed_
 from .store import (  # noqa: F401
     Snapshot,
     _gc_paused,
-    day_changes,
     diff_snapshots,
     earlier_line_digests,
     find_previous_date,
     list_snapshot_dates,
     line_digest,
     load_snapshot,
+    new_cves,
     record_line,
     snapshot_dir,
     snapshot_path,

@@ -15,8 +15,8 @@ another layout, or one whose stored bytes hold a fault, is loaded by
 decoding each of those files whole. A bug in the replay is raised.
 A head has one form, the compact one store_snapshot writes, keys in order:
 a day with a head in any other form is loaded whole, and the next day is stored whole.
-What is new or changed on a stored day is ``day_changes``: a delta against the nearest
-earlier stored day answers from its own lines, any other day ``diff_snapshots`` of both loads.
+What is new on a stored day is ``new_cves``: a delta against the nearest earlier stored
+day decodes only its lines of new ids, any other day takes ``diff_snapshots`` of both loads.
 """
 
 from __future__ import annotations
@@ -406,34 +406,32 @@ def _content(
 
 
 @_gc_paused()
-def day_changes(store_root: str | Path, day: date) -> SnapshotDiff | None:
-    """The records of a stored day that are new or changed since the nearest
-    earlier stored day; None when either day is not stored.
+def new_cves(store_root: str | Path, day: date) -> tuple[CveRecord, ...] | None:
+    """The records of a stored day whose ids the nearest earlier stored day
+    lacks, in id order; None when either day is not stored.
 
     A day stored as changes to that day, each delta of its chain stating a
-    lines digest, is read from its own lines, the only ones decoded, and a
-    record is changed when its line is. The ids below are read from the
-    chain's lines with a load's checks: each link's content digest, each
-    file's layout and id order, the lines digest of each delta a line is
-    taken from, the removals and the record count. Any other day, and any fault
-    in the stored bytes, is left to ``diff_snapshots`` over loads of both days,
-    the earlier first, which name the fault; a bug in the replay is raised."""
-    path = snapshot_path(store_root, day)
+    lines digest, decodes only its lines of new ids; its other lines and the
+    ids below are read with a load's checks: each link's content digest,
+    each file's layout and id order, the lines digest of each delta a line
+    is taken from, the removals and the record count. Any other day, and any
+    fault these checks or a new line's decoding find, is left to
+    ``diff_snapshots`` over loads of both days, the earlier first, which name
+    the fault; a bug in the replay is raised."""
     previous = find_previous_date(store_root, day)
-    if previous is None or not path.exists():
+    if previous is None or not snapshot_path(store_root, day).exists():
         return None
     memo, chain = FieldMemo(), _chain(store_root, day)
     head = chain[0][1] if chain else None
     if head and head.base == previous and all(link.lines_digest is not None for _, link in chain[:-1]):
-        new, changed = {}, {}
         with suppress(_NotLines):
             base_ids = {cve_id for cve_id, _ in _content(chain[1:])}
-            for cve_id, line in _content(chain[:1], base_ids):
-                (changed if cve_id in base_ids else new)[cve_id] = _decode_line(cve_id, line, memo)
+            new = tuple(_decode_line(cve_id, line, memo)
+                        for cve_id, line in _content(chain[:1], base_ids) if cve_id not in base_ids)
             if head.record_count == len(base_ids) - len(head.removed) + len(new):
-                return SnapshotDiff(previous, day, tuple(new.values()), tuple(changed.values()))
+                return new
     older = load_snapshot(store_root, previous, memo=memo)
-    return diff_snapshots(older, load_snapshot(store_root, day, previous=older, memo=memo))
+    return diff_snapshots(older, load_snapshot(store_root, day, previous=older, memo=memo)).new_cves
 
 
 def diff_snapshots(older: Snapshot, newer: Snapshot) -> SnapshotDiff:
@@ -667,12 +665,15 @@ def _rewrite_whole(store_root: str | Path, day: date) -> None:
 def stored_changes(path: str | Path) -> tuple[date, int, int, int] | None:
     """For a day stored as a delta: the day it is stored against, and its
     numbers of new, changed and removed records; None for a day stored
-    whole."""
+    whole; SnapshotIntegrityError where that day is missing or in another layout."""
     path = Path(path)
     head = _head_of(path)
     if head is None or head.base is None:
         return None
     base = _head_of(path.with_name(head.base.isoformat()))
+    if base is None:
+        raise SnapshotIntegrityError(f"snapshot file {head.where(path)}: "
+                                     f"{head.base.isoformat()} is missing or not in the line layout")
     new = head.record_count - base.record_count + len(head.removed)
     return head.base, new, _line_count(path) - new, len(head.removed)
 

@@ -721,7 +721,7 @@ class TestTickets:
         else:
             argv[-1] = str(tmp_path / "absent.txt")
         loads = []
-        for name in ("load_snapshots", "load_snapshot", "day_changes"):
+        for name in ("load_snapshots", "load_snapshot", "new_cves"):
             monkeypatch.setattr(ingest, name, lambda *a, **k: loads.append(a))
         errors = []
         for day in ("2021-06-02", "2021-06-09"):
@@ -1339,14 +1339,25 @@ class TestStoreFaults:
             assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_a_daily_run_decodes_only_its_own_lines(self, tmp_path, store, capsys, monkeypatch):
-        """tickets of day 3 builds one record per line of day 3's delta, and
-        none of the two days below it."""
-        paths = _rescored_chain(tmp_path, store)
+        """tickets of day 3, stored as its changes to day 2, builds one record
+        per new line of day 3's delta: none for its changed line, and none
+        of the two days below it."""
+        kept = [feed_item(f"CVE-2021-000{n}") for n in range(2, 6)]
+        new = [feed_item("CVE-2021-0006", cpes=[cpe23("geotab", "r2d2")]), feed_item("CVE-2021-0007")]
+        for day, score, added in (("2021-06-01", None, []), ("2021-06-02", 5.0, []),
+                                  ("2021-06-03", 9.8, new)):
+            ingest_day(tmp_path, store, day, [feed_item("CVE-2021-0001", score=score), *kept, *added])
+        day_3 = Path(store) / "snapshots" / "2021-06-03"
+        head, *lines = day_3.read_text(encoding="utf-8").split("\n")[:-2]
+        assert json.loads(head + "]}")["base"] == "2021-06-02"
+        assert [json.loads(line.rstrip(","))["id"] for line in lines] == [
+            "CVE-2021-0001", "CVE-2021-0006", "CVE-2021-0007"]
         inventory = write(tmp_path, "inv.csv", INVENTORY)
         argv = ["tickets", "--date", "2021-06-03", "--store", store, "--inventory", inventory]
         capsys.readouterr()
         assert main(argv) == 0
         expected = capsys.readouterr()
+        assert expected.err.endswith(" from 2 CVE(s); matched via CPE=1 SUMMARY=0\n")
         built = []
         from_dict = CveRecord.from_dict
 
@@ -1357,9 +1368,7 @@ class TestStoreFaults:
         monkeypatch.setattr(CveRecord, "from_dict", counted)
         assert main(argv) == 0
         assert capsys.readouterr() == expected
-        assert built == [json.loads(line.rstrip(","))["id"]
-                         for line in paths[2].read_text(encoding="utf-8").split("\n")[1:-2]]
-        assert built == ["CVE-2021-0001"]
+        assert built == ["CVE-2021-0006", "CVE-2021-0007"]
 
     def test_a_corrupt_line_of_the_whole_day_below_is_not_read(self, tmp_path, store, capsys):
         """A day stored whole, edited by hand so that one line keeps the
@@ -1392,6 +1401,77 @@ class TestStoreFaults:
             assert capsys.readouterr().err == (
                 f"error: corrupt snapshot file {Path(store) / 'snapshots' / '2021-06-01'}: "
                 "Invalid isoformat string: 'x2021-06-01'\n")
+
+
+    def test_a_changed_delta_line_that_no_longer_decodes_is_left_to_a_load(self, tmp_path, store,
+                                                                           capsys):
+        """A changed line of day 2's delta, edited by hand so that it keeps
+        the layout but no longer decodes, with the delta's lines digest
+        stated anew: tickets of day 2 decodes only the new lines of the
+        delta, and prints the tickets of a clean store. Each load of day 2
+        exits 4 naming the fault, as it does for such a line of a day stored
+        whole."""
+        inventory = write(tmp_path, "inv.csv", INVENTORY)
+        first = [feed_item("CVE-2021-0001"), feed_item("CVE-2021-0002", summary="nothing relevant")]
+        second = [feed_item("CVE-2021-0001", score=5.0), first[1],
+                  feed_item("CVE-2021-0003", score=7.0, cpes=[cpe23("geotab", "r2d2")])]
+        clean = str(tmp_path / "clean")
+        for root in (store, clean):
+            ingest_day(tmp_path, root, "2021-06-01", first)
+            ingest_day(tmp_path, root, "2021-06-02", second)
+        path = Path(store) / "snapshots" / "2021-06-02"
+        _edit(path, '"id":"CVE-2021-0001","published":"2021-06-01"',
+              '"id":"CVE-2021-0001","published":"2021-13-01"')
+        head, *lines, tail = path.read_text(encoding="utf-8").split("\n")[:-1]
+        assert json.loads(head + "]}")["base"] == "2021-06-01"
+        assert [json.loads(line.rstrip(","))["id"] for line in lines] == ["CVE-2021-0001", "CVE-2021-0003"]
+        stated = hashlib.blake2b("".join(line.removesuffix(",") + "\n" for line in lines).encode(),
+                                 digest_size=16).hexdigest()
+        head = head.replace(json.loads(head + "]}")["lines_digest"], stated)
+        path.write_text("\n".join([head, *lines, tail, ""]), encoding="utf-8")
+        tickets = ["tickets", "--date", "2021-06-02", "--inventory", inventory]
+        capsys.readouterr()
+        assert main([*tickets, "--store", clean]) == 0
+        expected = capsys.readouterr()
+        assert len(expected.out.splitlines()) == 1
+        assert main([*tickets, "--store", store]) == 0
+        assert capsys.readouterr() == expected
+        message = f"corrupt snapshot file {path} (changes to 2021-06-01): month must be in 1..12"
+        for load in (load_snapshot, oracle_load_snapshot):
+            with pytest.raises(SnapshotIntegrityError) as loaded:
+                load(store, date(2021, 6, 2))
+            assert str(loaded.value) == message
+        for argv in (["stats", "--report", "daily", "--from", "2021-06-02", "--to", "2021-06-02"],
+                     [*tickets, "--full"]):
+            assert main([*argv, "--store", store]) == 4
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("replace", ["deleted", "indented"])
+    def test_an_ingest_whose_day_below_is_replaced_after_the_write_exits_4(
+            self, tmp_path, store, capsys, monkeypatch, replace):
+        """The day below a delta, deleted or rewritten whole in another layout
+        between the delta's write and the count of its changes: ingest exits
+        4 naming the delta."""
+        ingest_day(tmp_path, store, "2021-06-01", [feed_item("CVE-2021-0001")])
+        below = Path(store) / "snapshots" / "2021-06-01"
+        store_snapshot = ingest.store_snapshot
+
+        def then_replaced(*args, **kwargs):
+            path = store_snapshot(*args, **kwargs)
+            if replace == "deleted":
+                below.unlink()
+            else:
+                below.write_text(DAY_LAYOUTS["indented"](json.loads(below.read_text(encoding="utf-8"))),
+                                 encoding="utf-8")
+            return path
+
+        monkeypatch.setattr(ingest, "store_snapshot", then_replaced)
+        feed = write(tmp_path, "f.json", feed_bytes([feed_item("CVE-2021-0001", score=5.0)]))
+        capsys.readouterr()
+        assert main(["ingest", feed, "--date", "2021-06-02", "--store", store]) == 4
+        assert capsys.readouterr() == ("", (
+            f"f.json: 0 rejected item(s)\nerror: snapshot file {below.with_name('2021-06-02')} "
+            "(changes to 2021-06-01): 2021-06-01 is missing or not in the line layout\n"))
 
 
 # stdout of every stats report on _stats_history, as JSON and as CSV
@@ -2044,7 +2124,7 @@ class TestOutput:
         _output_history(tmp_path, store)
         argv = _output_commands(tmp_path, store)[command]
         loads = []
-        for name in ("load_snapshot", "day_changes"):
+        for name in ("load_snapshot", "new_cves"):
             read = getattr(ingest, name)
             monkeypatch.setattr(ingest, name, lambda *a, read=read, **k: loads.append(a) or read(*a, **k))
         monkeypatch.setattr(ingest, "read_feed_bytes", None)  # a feed read raises TypeError
@@ -2071,7 +2151,7 @@ class TestOutput:
         _output_history(tmp_path, store)
         argv = [*_output_commands(tmp_path, store)[command], "--store", store]
         reads = []
-        for name in ("load_snapshot", "day_changes"):
+        for name in ("load_snapshot", "new_cves"):
             monkeypatch.setattr(ingest, name, lambda *a, **k: reads.append(a))
         monkeypatch.setattr(ingest, "read_feed_bytes", None)  # a feed read raises TypeError
         snapshots = Path(store) / "snapshots"

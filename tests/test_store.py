@@ -29,10 +29,10 @@ from cvesentinel.cli import main
 from cvesentinel.errors import SnapshotIntegrityError
 from cvesentinel.ingest import (
     Snapshot,
-    day_changes,
     diff_snapshots,
     load_snapshot,
     load_snapshots,
+    new_cves,
     snapshot_path,
     stored_changes,
 )
@@ -316,7 +316,7 @@ class TestLoads:
         assert loaded[1].records["CVE-2021-0002"] is not loaded[0].records["CVE-2021-0002"]
 
     def test_each_link_of_a_chain_is_opened_for_its_head_once(self, tmp_path, monkeypatch):
-        """A load of a day two deltas deep, and day_changes of it, open each
+        """A load of a day two deltas deep, and new_cves of it, open each
         file of its chain once for its head and once for its lines, and day
         1, the day stored whole, once more to digest its bytes."""
         two_deltas_deep(tmp_path)
@@ -330,13 +330,13 @@ class TestLoads:
         assert load_snapshot(tmp_path, DAYS[2]) == oracle_load_snapshot(tmp_path, DAYS[2])
         assert opened == {"2021-06-01": 3, "2021-06-02": 2, "2021-06-03": 2}
         opened.clear()
-        assert day_changes(tmp_path, DAYS[2]).updated_cves
+        assert new_cves(tmp_path, DAYS[2]) == ()
         assert opened == {"2021-06-01": 3, "2021-06-02": 2, "2021-06-03": 2}
 
     @pytest.mark.parametrize("replay", ["_content", "_sorted_lines"])
     def test_a_bug_in_the_replay_is_raised_not_retried(self, tmp_path, monkeypatch, replay):
         """A TypeError that the replay's own code raises once its lines are
-        read is raised by a load, a range load and day_changes of a day two
+        read is raised by a load, a range load and new_cves of a day two
         deltas deep: only a fault in the stored bytes sends a day to the
         load of each file decoded whole."""
         two_deltas_deep(tmp_path)
@@ -349,7 +349,7 @@ class TestLoads:
         monkeypatch.setattr(store, replay, broken)
         for load in (lambda: load_snapshot(tmp_path, DAYS[2]),
                      lambda: list(load_snapshots(tmp_path, DAYS[:3])),
-                     lambda: day_changes(tmp_path, DAYS[2])):
+                     lambda: new_cves(tmp_path, DAYS[2])):
             with pytest.raises(TypeError, match="a bug in the replay"):
                 load()
 
@@ -589,21 +589,22 @@ def spied_loads(monkeypatch) -> list[date]:
 
 
 def assert_changes_loaded(root, day: date, monkeypatch) -> None:
-    """day_changes of ``day`` loads the nearest earlier stored day and then
+    """new_cves of ``day`` loads the nearest earlier stored day and then
     ``day``, and gives what diff_snapshots over the oracle's loads of the
-    two days gives: their diff, or the integrity error of the load that fails."""
+    two days gives: their diff's new records, or the integrity error of the
+    load that fails."""
     previous = store.find_previous_date(root, day)
 
     def diff_or_error(load):
         try:
-            return diff_snapshots(load(root, previous), load(root, day))
+            return diff_snapshots(load(root, previous), load(root, day)).new_cves
         except SnapshotIntegrityError as exc:
             return str(exc)
 
     expected = diff_or_error(oracle_load_snapshot)
     loads = spied_loads(monkeypatch)
     try:
-        assert day_changes(root, day) == expected
+        assert new_cves(root, day) == expected
     except SnapshotIntegrityError as exc:
         assert str(exc) == expected
     assert loads == [previous, day]
@@ -612,7 +613,7 @@ def assert_changes_loaded(root, day: date, monkeypatch) -> None:
 def test_a_delta_stored_before_lines_digests_loads_with_its_lines_unchecked(tmp_path, monkeypatch):
     """A delta whose head states no lines digest, as deltas stored before it
     existed, loads as before: a line edited in it loads as edited, on its
-    day and on the later delta replayed through it. day_changes of either
+    day and on the later delta replayed through it. new_cves of either
     day loads both days, as tickets did before it."""
     records = {f"CVE-2021-000{n}": make_record(f"CVE-2021-000{n}") for n in range(1, 6)}
     expected = {}
@@ -640,7 +641,7 @@ def test_a_delta_stored_before_lines_digests_loads_with_its_lines_unchecked(tmp_
 def test_a_delta_line_that_decodes_to_another_id_is_left_to_a_load(tmp_path, monkeypatch):
     """A line of day 2's delta that begins with its id but decodes to a
     record of another id (a second "id" key, escaped), its lines digest
-    stated anew: day_changes loads both days."""
+    stated anew: new_cves loads both days."""
     three_days(tmp_path)
     path = snapshot_path(tmp_path, DAYS[1])
     head, *lines, tail = path.read_text(encoding="utf-8").split("\n")[:-1]
@@ -661,7 +662,7 @@ def test_an_edited_delta_line_fails_each_load_that_takes_a_line_of_that_delta(tm
     so does a load of day 3 that takes that line. When day 3 rescores the
     CVE itself, its load takes no line of day 2 and succeeds, while the
     oracle, which reads every file whole, is stricter. The ids of day 2
-    are read from its lines, so day_changes of day 3 loads day 2, which
+    are read from its lines, so new_cves of day 3 loads day 2, which
     names the fault."""
     records = {f"CVE-2021-000{n}": make_record(f"CVE-2021-000{n}") for n in range(1, 4)}
     stored = {}
@@ -692,7 +693,7 @@ def test_an_edited_delta_line_fails_each_load_that_takes_a_line_of_that_delta(tm
         assert str(day_3.value) == message
     loads = spied_loads(monkeypatch)
     with pytest.raises(SnapshotIntegrityError) as changes:
-        day_changes(tmp_path, DAYS[2])
+        new_cves(tmp_path, DAYS[2])
     assert str(changes.value) == message
     assert loads == [DAYS[1]]
 
@@ -847,31 +848,28 @@ def test_a_range_load_re_encodes_to_the_stored_lines(operations):
 @settings(max_examples=60, deadline=None)
 def test_a_delta_names_its_new_and_changed_records(operations):
     """After each step, for each stored day with an earlier stored day,
-    day_changes gives the new records of diff_snapshots over the oracle's
-    loads of the two days. A delta stored against the nearest earlier day
-    gives as changed the records of the ids whose line changed, those of the
-    diff among them, with stored_changes' counts, and loads no day; any
-    other day gives the diff itself, from loads of both days."""
+    new_cves gives the new records of diff_snapshots over the oracle's
+    loads of the two days. For a delta stored against the nearest earlier
+    day it loads no day, and stored_changes counts as changed the ids whose
+    line changed, those of the diff among them; any other day is read from
+    loads of both days."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         loads = spied_loads(patch)
         for model in run_operations(tmp, operations):
             for base, day in pairwise(sorted(model)):
                 loads.clear()
-                changes = day_changes(tmp, day)
+                new = new_cves(tmp, day)
                 older, newer = oracle_load_snapshot(tmp, base), oracle_load_snapshot(tmp, day)
                 diff = diff_snapshots(older, newer)
-                assert (changes.date_from, changes.date_to, changes.new_cves) == (base, day, diff.new_cves)
+                assert new == diff.new_cves
                 stored = stored_changes(snapshot_path(tmp, day))
                 if stored is None or stored[0] != base:
-                    assert changes == diff and loads == [base, day]
+                    assert loads == [base, day]
                     continue
                 assert loads == []
-                changed = [record.id for record in changes.updated_cves]
-                assert changed == sorted(
-                    i for i in newer.records
-                    if i in older.records and record_line(newer.records[i]) != record_line(older.records[i]))
+                changed = [i for i, record in newer.records.items()
+                           if i in older.records and record_line(record) != record_line(older.records[i])]
                 assert {r.id for r in diff.updated_cves} <= set(changed)
-                assert all(record == newer.records[record.id] for record in changes.updated_cves)
                 removed = len(older.records) - len(newer.records) + len(diff.new_cves)
                 assert stored == (base, len(diff.new_cves), len(changed), removed)
 
